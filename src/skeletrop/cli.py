@@ -138,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("certificate", "exact", "both"), default=None,
                    help="evidence route per stratum pair (default: both)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers for pair checks (output is identical)")
+                   help="accepted for compatibility (at least 1); pairs are checked "
+                        "serially and the output never depends on it")
     p.add_argument("--out", default=None, help="write certificate to a file")
     p.set_defaults(func=_cmd_check)
 

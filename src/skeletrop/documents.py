@@ -240,6 +240,9 @@ def parse_input(text: str) -> InputDocument:
                 if not cx.has_stratum(entry[0]) or not cx.has_stratum(entry[1]):
                     raise InputError(f"$.check.pairs[{k}]",
                                      f"unknown stratum id in {entry}")
+                if entry[0] == entry[1]:
+                    raise InputError(f"$.check.pairs[{k}]",
+                                     f"a pair needs two distinct strata, got {entry}")
                 pairs.append((entry[0], entry[1]))
             pair_filter = tuple(pairs)
         canon_check = {}

@@ -135,5 +135,7 @@ def eval_min_plus(f: MonomialSupport, u: Sequence) -> Fraction:
         raise ValueError(f"expected {f.arity} weights, got {len(weights)}")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
-    return min(sum((w * e for w, e in zip(weights, m) if e), Fraction(0))
-               for m in f.exponents)
+    # Clear denominators once; the minimum is then over integer dot products.
+    denom = math.lcm(*(w.denominator for w in weights))
+    numer = [w.numerator * (denom // w.denominator) for w in weights]
+    return Fraction(min(sum(n * e for n, e in zip(numer, m)) for m in f.exponents), denom)

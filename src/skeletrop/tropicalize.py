@@ -18,22 +18,24 @@ The exact route decides emptiness of the intersection of the two image
 polytopes outright, by coordinate-interval separation when a single
 coordinate suffices and by exact rational LP feasibility otherwise.
 
-Pair checks are independent of one another and may run concurrently; the
-report is always assembled in sorted order, so its serialization does not
-depend on scheduling.
+Pairs are checked serially, in sorted order, with one per-call memo of the
+per-stratum data the checks reuse.  A thread pool over the pairs was
+measured slower than the serial loop (the work is GIL-bound ``Fraction``
+arithmetic), so ``jobs`` is accepted only for compatibility and never
+changes the output.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .complexes import DualComplex, SimplexPoint, Stratum, validate_complex
-from .lattice import (IntMatrix, RationalPolyhedron, relint_intersection_nonempty,
-                      simplex_image_polyhedron, smith_normal_form)
+from .lattice import (IntMatrix, relint_intersection_nonempty, simplex_image_polyhedron,
+                      smith_normal_form)
 from .sections import OrderMatrix, restrict_affine, validate_orders
 from .tropical import TropicalProjectivePoint, trop_normalize
 
@@ -223,14 +225,32 @@ class PairEvidence:
     disjoint: bool | None
 
 
-def _interval_table(f: PiecewiseAffineMap, sid: str, cache: dict) -> tuple:
-    table = cache.get(sid)
-    if table is None:
-        imgs = f.vertex_images(sid)
-        table = tuple((min(vals), max(vals))
-                      for vals in zip(*imgs))
-        cache[sid] = table
-    return table
+def _piece_memo(f: PiecewiseAffineMap):
+    """One memo for the per-stratum data the pair checks reuse.
+
+    ``memo(kind, sid)`` returns, computed on first use, the coordinate
+    interval table ("intervals"), the relative-interior image polyhedron
+    ("polyhedron") or the piece injectivity flag ("injective") of a stratum.
+    """
+
+    @cache
+    def memo(kind: str, sid: str):
+        if kind == "intervals":
+            return tuple((min(vals), max(vals)) for vals in zip(*f.vertex_images(sid)))
+        if kind == "polyhedron":
+            return simplex_image_polyhedron(f.vertex_images(sid), relative_interior=True)
+        return piece_injective(f, sid)
+
+    return memo
+
+
+def _ambient(c: DualComplex, sid: str, tid: str) -> str | None:
+    """The larger stratum when one of the two is a face of the other, else None."""
+    if c.is_face(tid, sid):
+        return sid
+    if c.is_face(sid, tid):
+        return tid
+    return None
 
 
 def _intervals_separate(ta, tb) -> bool:
@@ -251,35 +271,16 @@ def _intervals_separate(ta, tb) -> bool:
     return False
 
 
-def _relint_poly(f: PiecewiseAffineMap, sid: str, cache: dict) -> RationalPolyhedron:
-    poly = cache.get(sid)
-    if poly is None:
-        poly = simplex_image_polyhedron(f.vertex_images(sid), relative_interior=True)
-        cache[sid] = poly
-    return poly
-
-
-def _injective(f: PiecewiseAffineMap, sid: str, cache: dict) -> bool:
-    flag = cache.get(sid)
-    if flag is None:
-        flag = piece_injective(f, sid)
-        cache[sid] = flag
-    return flag
-
-
-def _pair_exact(f: PiecewiseAffineMap, sid: str, tid: str,
-                intervals: dict, polys: dict, injective: dict) -> ExactVerdict:
-    c = f.complex
-    if c.face_related(sid, tid):
-        ambient = sid if c.is_face(tid, sid) else tid
-        if _injective(f, ambient, injective):
-            return ExactVerdict(True, None, "face-injectivity")
-        # Degenerate ambient piece: fall through to the oracle.
-    if _intervals_separate(_interval_table(f, sid, intervals),
-                           _interval_table(f, tid, intervals)):
+def _exact_verdict(memo, sid: str, tid: str, ambient: str | None) -> ExactVerdict:
+    """The exact oracle on one pair; ``ambient`` is the larger stratum of a
+    face pair (see ``_ambient``) and None for an independent pair."""
+    if ambient is not None and memo("injective", ambient):
+        return ExactVerdict(True, None, "face-injectivity")
+    # Degenerate ambient piece or independent pair: decide on the images.
+    if _intervals_separate(memo("intervals", sid), memo("intervals", tid)):
         return ExactVerdict(True, None, "interval")
-    hit, witness = relint_intersection_nonempty(_relint_poly(f, sid, polys),
-                                                _relint_poly(f, tid, polys))
+    hit, witness = relint_intersection_nonempty(memo("polyhedron", sid),
+                                                memo("polyhedron", tid))
     return ExactVerdict(not hit, witness, "lp")
 
 
@@ -296,7 +297,7 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
     tid = f.complex.stratum(t).id
     if sid == tid:
         raise ValueError("disjointness query requires two distinct strata")
-    return _pair_exact(f, sid, tid, {}, {}, {})
+    return _exact_verdict(_piece_memo(f), sid, tid, _ambient(f.complex, sid, tid))
 
 
 @dataclass(frozen=True)
@@ -309,40 +310,24 @@ class FaithfulnessReport:
 
 
 def _pair_evidence(f: PiecewiseAffineMap, m: OrderMatrix, sid: str, tid: str,
-                   mode: str, intervals: dict, polys: dict,
-                   injective: dict) -> PairEvidence:
-    c = f.complex
-    if c.face_related(sid, tid):
-        ambient = sid if c.is_face(tid, sid) else tid
-        ok = _injective(f, ambient, injective)
-        if ok:
-            disjoint = True
-        elif mode == "certificate":
-            disjoint = None
-        else:
-            verdict = _pair_exact(f, sid, tid, intervals, polys, injective)
-            return PairEvidence(sid, tid, "face", FaceDischarge(ambient, False),
-                                None, verdict, verdict.disjoint)
+                   mode: str, memo) -> PairEvidence:
+    ambient = _ambient(f.complex, sid, tid)
+    if ambient is not None:
+        ok = memo("injective", ambient)
+        exact = None if ok or mode == "certificate" else _exact_verdict(memo, sid, tid, ambient)
+        disjoint = True if ok else (exact.disjoint if exact is not None else None)
         return PairEvidence(sid, tid, "face", FaceDischarge(ambient, ok),
-                            None, None, disjoint)
+                            None, exact, disjoint)
 
     separation = None
-    if mode in ("certificate", "both"):
-        coord = separation_certificate(f, m, sid, tid)
-        if coord is not None:
-            separation = SeparationCertificate(sid, coord)
-        else:
-            coord = separation_certificate(f, m, tid, sid)
+    if mode != "exact":
+        for interior, other in ((sid, tid), (tid, sid)):
+            coord = separation_certificate(f, m, interior, other)
             if coord is not None:
-                separation = SeparationCertificate(tid, coord)
-    exact = None
-    if mode in ("exact", "both"):
-        exact = _pair_exact(f, sid, tid, intervals, polys, injective)
-
-    if mode == "certificate":
-        disjoint = True if separation is not None else None
-    else:
-        disjoint = exact.disjoint
+                separation = SeparationCertificate(interior, coord)
+                break
+    exact = None if mode == "certificate" else _exact_verdict(memo, sid, tid, ambient)
+    disjoint = exact.disjoint if exact is not None else (True if separation is not None else None)
     return PairEvidence(sid, tid, "independent", None, separation, exact, disjoint)
 
 
@@ -353,10 +338,11 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
 
     ``mode`` selects the evidence route per pair: "certificate" (separating
     coordinate), "exact" (polytope oracle), or "both", in which case any
-    disagreement between the routes is recorded as a defect.  ``jobs``
-    parallelizes the pair checks; the report and its serialization are
-    identical for any job count.  ``pair_filter`` restricts which unordered
-    pairs are examined (ids); the overall verdict then only speaks for the
+    disagreement between the routes is recorded as a defect.  Pairs are
+    checked serially, in sorted order; ``jobs`` (at least 1) is accepted for
+    compatibility and never changes the work done or the report.
+    ``pair_filter`` restricts which unordered pairs are examined, each entry
+    two distinct stratum ids; the overall verdict then only speaks for the
     examined pairs.
     """
     if mode not in MODES:
@@ -370,28 +356,20 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
 
     wanted = None
     if pair_filter is not None:
-        wanted = {frozenset(p) for p in pair_filter}
-        for p in wanted:
+        wanted = set()
+        for p in pair_filter:
+            p = tuple(p)
+            if len(p) != 2 or p[0] == p[1]:
+                raise ValueError(f"pair filter entry {p!r} is not two distinct stratum ids")
             for sid in p:
                 c.stratum(sid)  # raises on unknown ids
-    pairs_to_check = [(a, b) for a, b in combinations(order, 2)
-                      if wanted is None or frozenset((a, b)) in wanted]
+            wanted.add(frozenset(p))
 
-    intervals: dict = {}
-    polys: dict = {}
-    injective: dict = {}
-
-    def run(pair):
-        a, b = pair
-        return _pair_evidence(f, m, a, b, mode, intervals, polys, injective)
-
-    if jobs == 1 or len(pairs_to_check) < 2:
-        evidence = [run(p) for p in pairs_to_check]
-    else:
-        # Pure functions over immutable inputs; cache writes are idempotent.
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            evidence = list(pool.map(run, pairs_to_check))
-    evidence.sort(key=lambda e: (c.sort_key(e.left), c.sort_key(e.right)))
+    # combinations() of the sorted ids yields the pairs already in report order.
+    memo = _piece_memo(f)
+    evidence = [_pair_evidence(f, m, a, b, mode, memo)
+                for a, b in combinations(order, 2)
+                if wanted is None or frozenset((a, b)) in wanted]
 
     defects = []
     for e in evidence:

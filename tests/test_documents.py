@@ -74,6 +74,11 @@ class TestParseInput:
         data["check"] = {"pairs": [["1", "9"]]}
         with pytest.raises(InputError, match="unknown stratum"):
             parse_input(json.dumps(data))
+        for bad, message in ((["1", "1"], "two distinct strata"),
+                             (["1", "2", "1-2"], "expected a pair")):
+            data["check"] = {"pairs": [["1", "2"], bad]}
+            with pytest.raises(InputError, match=r"\$\.check\.pairs\[1\].*" + message):
+                parse_input(json.dumps(data))
 
     def test_bad_mode(self):
         data = json.loads(MINIMAL)

@@ -7,13 +7,12 @@ import pytest
 
 from skeletrop.complexes import SimplexPoint, build_from_facets
 from skeletrop.documents import generate_fixture
-from skeletrop.lattice import relint_intersection_nonempty
+from skeletrop.lattice import relint_intersection_nonempty, simplex_image_polyhedron
 from skeletrop.sections import OrderMatrix, canonical_order_matrix
 from skeletrop.tropical import trop_eq
 from skeletrop.tropicalize import (PiecewiseAffineMap, build_map, check_faithful,
                                    check_unimodular, images_relint_disjoint_exact,
                                    piece_injective, separation_certificate)
-from skeletrop.tropicalize import _relint_poly
 
 
 def cycle(n):
@@ -188,12 +187,12 @@ class TestExactOracle:
                     generate_fixture("simplex_boundary", dim=3)):
             c = doc.complex
             f = canonical_map(c)
-            polys = {}
+            polys = {sid: simplex_image_polyhedron(f.vertex_images(sid), relative_interior=True)
+                     for sid in c.stratum_ids()}
             for a, b in itertools.combinations(c.stratum_ids(), 2):
                 if c.face_related(a, b):
                     continue
-                hit, _ = relint_intersection_nonempty(_relint_poly(f, a, polys),
-                                                      _relint_poly(f, b, polys))
+                hit, _ = relint_intersection_nonempty(polys[a], polys[b])
                 assert (not hit) == images_relint_disjoint_exact(f, a, b).disjoint
 
     def test_degenerate_ambient_falls_back_to_oracle(self):
@@ -306,8 +305,9 @@ class TestCheckFaithful:
         report = check_faithful(c, m, pair_filter=[("1-2", "3-4")])
         assert len(report.pairs) == 1
         assert report.pairs[0].disjoint
-        with pytest.raises(ValueError):
-            check_faithful(c, m, pair_filter=[("1-2", "7-9")])
+        for bad in [("1-2", "7-9")], [("1-2", "1-2")], [("1-2", "2-3", "3-4")]:
+            with pytest.raises(ValueError):
+                check_faithful(c, m, pair_filter=bad)
 
     def test_mode_validation(self):
         c = cycle(3)
