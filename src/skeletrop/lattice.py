@@ -1,9 +1,12 @@
 """Exact integer and rational linear algebra kernels.
 
 Smith normal form with transform matrices, lattice saturation tests, and
-rational feasibility queries for relative interiors of polyhedra.  All
-arithmetic is over Python ints and ``fractions.Fraction``; no floating
-point ever enters a code path, so every verdict and witness is exact.
+rational feasibility queries for relative interiors of polyhedra.  No
+floating point ever enters a code path, so every verdict and witness is
+exact.  The rank, Fourier-Motzkin and simplex kernels run on Python ints:
+rows are cleared of denominators once and kept integer by fraction-free
+(Bareiss) updates and gcd reduction.  ``fractions.Fraction`` appears at the
+API boundary, in rational vertex images, constraint bounds and witnesses.
 
 Everything in this module is a pure function on immutable values and is
 safe to call concurrently.
@@ -29,10 +32,6 @@ __all__ = [
     "simplex_image_polyhedron",
     "relint_intersection_nonempty",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def _as_fraction(x) -> Fraction:
     """Coerce to Fraction, refusing floats (exactness would be lost)."""
@@ -126,24 +125,22 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def rank(self) -> int:
-        """Rank over the rationals (exact Gaussian elimination)."""
-        a = [[Fraction(x) for x in row] for row in self.entries]
+        """Rank over the rationals by Bareiss fraction-free elimination."""
+        a = [list(row) for row in self.entries]
         rank = 0
-        col = 0
-        while rank < self.rows and col < self.cols:
+        prev = 1
+        for col in range(self.cols):
             pivot = next((i for i in range(rank, self.rows) if a[i][col] != 0), None)
             if pivot is None:
-                col += 1
                 continue
             a[rank], a[pivot] = a[pivot], a[rank]
-            inv = a[rank][col]
-            a[rank] = [x / inv for x in a[rank]]
-            for i in range(self.rows):
-                if i != rank and a[i][col] != 0:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+            prow = a[rank]
+            p = prow[col]
+            for i in range(rank + 1, self.rows):
+                f = a[i][col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
+            prev = p
             rank += 1
-            col += 1
         return rank
 
 
@@ -398,26 +395,37 @@ class RationalPolyhedron:
 _EQ, _LE, _LT = 0, 1, 2
 
 
-def _eliminate_variables(rows, drop: int, width: int):
+def _reduced(coeffs: list[int], rhs: int) -> tuple[list[int], int]:
+    """Divide an integer row and its right-hand side by their gcd."""
+    g = gcd(*coeffs, rhs)
+    if g > 1:
+        return [c // g for c in coeffs], rhs // g
+    return coeffs, rhs
+
+
+def _eliminate_variables(rows, drop: int):
     """Project out variables 0..drop-1 from a mixed eq/le/lt system.
 
-    Each row is ``[coeffs, rel, rhs]`` with Fraction coefficients.  Equations
-    are used for exact substitution when they mention the variable; anything
-    left is handled by Fourier-Motzkin combination, which preserves
-    strictness (a combination is strict iff either parent is strict).
+    Each row is ``(coeffs, rel, rhs)`` with integer coefficients and an
+    integer right-hand side.  Equations are used for exact substitution when
+    they mention the variable; anything left is handled by Fourier-Motzkin
+    combination, which preserves strictness (a combination is strict iff
+    either parent is strict).  Rows are only ever multiplied by positive
+    integers, so every relation keeps its direction, and each new row is
+    divided by its gcd.
     """
-    rows = [([Fraction(c) for c in coeffs], rel, Fraction(rhs)) for coeffs, rel, rhs in rows]
     for j in range(drop):
-        pivot = next((r for r in rows if r[1] == _EQ and r[0][j] != 0), None)
-        if pivot is not None:
-            pc, _, prhs = pivot
-            rows.remove(pivot)
+        k = next((k for k, row in enumerate(rows) if row[1] == _EQ and row[0][j] != 0), None)
+        if k is not None:
+            pc, _, prhs = rows.pop(k)
+            # Multiply by |pivot|, not by the pivot, to keep inequalities.
+            mp, sp = abs(pc[j]), (1 if pc[j] > 0 else -1)
             new_rows = []
             for coeffs, rel, rhs in rows:
-                if coeffs[j] != 0:
-                    f = coeffs[j] / pc[j]
-                    coeffs = [c - f * p for c, p in zip(coeffs, pc)]
-                    rhs = rhs - f * prhs
+                f = coeffs[j] * sp
+                if f != 0:
+                    coeffs, rhs = _reduced([mp * c - f * q for c, q in zip(coeffs, pc)],
+                                           mp * rhs - f * prhs)
                 new_rows.append((coeffs, rel, rhs))
             rows = new_rows
             continue
@@ -432,21 +440,19 @@ def _eliminate_variables(rows, drop: int, width: int):
                 lowers.append(row)
         for (uc, urel, urhs), (lc, lrel, lrhs) in itertools.product(uppers, lowers):
             mu, ml = -lc[j], uc[j]
-            coeffs = [mu * cu + ml * cl for cu, cl in zip(uc, lc)]
+            coeffs, rhs = _reduced([mu * cu + ml * cl for cu, cl in zip(uc, lc)],
+                                   mu * urhs + ml * lrhs)
             rel = _LT if _LT in (urel, lrel) else _LE
-            keep.append((coeffs, rel, mu * urhs + ml * lrhs))
+            keep.append((coeffs, rel, rhs))
         rows = keep
     return rows
 
 
-def _emit_constraints(rows, drop: int, width: int) -> list[Constraint]:
+def _emit_constraints(rows, drop: int) -> list[Constraint]:
     out: dict[tuple[int, ...], tuple[Fraction, bool]] = {}
 
-    def push(normal_fracs, rhs, strict):
-        denom = lcm(*(f.denominator for f in normal_fracs))
-        normal = tuple(int(f * denom) for f in normal_fracs)
-        bound = rhs * denom
-        cand = Constraint(normal, bound, strict)
+    def push(normal, rhs, strict):
+        cand = Constraint(tuple(normal), rhs, strict)
         prev = out.get(cand.normal)
         # Same normal: the smaller bound wins; at a tie, strict is tighter.
         if prev is None or (cand.bound, not cand.strict) < (prev[0], not prev[1]):
@@ -454,16 +460,13 @@ def _emit_constraints(rows, drop: int, width: int) -> list[Constraint]:
 
     for coeffs, rel, rhs in rows:
         xcoeffs = coeffs[drop:]
-        assert all(c == 0 for c in coeffs[:drop])
-        if all(c == 0 for c in xcoeffs):
+        if any(coeffs[:drop]):
+            raise ArithmeticError("elimination left a barycentric variable in a row")
+        if not any(xcoeffs):
             # Constant rows from elimination must be identically true here:
             # the projected set is nonempty by construction.
-            if rel == _EQ:
-                assert rhs == 0
-            elif rel == _LE:
-                assert rhs >= 0
-            else:
-                assert rhs > 0
+            if not (rhs == 0, rhs >= 0, rhs > 0)[rel]:
+                raise ArithmeticError("elimination produced an unsatisfiable constant row")
             continue
         if rel == _EQ:
             push(xcoeffs, rhs, False)
@@ -495,67 +498,91 @@ def simplex_image_polyhedron(vertex_images: Sequence[Sequence],
     width = r + n
     rows = []
     for i in range(n):
-        coeffs = [verts[a][i] for a in range(r)] + [_ZERO] * n
-        coeffs[r + i] = Fraction(-1)
-        rows.append((coeffs, _EQ, _ZERO))
-    rows.append(([_ONE] * r + [_ZERO] * n, _EQ, _ONE))
+        # Coordinate i, cleared of denominators: sum_a den*w_a[i]*lambda_a - den*x_i = 0.
+        den = lcm(*(w[i].denominator for w in verts))
+        coeffs = [w[i].numerator * (den // w[i].denominator) for w in verts] + [0] * n
+        coeffs[r + i] = -den
+        rows.append((coeffs, _EQ, 0))
+    rows.append(([1] * r + [0] * n, _EQ, 1))
     rel = _LT if relative_interior else _LE
     for a in range(r):
-        coeffs = [_ZERO] * width
-        coeffs[a] = Fraction(-1)
-        rows.append((coeffs, rel, _ZERO))
-    reduced = _eliminate_variables(rows, r, width)
-    return RationalPolyhedron(n, tuple(_emit_constraints(reduced, r, width)))
+        coeffs = [0] * width
+        coeffs[a] = -1
+        rows.append((coeffs, rel, 0))
+    return RationalPolyhedron(n, tuple(_emit_constraints(_eliminate_variables(rows, r), r)))
 
 
 # --- exact simplex method ---------------------------------------------------
+#
+# The tableau is a list of integer rows, each its coefficients followed by its
+# right-hand side, over one positive common denominator d: the true tableau
+# is rows / d.  The objective row has the same layout and denominator.
 
 
-def _pivot(rows, rhs, obj, basis, r, c):
-    inv = rows[r][c]
-    rows[r] = [x / inv for x in rows[r]]
-    rhs[r] = rhs[r] / inv
-    for i in range(len(rows)):
-        if i != r and rows[i][c] != 0:
-            f = rows[i][c]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            rhs[i] = rhs[i] - f * rhs[r]
-    if obj[c] != 0:
-        f = obj[c]
-        for j in range(len(obj) - 1):
-            obj[j] -= f * rows[r][j]
-        obj[-1] -= f * rhs[r]
-    basis[r] = c
+def _pivot(rows, obj, basis, d: int, r: int, c: int) -> int:
+    """Fraction-free pivot on entry (r, c); returns the new denominator.
 
-
-def _run_simplex(rows, rhs, basis, cost):
-    """Maximize cost . z over the tableau; Bland's rule, exact pivots.
-
-    The objective row stores reduced costs and, in its last slot, the
-    negated objective value.  Returns the optimal value.
+    With ``p = rows[r][c]``, every other row and the objective row become
+    ``(p * row - row[c] * rows[r]) // d``, and ``p`` is the new denominator.
+    The division is exact: each entry is then a minor of the starting
+    tableau (Sylvester's identity, as in Bareiss elimination).  The pivot
+    row is kept.  A negative pivot, which only driving an artificial
+    variable out of the basis can meet, negates the pivot row first, which
+    negates the whole tableau and keeps the denominator positive.
     """
-    ncols = len(rows[0]) if rows else len(cost)
-    obj = [Fraction(c) for c in cost] + [_ZERO]
-    for i, b in enumerate(basis):
-        if obj[b] != 0:
-            f = obj[b]
-            for j in range(ncols):
-                obj[j] -= f * rows[i][j]
-            obj[-1] -= f * rhs[i]
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        p = -p
+        prow = rows[r] = [-x for x in prow]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            if f != 0:
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                rows[i] = [p * x // d for x in row]
+    if obj is not None:
+        f = obj[c]
+        obj[:] = [(p * x - f * y) // d for x, y in zip(obj, prow)]
+    basis[r] = c
+    return p
+
+
+def _run_simplex(rows, basis, cost, d: int):
+    """Maximize cost . z over the integer tableau ``rows / d``.
+
+    ``cost`` holds integer costs, one per column.  Bland's rule picks the
+    entering column; the ratio test compares ``rhs / a`` by
+    cross-multiplication and breaks ties by the smaller basic index.  The
+    objective row stores reduced costs and, in its last slot, the negated
+    objective value, over the same denominator as the tableau.  Returns
+    ``(v, d)``: the optimal value is ``v / d``, and ``d`` is the denominator
+    of the final tableau.
+    """
+    obj = [d * x for x in cost] + [0]
+    for row, b in zip(rows, basis):
+        f = cost[b]
+        if f != 0:
+            obj = [x - f * y for x, y in zip(obj, row)]
+    ncols = len(cost)
     while True:
         enter = next((j for j in range(ncols) if obj[j] > 0), None)
         if enter is None:
-            return -obj[-1]
+            return -obj[-1], d
         best = None
-        for i in range(len(rows)):
-            a = rows[i][enter]
+        for i, row in enumerate(rows):
+            a = row[enter]
             if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
+                if best is None:
+                    best, brhs, ba = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * ba, brhs * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best, brhs, ba = i, row[-1], a
         if best is None:
             raise ArithmeticError("linear program is unbounded")
-        _pivot(rows, rhs, obj, basis, best[1], enter)
+        d = _pivot(rows, obj, basis, d, best, enter)
 
 
 def _max_min_slack(constraints: Sequence[Constraint], dim: int):
@@ -563,76 +590,65 @@ def _max_min_slack(constraints: Sequence[Constraint], dim: int):
 
     Returns ``(value, point)`` or ``(None, None)`` when even the closed
     relaxation is infeasible.  A strictly positive value certifies a point
-    satisfying every strict constraint strictly.
+    satisfying every strict constraint strictly.  The right-hand sides are
+    scaled by the lcm of the bound denominators, which changes no sign and
+    no ratio order, so the tableau starts out integer.
     """
     m = len(constraints) + 1
     base = 2 * dim + 2  # x split into +/- parts, then the slack variable t
     total = base + m
+    scale = lcm(*(c.bound.denominator for c in constraints))
     rows = []
-    rhs = []
     for c in constraints:
-        coef = [_ZERO] * total
+        row = [0] * (total + 1)
         for i, ai in enumerate(c.normal):
-            coef[i] = Fraction(ai)
-            coef[dim + i] = Fraction(-ai)
+            row[i] = ai
+            row[dim + i] = -ai
         if c.strict:
-            coef[2 * dim] = _ONE
-            coef[2 * dim + 1] = Fraction(-1)
-        rows.append(coef)
-        rhs.append(Fraction(c.bound))
-    cap = [_ZERO] * total
-    cap[2 * dim] = _ONE
-    cap[2 * dim + 1] = Fraction(-1)
+            row[2 * dim] = 1
+            row[2 * dim + 1] = -1
+        row[-1] = c.bound.numerator * (scale // c.bound.denominator)
+        rows.append(row)
+    cap = [0] * (total + 1)
+    cap[2 * dim] = 1
+    cap[2 * dim + 1] = -1
+    cap[-1] = scale
     rows.append(cap)
-    rhs.append(_ONE)
     for i in range(m):
-        rows[i][base + i] = _ONE
+        rows[i][base + i] = 1
 
-    basis = []
-    art_of_row = {}
-    for i in range(m):
-        if rhs[i] < 0:
+    negative = [i for i in range(m) if rows[i][-1] < 0]
+    nart = len(negative)
+    basis = list(range(base, base + m))
+    d = 1
+    if nart:
+        rows = [row[:-1] + [0] * nart + row[-1:] for row in rows]
+        for idx, i in enumerate(negative):
             rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-            art_of_row[i] = None
-    nart = len(art_of_row)
-    if nart:
-        for row in rows:
-            row.extend([_ZERO] * nart)
-        for idx, i in enumerate(art_of_row):
-            rows[i][total + idx] = _ONE
-            art_of_row[i] = total + idx
-    for i in range(m):
-        basis.append(art_of_row.get(i, base + i))
-
-    if nart:
-        cost1 = [_ZERO] * (total + nart)
-        for i in art_of_row.values():
-            cost1[i] = Fraction(-1)
-        if _run_simplex(rows, rhs, basis, cost1) < 0:
+            rows[i][total + idx] = 1
+            basis[i] = total + idx
+        v, d = _run_simplex(rows, basis, [0] * total + [-1] * nart, d)
+        if v < 0:
             return None, None
-        # Drive leftover artificials out of the basis, dropping redundant rows.
-        i = 0
-        while i < len(rows):
+        # Drive leftover artificials out of the basis.  Every row has its own
+        # slack column, so the real columns keep full row rank and a row whose
+        # basic variable is artificial always has a nonzero real entry.
+        for i in range(m):
             if basis[i] >= total:
-                pivot_col = next((j for j in range(total) if rows[i][j] != 0), None)
-                if pivot_col is None:
-                    del rows[i], rhs[i], basis[i]
-                    continue
-                obj = [_ZERO] * (total + nart + 1)
-                _pivot(rows, rhs, obj, basis, i, pivot_col)
-            i += 1
-        rows = [row[:total] for row in rows]
+                col = next(j for j in range(total) if rows[i][j] != 0)
+                d = _pivot(rows, None, basis, d, i, col)
+        rows = [row[:total] + row[-1:] for row in rows]
 
-    cost2 = [_ZERO] * total
-    cost2[2 * dim] = _ONE
-    cost2[2 * dim + 1] = Fraction(-1)
-    value = _run_simplex(rows, rhs, basis, cost2)
-    solution = [_ZERO] * total
-    for i, b in enumerate(basis):
-        solution[b] = rhs[i]
-    point = tuple(solution[i] - solution[dim + i] for i in range(dim))
-    return value, point
+    cost2 = [0] * total
+    cost2[2 * dim] = 1
+    cost2[2 * dim + 1] = -1
+    v, d = _run_simplex(rows, basis, cost2, d)
+    den = d * scale
+    solution = [0] * total
+    for row, b in zip(rows, basis):
+        solution[b] = row[-1]
+    point = tuple(Fraction(solution[i] - solution[dim + i], den) for i in range(dim))
+    return Fraction(v, den), point
 
 
 def relint_intersection_nonempty(p: RationalPolyhedron, q: RationalPolyhedron):
@@ -641,7 +657,7 @@ def relint_intersection_nonempty(p: RationalPolyhedron, q: RationalPolyhedron):
     Strict constraints mark relative interiors.  Returns ``(True, witness)``
     with an exact rational witness satisfying every constraint (strict ones
     strictly), or ``(False, None)``.  Decided by maximizing the minimum
-    slack over the strict constraints with exact rational pivoting and
+    slack over the strict constraints with exact fraction-free pivoting and
     requiring a strictly positive optimum.
     """
     if p.ambient_dim != q.ambient_dim:

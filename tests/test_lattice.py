@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeletrop import lattice
 from skeletrop.lattice import (Constraint, IntMatrix, RationalPolyhedron,
                                complete_to_basis, extends_to_basis,
                                relint_intersection_nonempty,
@@ -82,6 +83,18 @@ class TestIntMatrix:
         assert IntMatrix.identity(3).det() == 1
         assert a.rank() == 2
         assert IntMatrix.from_rows([[1, 2], [2, 4]]).rank() == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 5), st.integers(0, 5), st.data())
+    def test_rank_matches_sympy(self, nr, nc, k, data):
+        sympy = pytest.importorskip("sympy")
+        # A product of an nr x k and a k x nc matrix: rank at most k, so
+        # rank-deficient matrices and skipped pivot columns are common.
+        entry = st.integers(-4, 4)
+        left = [[data.draw(entry) for _ in range(k)] for _ in range(nr)]
+        right = [[data.draw(entry) for _ in range(nc)] for _ in range(k)]
+        rows = [[sum(row[t] * right[t][j] for t in range(k)) for j in range(nc)] for row in left]
+        assert IntMatrix.from_rows(rows, cols=nc).rank() == sympy.Matrix(nr, nc, sum(rows, [])).rank()
 
     def test_empty_rows_needs_cols(self):
         m = IntMatrix.from_rows([], cols=3)
@@ -331,3 +344,240 @@ class TestRelintIntersection:
         assert w_pq == w_qp  # constraints are merged canonically
         if hit_pq:
             assert p.contains(w_pq) and q.contains(w_pq)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels on Fraction
+#
+# The same simplex method and the same elimination as in ``lattice``, written
+# with plain rational arithmetic.  The integer kernels must make the same
+# pivots, so they must return the same LP value and witness, and the same
+# constraints.
+# ---------------------------------------------------------------------------
+
+_EQ, _LE, _LT = 0, 1, 2
+
+
+def ref_pivot(rows, rhs, obj, basis, r, c):
+    inv = rows[r][c]
+    rows[r] = [x / inv for x in rows[r]]
+    rhs[r] = rhs[r] / inv
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            f = rows[i][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            rhs[i] = rhs[i] - f * rhs[r]
+    if obj[c] != 0:
+        f = obj[c]
+        for j in range(len(obj) - 1):
+            obj[j] -= f * rows[r][j]
+        obj[-1] -= f * rhs[r]
+    basis[r] = c
+
+
+def ref_run_simplex(rows, rhs, basis, cost):
+    ncols = len(rows[0]) if rows else len(cost)
+    obj = [Fraction(c) for c in cost] + [Fraction(0)]
+    for i, b in enumerate(basis):
+        if obj[b] != 0:
+            f = obj[b]
+            for j in range(ncols):
+                obj[j] -= f * rows[i][j]
+            obj[-1] -= f * rhs[i]
+    while True:
+        enter = next((j for j in range(ncols) if obj[j] > 0), None)
+        if enter is None:
+            return -obj[-1]
+        best = None
+        for i in range(len(rows)):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rhs[i] / a
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            raise ArithmeticError("linear program is unbounded")
+        ref_pivot(rows, rhs, obj, basis, best[1], enter)
+
+
+def ref_max_min_slack(constraints, dim):
+    zero, one = Fraction(0), Fraction(1)
+    m = len(constraints) + 1
+    base = 2 * dim + 2
+    total = base + m
+    rows, rhs = [], []
+    for c in constraints:
+        coef = [zero] * total
+        for i, ai in enumerate(c.normal):
+            coef[i] = Fraction(ai)
+            coef[dim + i] = Fraction(-ai)
+        if c.strict:
+            coef[2 * dim] = one
+            coef[2 * dim + 1] = -one
+        rows.append(coef)
+        rhs.append(Fraction(c.bound))
+    cap = [zero] * total
+    cap[2 * dim] = one
+    cap[2 * dim + 1] = -one
+    rows.append(cap)
+    rhs.append(one)
+    for i in range(m):
+        rows[i][base + i] = one
+    art_of_row = {}
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+            art_of_row[i] = None
+    nart = len(art_of_row)
+    if nart:
+        for row in rows:
+            row.extend([zero] * nart)
+        for idx, i in enumerate(art_of_row):
+            rows[i][total + idx] = one
+            art_of_row[i] = total + idx
+    basis = [art_of_row.get(i, base + i) for i in range(m)]
+    if nart:
+        cost1 = [zero] * (total + nart)
+        for i in art_of_row.values():
+            cost1[i] = -one
+        if ref_run_simplex(rows, rhs, basis, cost1) < 0:
+            return None, None
+        for i in range(len(rows)):
+            if basis[i] >= total:
+                pivot_col = next(j for j in range(total) if rows[i][j] != 0)
+                ref_pivot(rows, rhs, [zero] * (total + nart + 1), basis, i, pivot_col)
+        rows = [row[:total] for row in rows]
+    cost2 = [zero] * total
+    cost2[2 * dim] = one
+    cost2[2 * dim + 1] = -one
+    value = ref_run_simplex(rows, rhs, basis, cost2)
+    solution = [zero] * total
+    for i, b in enumerate(basis):
+        solution[b] = rhs[i]
+    return value, tuple(solution[i] - solution[dim + i] for i in range(dim))
+
+
+def ref_eliminate_variables(rows, drop):
+    rows = [([Fraction(c) for c in coeffs], rel, Fraction(rhs)) for coeffs, rel, rhs in rows]
+    for j in range(drop):
+        pivot = next((r for r in rows if r[1] == _EQ and r[0][j] != 0), None)
+        if pivot is not None:
+            pc, _, prhs = pivot
+            rows.remove(pivot)
+            new_rows = []
+            for coeffs, rel, rhs in rows:
+                if coeffs[j] != 0:
+                    f = coeffs[j] / pc[j]
+                    coeffs = [c - f * p for c, p in zip(coeffs, pc)]
+                    rhs = rhs - f * prhs
+                new_rows.append((coeffs, rel, rhs))
+            rows = new_rows
+            continue
+        keep, uppers, lowers = [], [], []
+        for row in rows:
+            c = row[0][j]
+            (keep if c == 0 else uppers if c > 0 else lowers).append(row)
+        for (uc, urel, urhs), (lc, lrel, lrhs) in itertools.product(uppers, lowers):
+            mu, ml = -lc[j], uc[j]
+            coeffs = [mu * cu + ml * cl for cu, cl in zip(uc, lc)]
+            rel = _LT if _LT in (urel, lrel) else _LE
+            keep.append((coeffs, rel, mu * urhs + ml * lrhs))
+        rows = keep
+    return rows
+
+
+def ref_image_constraints(vertex_images, relative_interior):
+    """Constraints of ``simplex_image_polyhedron`` by Fraction elimination."""
+    verts = [tuple(Fraction(x) for x in w) for w in vertex_images]
+    r, n = len(verts), len(verts[0])
+    rows = []
+    for i in range(n):
+        coeffs = [verts[a][i] for a in range(r)] + [Fraction(0)] * n
+        coeffs[r + i] = Fraction(-1)
+        rows.append((coeffs, _EQ, Fraction(0)))
+    rows.append(([Fraction(1)] * r + [Fraction(0)] * n, _EQ, Fraction(1)))
+    for a in range(r):
+        coeffs = [Fraction(0)] * (r + n)
+        coeffs[a] = Fraction(-1)
+        rows.append((coeffs, _LT if relative_interior else _LE, Fraction(0)))
+    out = {}
+    for coeffs, rel, rhs in ref_eliminate_variables(rows, r):
+        xcoeffs = coeffs[r:]
+        if all(c == 0 for c in xcoeffs):
+            continue
+        sides = [(xcoeffs, rhs), ([-c for c in xcoeffs], -rhs)] if rel == _EQ else [(xcoeffs, rhs)]
+        for normal, bound in sides:
+            denom = math.lcm(*(c.denominator for c in normal))
+            cand = Constraint(tuple(int(c * denom) for c in normal), bound * denom, rel == _LT)
+            prev = out.get(cand.normal)
+            if prev is None or (cand.bound, not cand.strict) < (prev[0], not prev[1]):
+                out[cand.normal] = (cand.bound, cand.strict)
+    return tuple(sorted((Constraint(nrm, b, s) for nrm, (b, s) in out.items()),
+                        key=Constraint.sort_key))
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def vertex_images(draw, dim):
+    r = draw(st.integers(1, 4))
+    coord = st.one_of(st.integers(-3, 3), rationals)
+    return [tuple(draw(coord) for _ in range(dim)) for _ in range(r)]
+
+
+@st.composite
+def polyhedra(draw, dim):
+    """Either a simplex image or a free mix of strict and closed half-spaces
+    with fractional and negative bounds (the latter reach phase 1)."""
+    if draw(st.booleans()):
+        return simplex_image_polyhedron(draw(vertex_images(dim)), draw(st.booleans()))
+    normal = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+    return RationalPolyhedron(dim, tuple(
+        Constraint(tuple(draw(normal)), draw(rationals), draw(st.booleans()))
+        for _ in range(draw(st.integers(0, 5)))))
+
+
+class TestIntegerKernelsMatchReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_lp_value_and_witness(self, dim, data):
+        p, q = data.draw(polyhedra(dim)), data.draw(polyhedra(dim))
+        merged = sorted(set(p.constraints) | set(q.constraints), key=Constraint.sort_key)
+        value, point = ref_max_min_slack(merged, dim)
+        assert lattice._max_min_slack(merged, dim) == (value, point)
+        expected = (True, point) if value is not None and value > 0 else (False, None)
+        assert relint_intersection_nonempty(p, q) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.booleans(), st.data())
+    def test_fourier_motzkin_constraints(self, dim, relative_interior, data):
+        verts = data.draw(vertex_images(dim))
+        p = simplex_image_polyhedron(verts, relative_interior)
+        assert p.constraints == ref_image_constraints(verts, relative_interior)
+
+    def test_negative_drive_out_pivot(self, monkeypatch):
+        # The banana's collision LP drives an artificial variable out of the
+        # basis on a negative pivot; the tableau is negated, not the answer.
+        seen = []
+        pivot = lattice._pivot
+
+        def spy(rows, obj, basis, d, r, c):
+            seen.append(rows[r][c])
+            return pivot(rows, obj, basis, d, r, c)
+
+        monkeypatch.setattr(lattice, "_pivot", spy)
+        p = segment_relint((0, 1), (1, 0))
+        q = segment_relint((1, 0), (0, 1))
+        merged = sorted(set(p.constraints) | set(q.constraints), key=Constraint.sort_key)
+        assert lattice._max_min_slack(merged, 2) == ref_max_min_slack(merged, 2)
+        assert any(x < 0 for x in seen)
+        assert relint_intersection_nonempty(p, q) == (True, (Fraction(1, 2), Fraction(1, 2)))
+
+    def test_unsatisfiable_constant_rows_raise(self):
+        # Invariants of the elimination, checked with raises so that -O keeps them.
+        with pytest.raises(ArithmeticError):
+            lattice._emit_constraints([([0, 0, 0], lattice._LT, 0)], 2)
+        with pytest.raises(ArithmeticError):
+            lattice._emit_constraints([([0, 1, 1], lattice._LE, 3)], 2)

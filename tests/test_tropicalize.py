@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from skeletrop.complexes import SimplexPoint, build_from_facets
+from skeletrop.complexes import SimplexPoint, build_delta_complex, build_from_facets
 from skeletrop.documents import generate_fixture
 from skeletrop.lattice import relint_intersection_nonempty, simplex_image_polyhedron
 from skeletrop.sections import OrderMatrix, canonical_order_matrix
 from skeletrop.tropical import trop_eq
-from skeletrop.tropicalize import (PiecewiseAffineMap, build_map, check_faithful,
-                                   check_unimodular, images_relint_disjoint_exact,
-                                   piece_injective, separation_certificate)
+from skeletrop.tropicalize import (ExactVerdict, PiecewiseAffineMap, build_map,
+                                   check_faithful, check_unimodular,
+                                   images_relint_disjoint_exact, piece_injective,
+                                   separation_certificate)
 
 
 def cycle(n):
@@ -194,6 +195,41 @@ class TestExactOracle:
                     continue
                 hit, _ = relint_intersection_nonempty(polys[a], polys[b])
                 assert (not hit) == images_relint_disjoint_exact(f, a, b).disjoint
+
+    def test_triangle_stack_methods_and_witnesses_are_pinned(self):
+        # Three triangles on the same three edges, under the canonical
+        # orders: all three map onto one triangle, so each pair of them
+        # collides, and the LP's witness is the image of the barycentre.
+        strata = [("v1", (1,)), ("v2", (2,)), ("v3", (3,)),
+                  ("e12", (1, 2)), ("e13", (1, 3)), ("e23", (2, 3)),
+                  ("t1", (1, 2, 3)), ("t2", (1, 2, 3)), ("t3", (1, 2, 3))]
+        faces = [(e, [v], f"v{v}") for e, vs in strata[3:6] for v in vs]
+        faces += [(t, [v], f"v{v}") for t in ("t1", "t2", "t3") for v in (1, 2, 3)]
+        faces += [(t, sub, "e" + "".join(map(str, sub))) for t in ("t1", "t2", "t3")
+                  for sub in ([1, 2], [1, 3], [2, 3])]
+        c = build_delta_complex(3, 2, strata, faces)
+        f = canonical_map(c)
+        third = Fraction(1, 3)
+        witness = (Fraction(2, 3),) * 3
+        for t in ("t1", "t2", "t3"):
+            assert f.apply(SimplexPoint(t, (third,) * 3)) == witness
+        triangles = {"t1", "t2", "t3"}
+        methods = {}
+        for a, b in itertools.combinations(c.stratum_ids(), 2):
+            verdict = images_relint_disjoint_exact(f, a, b)
+            methods[verdict.method] = methods.get(verdict.method, 0) + 1
+            if c.face_related(a, b):
+                assert verdict == ExactVerdict(True, None, "face-injectivity"), (a, b)
+            elif {a, b} <= triangles:
+                assert verdict == ExactVerdict(False, witness, "lp"), (a, b)
+            else:
+                assert verdict == ExactVerdict(True, None, "interval"), (a, b)
+        assert methods == {"face-injectivity": 24, "interval": 9, "lp": 3}
+        report = check_faithful(c, canonical_order_matrix(c), mode="exact")
+        assert report.overall == "not_faithful"
+        collisions = {(e.left, e.right): e.exact for e in report.pairs if e.disjoint is False}
+        assert collisions == {pair: ExactVerdict(False, witness, "lp")
+                              for pair in (("t1", "t2"), ("t1", "t3"), ("t2", "t3"))}
 
     def test_degenerate_ambient_falls_back_to_oracle(self):
         # A constant piece maps an edge and its endpoints to one point: the
