@@ -43,6 +43,8 @@ class Stratum:
 
     id: str
     vertices: tuple[int, ...]
+    # The vertices as a set, for face-map keys and membership tests.
+    vertex_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
@@ -50,8 +52,10 @@ class Stratum:
             raise ValueError("stratum id must be a nonempty string")
         if len(self.vertices) == 0:
             raise ValueError(f"stratum {self.id!r} has no vertices")
-        if len(set(self.vertices)) != len(self.vertices):
+        vertex_set = frozenset(self.vertices)
+        if len(vertex_set) != len(self.vertices):
             raise ValueError(f"stratum {self.id!r} repeats a vertex")
+        object.__setattr__(self, "vertex_set", vertex_set)
 
     @property
     def dim(self) -> int:
@@ -119,7 +123,7 @@ class DualComplex:
     def is_face(self, face: "Stratum | str", ambient: "Stratum | str") -> bool:
         f = self.stratum(face)
         a = self.stratum(ambient)
-        return self.face_map.get((a.id, frozenset(f.vertices))) == f.id
+        return self.face_map.get((a.id, f.vertex_set)) == f.id
 
     def face_related(self, s: "Stratum | str", t: "Stratum | str") -> bool:
         return self.is_face(s, t) or self.is_face(t, s)
@@ -239,7 +243,7 @@ def validate_complex(c: DualComplex) -> list[Violation]:
         if owner not in known:
             bad("face-key", owner, "face map entry for unknown stratum")
             continue
-        verts = set(c.stratum(owner).vertices)
+        verts = c.stratum(owner).vertex_set
         if not subset or not subset < verts:
             bad("face-key", owner,
                 f"{sorted(subset)} is not a nonempty proper subset of {sorted(verts)}")
@@ -247,7 +251,7 @@ def validate_complex(c: DualComplex) -> list[Violation]:
         if fid not in known:
             bad("face-dangling", owner, f"face along {sorted(subset)} points to unknown {fid!r}")
             continue
-        if set(c.stratum(fid).vertices) != set(subset):
+        if c.stratum(fid).vertex_set != subset:
             bad("face-vertex-set", owner,
                 f"face {fid!r} along {sorted(subset)} has vertex set "
                 f"{sorted(c.stratum(fid).vertices)}")
@@ -341,7 +345,7 @@ def face_restriction(c: DualComplex, p: SimplexPoint, target: "Stratum | str") -
         raise ValueError("weight vector does not match the stratum arity")
     if f.id == s.id:
         return p
-    subset = frozenset(f.vertices)
+    subset = f.vertex_set
     if c.face_map.get((s.id, subset)) != f.id:
         raise ValueError(f"{f.id!r} is not the face of {s.id!r} along its vertex set")
     slot = {v: i for i, v in enumerate(s.vertices)}

@@ -3,7 +3,9 @@
 Documents are UTF-8 JSON.  Vertices are 1-indexed, rationals travel as
 strings like ``"3/4"`` (plain integers allowed), and both input and
 certificate serializations are canonical: the same content always produces
-byte-identical text.
+byte-identical text.  Input documents are written with ``json.dumps``;
+certificates, which grow with the square of the stratum count, are written
+record by record from fixed templates with the same layout.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode
+
 from ._version import __version__
 from .complexes import DualComplex, build_delta_complex, build_from_facets
 from .sections import OrderMatrix, canonical_order_matrix
@@ -354,46 +358,101 @@ def generate_fixture(kind: str, n: int | None = None, dim: int | None = None,
 # ---------------------------------------------------------------------------
 
 
+# Certificates are written from fixed templates rather than through
+# ``json.dumps(indent=2)``, whose indenting encoder is pure Python and was
+# the slowest stage of a large check.  The templates keep its bytes: keys in
+# sorted order, strings through the encoder's own ASCII escaping, integers
+# and literals spelled as ``json`` spells them.
+
+
+def _literal(x) -> str:
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    raise TypeError(f"expected a bool or None, got {x!r}")
+
+
+def _items(texts, indent: str) -> str:
+    """A JSON list of already-encoded items, one per line at ``indent``."""
+    if not texts:
+        return "[]"
+    return f"[\n{indent}" + f",\n{indent}".join(texts) + f"\n{indent[:-2]}]"
+
+
+def _stratum_record(cert) -> str:
+    rows = cert.edge_matrix.entries
+    matrix = _items([_items([str(x) for x in row], " " * 10) for row in rows], " " * 8)
+    divisors = _items([str(x) for x in cert.elementary_divisors], " " * 8)
+    return ("    {\n"
+            f'      "edge_matrix": {matrix},\n'
+            f'      "elementary_divisors": {divisors},\n'
+            f'      "id": {_encode(cert.stratum)},\n'
+            f'      "unimodular": {_literal(cert.verdict)}\n'
+            "    }")
+
+
+def _pair_record(e) -> str:
+    parts = [f'    {{\n      "disjoint": {_literal(e.disjoint)}']
+    if e.exact is not None:
+        x = e.exact
+        witness = ("null" if x.witness is None else
+                   _items([_encode(format_rational(q)) for q in x.witness], " " * 10))
+        parts.append(',\n      "exact": {\n'
+                     f'        "disjoint": {_literal(x.disjoint)},\n'
+                     f'        "method": {_encode(x.method)},\n'
+                     f'        "witness": {witness}\n'
+                     "      }")
+    if e.face is not None:
+        parts.append(',\n      "face": {\n'
+                     f'        "ambient": {_encode(e.face.ambient)},\n'
+                     f'        "injective": {_literal(e.face.injective)}\n'
+                     "      }")
+    parts.append(f',\n      "left": {_encode(e.left)},\n'
+                 f'      "relation": {_encode(e.relation)},\n'
+                 f'      "right": {_encode(e.right)}')
+    if e.separation is not None:
+        parts.append(',\n      "separation": {\n'
+                     f'        "coordinate": {e.separation.coordinate:d},\n'
+                     f'        "interior": {_encode(e.separation.interior)}\n'
+                     "      }")
+    parts.append("\n    }")
+    return "".join(parts)
+
+
+def _records(out: list, records) -> None:
+    """Append a JSON list of records at indent 2 to ``out``, piece by piece."""
+    first = True
+    for record in records:
+        out.append("[\n" if first else ",\n")
+        out.append(record)
+        first = False
+    out.append("[]" if first else "\n  ]")
+
+
 def emit_certificate(report: FaithfulnessReport, digest: str) -> str:
     """Canonical certificate document for a completed faithfulness report.
 
     Records are sorted (strata by dimension, vertices, id; pairs likewise),
     rationals appear as ``p/q`` strings, and identical inputs produce
     byte-identical text regardless of how many jobs computed the report.
+    The text is exactly ``json.dumps(certificate, sort_keys=True, indent=2)``
+    plus a newline; it is assembled from one string per stratum and per
+    pair record and joined once.
     """
-    strata_records = []
-    for cert in report.certificates:
-        strata_records.append({
-            "id": cert.stratum,
-            "edge_matrix": [list(row) for row in cert.edge_matrix.entries],
-            "elementary_divisors": list(cert.elementary_divisors),
-            "unimodular": cert.verdict,
-        })
-    pair_records = []
-    for e in report.pairs:
-        record = {"left": e.left, "right": e.right, "relation": e.relation,
-                  "disjoint": e.disjoint}
-        if e.face is not None:
-            record["face"] = {"ambient": e.face.ambient, "injective": e.face.injective}
-        if e.separation is not None:
-            record["separation"] = {"interior": e.separation.interior,
-                                    "coordinate": e.separation.coordinate}
-        if e.exact is not None:
-            record["exact"] = {
-                "disjoint": e.exact.disjoint,
-                "method": e.exact.method,
-                "witness": (None if e.exact.witness is None
-                            else [format_rational(x) for x in e.exact.witness]),
-            }
-        pair_records.append(record)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "skeletrop", "version": __version__},
-        "input_digest": digest,
-        "mode": report.mode,
-        "overall": report.overall,
-        "strata": strata_records,
-        "pairs": pair_records,
-        "defects": list(report.defects),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    out = ["{\n"
+           f'  "defects": {_items([_encode(d) for d in report.defects], "    ")},\n'
+           f'  "input_digest": {_encode(digest)},\n'
+           f'  "mode": {_encode(report.mode)},\n'
+           f'  "overall": {_encode(report.overall)},\n'
+           '  "pairs": ']
+    _records(out, map(_pair_record, report.pairs))
+    out.append(f',\n  "schema_version": {SCHEMA_VERSION:d},\n  "strata": ')
+    _records(out, map(_stratum_record, report.certificates))
+    out.append(',\n  "tool": {\n'
+               '    "name": "skeletrop",\n'
+               f'    "version": {_encode(__version__)}\n'
+               "  }\n}\n")
+    return "".join(out)

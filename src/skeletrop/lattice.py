@@ -1,9 +1,13 @@
 """Exact integer and rational linear algebra kernels.
 
-Smith normal form with transform matrices, lattice saturation tests, and
-rational feasibility queries for relative interiors of polyhedra.  No
-floating point ever enters a code path, so every verdict and witness is
-exact.  The rank, Fourier-Motzkin and simplex kernels run on Python ints:
+Smith normal form, lattice saturation tests, and rational feasibility
+queries for relative interiors of polyhedra.  No floating point ever enters
+a code path, so every verdict and witness is exact.  One elimination routine
+computes the Smith form: ``smith_normal_form`` runs it with its transform
+matrices, while ``elementary_divisors``, ``extends_to_basis`` and the
+unimodularity check run it on the matrix alone, because the diagonal is
+unique and needs no transforms.  The rank, Fourier-Motzkin and simplex
+kernels run on Python ints:
 rows are cleared of denominators once and kept integer by fraction-free
 (Bareiss) updates and gcd reduction.  ``fractions.Fraction`` appears at the
 API boundary, in rational vertex images, constraint bounds and witnesses.
@@ -161,57 +165,33 @@ class SmithDecomposition:
         return tuple(x for x in self.diagonal if x != 0)
 
 
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form over the integers.
+def _smith_eliminate(a: list[list[int]], nc: int,
+                     u: list[list[int]] | None = None,
+                     v: list[list[int]] | None = None) -> None:
+    """Reduce the rows ``a`` (``nc`` columns) in place to Smith normal form.
 
-    Returns unimodular ``u`` (rows x rows) and ``v`` (cols x cols) with
-    ``u @ m @ v`` diagonal, entries nonnegative and each dividing the next.
-    Pivots are chosen as the smallest nonzero entry in absolute value,
-    which keeps coefficient growth tame at the sizes handled here.
+    Pivots are chosen as the smallest nonzero entry in absolute value (the
+    first one in row-major order), which keeps coefficient growth tame at
+    the sizes handled here.  When ``u`` and ``v`` are given (square, starting
+    as identities) every row operation is repeated on ``u`` and every column
+    operation on ``v``, so that afterwards ``u @ m @ v == a``.  Without them
+    the work is confined to ``a``: the diagonal is unique, so it needs no
+    transforms.
     """
-    nr, nc = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row_dst += q * row_src
-        arow, asrc = a[dst], a[src]
-        for j in range(nc):
-            arow[j] += q * asrc[j]
-        urow, usrc = u[dst], u[src]
-        for j in range(nr):
-            urow[j] += q * usrc[j]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+    nr = len(a)
 
     def smallest_nonzero(k):
         best = None
         where = None
         for i in range(k, nr):
+            row = a[i]
             for j in range(k, nc):
-                x = a[i][j]
+                x = row[j]
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     where = (i, j)
+                    if best == 1:
+                        return where
         return where
 
     for k in range(min(nr, nc)):
@@ -220,22 +200,43 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         while True:
             i, j = smallest_nonzero(k)
             if i != k:
-                swap_rows(k, i)
+                a[k], a[i] = a[i], a[k]
+                if u is not None:
+                    u[k], u[i] = u[i], u[k]
             if j != k:
-                swap_cols(k, j)
-            if a[k][k] < 0:
-                negate_row(k)
-            p = a[k][k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+                if v is not None:
+                    for row in v:
+                        row[k], row[j] = row[j], row[k]
+            prow = a[k]
+            if prow[k] < 0:
+                a[k] = prow = [-x for x in prow]
+                if u is not None:
+                    u[k] = [-x for x in u[k]]
+            p = prow[k]
             dirty = False
             for i in range(k + 1, nr):
-                if a[i][k]:
-                    add_row(i, k, -(a[i][k] // p))
-                    if a[i][k]:
+                row = a[i]
+                if row[k]:
+                    q = -(row[k] // p)
+                    for j in range(k, nc):
+                        row[j] += q * prow[j]
+                    if u is not None:
+                        urow, usrc = u[i], u[k]
+                        for j in range(nr):
+                            urow[j] += q * usrc[j]
+                    if row[k]:
                         dirty = True
             for j in range(k + 1, nc):
-                if a[k][j]:
-                    add_col(j, k, -(a[k][j] // p))
-                    if a[k][j]:
+                if prow[j]:
+                    q = -(prow[j] // p)
+                    for row in a:
+                        row[j] += q * row[k]
+                    if v is not None:
+                        for row in v:
+                            row[j] += q * row[k]
+                    if prow[j]:
                         dirty = True
             if dirty:
                 continue  # remainders are strictly smaller; re-pick the pivot
@@ -246,8 +247,36 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                     break
             if bad is None:
                 break
-            add_row(k, bad, 1)  # drags a nondivisible entry into row k
+            # Drag a nondivisible entry into row k: row_k += row_bad.
+            src = a[bad]
+            for j in range(nc):
+                prow[j] += src[j]
+            if u is not None:
+                urow, usrc = u[k], u[bad]
+                for j in range(nr):
+                    urow[j] += usrc[j]
 
+
+def _smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
+    """Diagonal of the Smith normal form of ``m``, without transforms."""
+    a = [list(row) for row in m.entries]
+    _smith_eliminate(a, m.cols)
+    return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
+
+
+def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+    """Smith normal form over the integers, with its transforms.
+
+    Returns unimodular ``u`` (rows x rows) and ``v`` (cols x cols) with
+    ``u @ m @ v`` diagonal, entries nonnegative and each dividing the next.
+    Callers that need only the diagonal use :func:`elementary_divisors` or
+    :func:`extends_to_basis`, which skip the transforms.
+    """
+    nr, nc = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    _smith_eliminate(a, nc, u, v)
     return SmithDecomposition(
         IntMatrix(nr, nr, tuple(tuple(r) for r in u)),
         IntMatrix(nr, nc, tuple(tuple(r) for r in a)),
@@ -256,7 +285,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
 
 def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:
-    return smith_normal_form(m).elementary_divisors
+    return tuple(x for x in _smith_diagonal(m) if x != 0)
 
 
 def _vectors_matrix(vectors: Sequence[Sequence[int]]) -> IntMatrix:
@@ -281,7 +310,7 @@ def extends_to_basis(vectors: Sequence[Sequence[int]]) -> bool:
     mat = _vectors_matrix(vecs)
     if mat.rows > mat.cols:
         return False
-    return all(x == 1 for x in smith_normal_form(mat).diagonal)
+    return all(x == 1 for x in _smith_diagonal(mat))
 
 
 def _inverse_unimodular(m: IntMatrix) -> IntMatrix:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .complexes import DualComplex, Stratum, Violation
@@ -86,29 +87,36 @@ def validate_orders(m: OrderMatrix, c: DualComplex) -> list[Violation]:
     if m.ell != c.ell:
         raise ValueError(f"order matrix is for {m.ell} components, complex has {c.ell}")
     out: list[Violation] = []
-    for j in range(1, c.ell + 1):
-        if m.order(0, j) != 0:
+    ell = c.ell
+    adjacent = set()
+    for edge in c.edges():
+        a, b = edge
+        adjacent.add((a, b))
+        adjacent.add((b, a))
+    for j, x in enumerate(m.orders[0], start=1):
+        if x != 0:
             out.append(Violation("base-row", None,
                                  f"s_0 must have order 0 along component {j}, "
-                                 f"got {m.order(0, j)}"))
-    for i in range(1, c.ell + 1):
-        if m.order(i, i) != 0:
+                                 f"got {x}"))
+    for i in range(1, ell + 1):
+        row = m.orders[i]
+        if row[i - 1] != 0:
             out.append(Violation("diagonal", None,
                                  f"s_{i} must have order 0 along its own component, "
-                                 f"got {m.order(i, i)}"))
-        for j in range(1, c.ell + 1):
+                                 f"got {row[i - 1]}"))
+        for j, x in enumerate(row, start=1):
             if i == j:
                 continue
-            if c.adjacent(i, j):
-                if m.order(i, j) != 1:
+            if (i, j) in adjacent:
+                if x != 1:
                     out.append(Violation("edge-order", None,
                                          f"components {i} and {j} meet, so s_{i} must "
                                          f"vanish to order exactly 1 along {j}, "
-                                         f"got {m.order(i, j)}"))
-            elif m.order(i, j) < 1:
+                                         f"got {x}"))
+            elif x < 1:
                 out.append(Violation("zero-extension", None,
                                      f"s_{i} must vanish to order at least 1 along the "
-                                     f"distinct component {j}, got {m.order(i, j)}"))
+                                     f"distinct component {j}, got {x}"))
     out.sort(key=lambda v: (v.rule, v.message))
     return out
 
@@ -159,11 +167,26 @@ def concavity_lower_bound(m: OrderMatrix, i: int, s: Stratum, u: Sequence) -> Fr
     if not m.horizontal_effective[i]:
         raise ValueError(f"row {i} lacks the horizontal-effectivity flag; "
                          "the lower bound is not justified")
-    weights = [Fraction(x) if not isinstance(x, float) else None for x in u]
-    if None in weights:
+    # Clear the weight denominators once: w_a = n_a / D with integer n_a.
+    nums, dens = [], []
+    saw_float = False
+    for x in u:
+        if isinstance(x, float):
+            saw_float = True
+            continue
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        nums.append(x.numerator)
+        dens.append(x.denominator)
+    if saw_float:
         raise TypeError("weights must be exact rationals")
-    if len(weights) != len(s.vertices):
+    if len(nums) != len(s.vertices):
         raise ValueError("weight vector does not match the stratum arity")
-    if any(w < 0 for w in weights) or sum(weights) != 1:
+    common = lcm(*dens)
+    nums = [n * (common // d) for n, d in zip(nums, dens)]
+    if any(n < 0 for n in nums) or sum(nums) != common:
         raise ValueError("weights must be nonnegative and sum to 1")
-    return sum((w * m.order(i, v) for w, v in zip(weights, s.vertices)), Fraction(0))
+    total = 0
+    for n, v in zip(nums, s.vertices):
+        total += n * m.order(i, v)
+    return Fraction(total, common)

@@ -34,9 +34,11 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .complexes import DualComplex, SimplexPoint, Stratum, validate_complex
-from .lattice import (IntMatrix, relint_intersection_nonempty, simplex_image_polyhedron,
-                      smith_normal_form)
-from .sections import OrderMatrix, restrict_affine, validate_orders
+# ``smith_normal_form`` is unused here but stays importable from this module:
+# perfbench's traced run wraps it under this name.
+from .lattice import (IntMatrix, _smith_diagonal, relint_intersection_nonempty,  # noqa: F401
+                      simplex_image_polyhedron, smith_normal_form)
+from .sections import OrderMatrix, validate_orders
 from .tropical import TropicalProjectivePoint, trop_normalize
 
 __all__ = [
@@ -112,12 +114,17 @@ def build_map(c: DualComplex, m: OrderMatrix, check: bool = True) -> PiecewiseAf
             raise ValueError("invalid order matrix: " + "; ".join(v.message for v in problems))
     elif m.ell != c.ell:
         raise ValueError("order matrix size does not match the complex")
+    ell = m.ell
+    # Column v-1 of the section rows holds the orders along component v, so
+    # a piece is the stratum's columns read row by row.
+    columns = tuple(zip(*m.orders[1:]))
     pieces = {}
     for s in c.strata:
-        rows = tuple(tuple(int(x) for x in restrict_affine(m, i, s).coefficients)
-                     for i in range(1, m.ell + 1))
-        pieces[s.id] = rows
-    return PiecewiseAffineMap(c, m.ell, pieces)
+        for v in s.vertices:
+            if not 1 <= v <= ell:
+                raise ValueError(f"component index {v} out of range 1..{ell}")
+        pieces[s.id] = tuple(zip(*[columns[v - 1] for v in s.vertices]))
+    return PiecewiseAffineMap(c, ell, pieces)
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,7 @@ def check_unimodular(f: PiecewiseAffineMap, s: "Stratum | str") -> Unimodularity
     matrix = IntMatrix.from_rows(vectors, cols=f.n)
     if not vectors:
         return UnimodularityCertificate(st.id, matrix, (), True)
-    diag = smith_normal_form(matrix).diagonal
+    diag = _smith_diagonal(matrix)
     verdict = len(diag) == len(vectors) and all(x == 1 for x in diag)
     return UnimodularityCertificate(st.id, matrix, diag, verdict)
 
@@ -177,7 +184,7 @@ def separation_certificate(f: PiecewiseAffineMap, m: OrderMatrix,
         raise ValueError("separation requires two distinct strata")
     if c.face_related(st, tt):
         raise ValueError("face pairs are discharged by injectivity, not separation")
-    t_verts = set(tt.vertices)
+    t_verts = tt.vertex_set
     for j in st.vertices:
         if j in t_verts:
             continue

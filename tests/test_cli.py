@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from skeletrop.cli import main
+from skeletrop import cli
+from skeletrop.cli import build_parser, main
 from skeletrop.documents import generate_fixture, input_text
 
 
@@ -167,3 +168,14 @@ def test_document_check_options_and_flag_precedence(tmp_path):
     assert cert["mode"] == "exact"
     assert "separation" not in cert["pairs"][0]
     assert cert["pairs"][0]["exact"]["disjoint"] is True
+
+
+def test_parser_is_built_once_per_process(cycle3_file, tmp_path, monkeypatch):
+    assert build_parser() is not build_parser()
+    main(["check", str(cycle3_file), "--out", str(tmp_path / "a.json")])
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert main(["check", str(cycle3_file), "--out", str(tmp_path / "b.json")]) == 0
+    assert main(["check", str(cycle3_file), "--mode", "exact",
+                 "--out", str(tmp_path / "c.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert json.loads((tmp_path / "c.json").read_text())["mode"] == "exact"

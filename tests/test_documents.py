@@ -1,15 +1,22 @@
 """Input parsing, fixtures, digests, and certificate serialization."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skeletrop.documents import (InputError, emit_certificate, generate_fixture,
-                                 input_digest, input_text, parse_input,
-                                 parse_rational)
+from skeletrop._version import __version__
+from skeletrop.documents import (SCHEMA_VERSION, InputError, emit_certificate,
+                                 format_rational, generate_fixture, input_digest,
+                                 input_text, parse_input, parse_rational)
+from skeletrop.lattice import IntMatrix
 from skeletrop.sections import canonical_order_matrix
-from skeletrop.tropicalize import check_faithful
+from skeletrop.tropicalize import (MODES, ExactVerdict, FaceDischarge, FaithfulnessReport,
+                                   PairEvidence, SeparationCertificate,
+                                   UnimodularityCertificate, check_faithful)
 
 MINIMAL = '{"schema_version": 1, "complex": {"ell": 2, "d": 1, "facets": [[1, 2]]}}'
 
@@ -187,3 +194,113 @@ class TestCanonicalSerialization:
         colliding = [p for p in cert["pairs"] if p["disjoint"] is False]
         assert colliding[0]["exact"]["witness"] == ["1/2", "1/2"]
         assert cert["defects"]
+
+
+def reference_emit_certificate(report: FaithfulnessReport, digest: str) -> str:
+    """The v1 certificate as a dict through ``json.dumps``: the layout that
+    ``emit_certificate`` writes from record templates."""
+    strata_records = []
+    for cert in report.certificates:
+        strata_records.append({
+            "id": cert.stratum,
+            "edge_matrix": [list(row) for row in cert.edge_matrix.entries],
+            "elementary_divisors": list(cert.elementary_divisors),
+            "unimodular": cert.verdict,
+        })
+    pair_records = []
+    for e in report.pairs:
+        record = {"left": e.left, "right": e.right, "relation": e.relation,
+                  "disjoint": e.disjoint}
+        if e.face is not None:
+            record["face"] = {"ambient": e.face.ambient, "injective": e.face.injective}
+        if e.separation is not None:
+            record["separation"] = {"interior": e.separation.interior,
+                                    "coordinate": e.separation.coordinate}
+        if e.exact is not None:
+            record["exact"] = {
+                "disjoint": e.exact.disjoint,
+                "method": e.exact.method,
+                "witness": (None if e.exact.witness is None
+                            else [format_rational(x) for x in e.exact.witness]),
+            }
+        pair_records.append(record)
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": {"name": "skeletrop", "version": __version__},
+        "input_digest": digest,
+        "mode": report.mode,
+        "overall": report.overall,
+        "strata": strata_records,
+        "pairs": pair_records,
+        "defects": list(report.defects),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# sha256 of the certificate text for (fixture, mode), taken from the
+# dict-and-json.dumps emitter that the record templates replaced.
+CERTIFICATE_SHA256 = [
+    (("cycle", {"n": 2}), "both",
+     "30ef3112d04865ce1cbd13feb14d15e768f3d1e24f6170c438c052982749e1af"),
+    (("cycle", {"n": 2}), "exact",
+     "406121fc46dfbbc1bf91cbcbcbf1e6575f37bf6ec67b211e3e72edf1ac26f26e"),
+    (("cycle", {"n": 2}), "certificate",
+     "1b7dc0075f19fc055f0ab18417defa0654c5449fc50c1124ab04040871f06c51"),
+    (("cycle", {"n": 5}), "both",
+     "a2b18a4a7b3683c6afbb9cbbae667a15d7c2e9c261ea6439c9c4c3e3c8a2f086"),
+    (("simplex_boundary", {"dim": 3}), "both",
+     "c954e0a7067031352a63439e430a3e35b276c1dbf8a1e0ac63db3a6dc4444cc5"),
+    (("random", {"ell": 6, "dim": 3, "seed": 11}), "both",
+     "fd9bc553a3e85b043691af2c5712acb6c198ba767c943876de01972d4f700560"),
+]
+
+
+class TestCertificateBytes:
+    @pytest.mark.parametrize("fixture,mode,sha", CERTIFICATE_SHA256)
+    def test_certificate_bytes_are_pinned(self, fixture, mode, sha):
+        kind, params = fixture
+        doc = generate_fixture(kind, **params)
+        report = check_faithful(doc.complex, doc.effective_orders(), mode=mode)
+        text = emit_certificate(report, input_digest(doc))
+        assert text == reference_emit_certificate(report, input_digest(doc))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_reference_emitter_on_random_reports(self, data):
+        text = st.one_of(st.text(max_size=6),
+                         st.sampled_from(['"', "\\", 'a"b\\c', "\u00e9t\u00e9", "\n\t",
+                                          "\u2028", "\U0001f600", "1-2"]))
+        ints = st.integers(-10 ** 20, 10 ** 20)
+
+        def certificate():
+            nr = data.draw(st.integers(0, 3))
+            nc = data.draw(st.integers(0, 4))
+            rows = [[data.draw(ints) for _ in range(nc)] for _ in range(nr)]
+            return UnimodularityCertificate(
+                data.draw(text), IntMatrix.from_rows(rows, cols=nc),
+                tuple(data.draw(st.lists(ints, max_size=3))), data.draw(st.booleans()))
+
+        def optional(strategy):
+            return data.draw(st.one_of(st.none(), strategy))
+
+        def pair():
+            witness = st.one_of(st.none(), st.lists(
+                st.fractions(max_denominator=50).map(Fraction), max_size=3).map(tuple))
+            return PairEvidence(
+                data.draw(text), data.draw(text),
+                data.draw(st.sampled_from(("face", "independent"))),
+                optional(st.builds(FaceDischarge, text, st.booleans())),
+                optional(st.builds(SeparationCertificate, text, st.integers(0, 10 ** 6))),
+                optional(st.builds(ExactVerdict, st.booleans(), witness,
+                                   st.sampled_from(("face-injectivity", "interval", "lp")))),
+                data.draw(st.sampled_from((True, False, None))))
+
+        report = FaithfulnessReport(
+            data.draw(st.sampled_from(MODES)),
+            tuple(certificate() for _ in range(data.draw(st.integers(0, 3)))),
+            tuple(pair() for _ in range(data.draw(st.integers(0, 4)))),
+            data.draw(st.sampled_from(("faithful", "not_faithful", "certificate_incomplete"))),
+            tuple(data.draw(st.lists(text, max_size=3))))
+        digest = data.draw(st.one_of(st.just("sha256:" + "0" * 64), text))
+        assert emit_certificate(report, digest) == reference_emit_certificate(report, digest)

@@ -144,6 +144,32 @@ class TestSmithNormalForm:
                     assert a != 0 and b % a == 0
 
 
+class TestSmithDiagonal:
+    """The transform-free elimination behind ``elementary_divisors``,
+    ``extends_to_basis`` and ``check_unimodular``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 6), st.data())
+    def test_matches_smith_normal_form_and_sympy(self, nr, nc, data):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+        entry = data.draw(st.sampled_from((st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6))))
+        rows = [[data.draw(entry) for _ in range(nc)] for _ in range(nr)]
+        m = IntMatrix.from_rows(rows, cols=nc)
+        diag = lattice._smith_diagonal(m)
+        assert diag == smith_normal_form(m).diagonal
+        assert lattice.elementary_divisors(m) == tuple(x for x in diag if x != 0)
+        if nr:
+            expected = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+            assert diag == tuple(abs(int(x)) for x in expected)
+            assert extends_to_basis(rows) == (nr <= nc and all(x == 1 for x in diag))
+
+    def test_empty_and_wide_shapes(self):
+        assert lattice._smith_diagonal(IntMatrix.from_rows([], cols=3)) == ()
+        assert lattice._smith_diagonal(IntMatrix.from_rows([[0, 4, 6]])) == (2,)
+        assert lattice._smith_diagonal(IntMatrix.from_rows([[4], [6], [0]])) == (2,)
+
+
 class TestExtendsToBasis:
     def test_difference_vectors_extend(self):
         assert extends_to_basis([[1, -1, 0], [1, 0, -1]]) is True

@@ -146,6 +146,37 @@ class TestConcavityBound:
         assert concavity_lower_bound(m, 1, s, (Fraction(1, 4), Fraction(3, 4))) \
             == Fraction(11, 4)
 
+    def test_matches_weighted_fraction_sum(self):
+        c = build_from_facets(4, 3, [[1, 2, 3, 4]])
+        m = OrderMatrix(((0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 1),
+                         (1, 1, 0, 1), (1, 1, 1, 0)), (True,) * 5)
+        s = c.stratum("1-2-3-4")
+        rng = random.Random(4)
+        for _ in range(200):
+            cuts = sorted(Fraction(rng.randint(0, 60), rng.randint(1, 12)) % 1
+                          for _ in range(3))
+            u = [b - a for a, b in zip([Fraction(0)] + cuts, cuts + [Fraction(1)])]
+            u = [int(w) if w.denominator == 1 else w for w in u]
+            for i in range(1, 5):
+                expected = sum((Fraction(w) * m.order(i, v) for w, v in zip(u, s.vertices)),
+                               Fraction(0))
+                got = concavity_lower_bound(m, i, s, u)
+                assert got == expected and type(got) is Fraction
+
+    def test_weight_errors(self):
+        c = cycle3()
+        m = canonical_order_matrix(c)
+        s = c.stratum("1-2")
+        with pytest.raises(TypeError, match="exact rationals"):
+            concavity_lower_bound(m, 1, s, (0.5, Fraction(1, 2)))
+        with pytest.raises(ValueError, match="arity"):
+            concavity_lower_bound(m, 1, s, (1,))
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            concavity_lower_bound(m, 1, s, (Fraction(3, 2), Fraction(-1, 2)))
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            concavity_lower_bound(m, 1, s, (Fraction(1, 3), Fraction(1, 3)))
+        assert concavity_lower_bound(m, 1, s, ("1/3", "2/3")) == Fraction(2, 3)
+
     def test_flag_required(self):
         c = cycle3()
         m = canonical_order_matrix(c)

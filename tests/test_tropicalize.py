@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from skeletrop.complexes import SimplexPoint, build_delta_complex, build_from_facets
+from skeletrop.complexes import (DualComplex, SimplexPoint, Stratum, build_delta_complex,
+                                 build_from_facets)
 from skeletrop.documents import generate_fixture
 from skeletrop.lattice import relint_intersection_nonempty, simplex_image_polyhedron
 from skeletrop.sections import OrderMatrix, canonical_order_matrix
@@ -74,6 +75,24 @@ class TestBuildMap:
                               (True,) * 4)
         with pytest.raises(ValueError, match="invalid order matrix"):
             build_map(c, doubled)
+
+    @pytest.mark.parametrize("vertex", [0, 4])
+    def test_unchecked_vertex_out_of_range_raises(self, vertex):
+        # Without validation a vertex 0 would otherwise read the last column.
+        c = DualComplex(3, 1, (Stratum("bad", (vertex,)),), {})
+        m = canonical_order_matrix(cycle(3))
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            build_map(c, m, check=False)
+
+    def test_pieces_are_the_order_columns(self):
+        c = build_from_facets(4, 2, [[1, 2, 3], [3, 4]])
+        m = OrderMatrix(((0, 0, 0, 0), (0, 1, 1, 2), (1, 0, 1, 3),
+                         (1, 1, 0, 1), (5, 4, 1, 0)), (True,) * 5)
+        f = build_map(c, m)
+        for s in c.strata:
+            assert f.piece(s) == tuple(tuple(m.order(i, v) for v in s.vertices)
+                                       for i in range(1, 5))
+            assert all(type(x) is int for row in f.piece(s) for x in row)
 
 
 class TestUnimodularity:
