@@ -18,10 +18,10 @@ from pathlib import Path
 
 from ._version import __version__
 from .bounds import BoundQuery, coordinate_count, corollary_twist, phi_upper_bound
-from .complexes import connected_components, validate_complex
+from .complexes import DualComplex, connected_components, validate_complex
 from .documents import (InputDocument, InputError, emit_certificate,
                         generate_fixture, input_digest, input_text, parse_input)
-from .sections import canonical_order_matrix, validate_orders
+from .sections import OrderMatrix, canonical_order_matrix, validate_orders
 from .tropicalize import check_faithful
 
 EXIT_OK = 0
@@ -45,18 +45,17 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _collect_problems(doc: InputDocument) -> list[str]:
+def _collect_problems(c: DualComplex, m: OrderMatrix) -> list[str]:
     problems = [f"complex: [{v.rule}] {v.message}" + (f" (stratum {v.subject})" if v.subject else "")
-                for v in validate_complex(doc.complex)]
+                for v in validate_complex(c)]
     if not problems:
-        problems += [f"orders: [{v.rule}] {v.message}"
-                     for v in validate_orders(doc.effective_orders(), doc.complex)]
+        problems += [f"orders: [{v.rule}] {v.message}" for v in validate_orders(m, c)]
     return problems
 
 
 def _cmd_validate(args) -> int:
     doc = _read_document(args.input)
-    problems = _collect_problems(doc)
+    problems = _collect_problems(doc.complex, doc.effective_orders())
     for line in problems:
         print(line)
     components = connected_components(doc.complex)
@@ -80,14 +79,17 @@ def _cmd_canonical(args) -> int:
 
 def _cmd_check(args) -> int:
     doc = _read_document(args.input)
-    problems = _collect_problems(doc)
+    # One matrix for both calls: check_faithful reuses the validation kept
+    # on the complex and the matrix instead of validating again.
+    m = doc.effective_orders()
+    problems = _collect_problems(doc.complex, m)
     if problems:
         for line in problems:
             print(line, file=sys.stderr)
         return EXIT_ERROR
     mode = args.mode or doc.check_mode or "both"
     jobs = args.jobs if args.jobs is not None else (doc.jobs or 1)
-    report = check_faithful(doc.complex, doc.effective_orders(), mode=mode,
+    report = check_faithful(doc.complex, m, mode=mode,
                             jobs=jobs, pair_filter=doc.pair_filter)
     _write_output(emit_certificate(report, input_digest(doc)), args.out)
     if report.overall == "faithful":

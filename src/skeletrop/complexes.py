@@ -218,7 +218,20 @@ def build_delta_complex(ell: int, d: int,
 
 
 def validate_complex(c: DualComplex) -> list[Violation]:
-    """All invariant violations of a complex; empty list means valid."""
+    """All invariant violations of a complex; empty list means valid.
+
+    Complexes are immutable, so the violations are found once per complex
+    and kept on it: a caller that validates before ``check_faithful``
+    validates again does no second pass.
+    """
+    cached = c.__dict__.get("_violations")
+    if cached is None:
+        cached = tuple(_find_violations(c))
+        object.__setattr__(c, "_violations", cached)
+    return list(cached)
+
+
+def _find_violations(c: DualComplex) -> list[Violation]:
     out: list[Violation] = []
 
     def bad(rule, subject, message):

@@ -37,6 +37,14 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 FIXTURE_KINDS = ("cycle", "path", "simplex_boundary", "random")
+# Most face-map entries a document may need.  A stratum with k vertices
+# needs one per pair (face, nonempty proper subset of the face), that is
+# 3^k - 2^(k+1) + 1, so a single 20-vertex facet in a document of a few
+# hundred bytes would need about 3.5e9 and exhaust memory.  One 11-vertex
+# facet (173,052 entries) parses with a 106 MB peak; every fixture lies far
+# below the limit (the dimension-6 simplex boundary needs 4,214 entries,
+# the 400-cycle 800).
+MAX_FACE_MAP_ENTRIES = 250_000
 
 
 class InputError(ValueError):
@@ -118,6 +126,19 @@ class InputDocument:
         return canonical_order_matrix(self.complex)
 
 
+def _check_expansion(sizes, path: str) -> None:
+    """Reject strata of these vertex counts before anything is expanded."""
+    needed = 0
+    for k in sizes:
+        # From 12 vertices on one stratum alone exceeds the limit; the cap
+        # keeps the powers small however long a list is.
+        k = min(k, 12)
+        needed += 3 ** k - 2 ** (k + 1) + 1
+        if needed > MAX_FACE_MAP_ENTRIES:
+            raise InputError(path, f"the complex would need more than "
+                                   f"{MAX_FACE_MAP_ENTRIES} face-map entries")
+
+
 def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
     ell = _expect(spec, "ell", int, path)
     d = _expect(spec, "d", int, path)
@@ -133,6 +154,7 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
         facets_raw = _expect(spec, "facets", list, path)
         facets = [_int_list(f, f"{path}.facets[{k}]")
                   for k, f in enumerate(facets_raw)]
+        _check_expansion(map(len, facets), f"{path}.facets")
         try:
             cx = build_from_facets(ell, d, facets)
         except ValueError as exc:
@@ -161,6 +183,7 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
         subset = _int_list(_expect(entry, "subset", list, epath), f"{epath}.subset")
         fid = _expect(entry, "face", str, epath)
         faces.append((owner, subset, fid))
+    _check_expansion((len(verts) for _, verts in strata), f"{path}.strata")
     try:
         cx = build_delta_complex(ell, d, strata, faces)
     except ValueError as exc:

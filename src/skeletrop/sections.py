@@ -83,9 +83,21 @@ def canonical_order_matrix(c: DualComplex) -> OrderMatrix:
 
 
 def validate_orders(m: OrderMatrix, c: DualComplex) -> list[Violation]:
-    """Check the order axioms against the complex; empty list means valid."""
+    """Check the order axioms against the complex; empty list means valid.
+
+    The violations are kept on the (immutable) matrix for the last complex
+    it was checked against, so validating the same pair again is free.
+    """
     if m.ell != c.ell:
         raise ValueError(f"order matrix is for {m.ell} components, complex has {c.ell}")
+    cached = m.__dict__.get("_violations")
+    if cached is None or cached[0] is not c:
+        cached = (c, tuple(_order_violations(m, c)))
+        object.__setattr__(m, "_violations", cached)
+    return list(cached[1])
+
+
+def _order_violations(m: OrderMatrix, c: DualComplex) -> list[Violation]:
     out: list[Violation] = []
     ell = c.ell
     adjacent = set()

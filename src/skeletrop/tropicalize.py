@@ -18,19 +18,24 @@ The exact route decides emptiness of the intersection of the two image
 polytopes outright, by coordinate-interval separation when a single
 coordinate suffices and by exact rational LP feasibility otherwise.
 
-Pairs are checked serially, in sorted order, with one per-call memo of the
-per-stratum data the checks reuse.  A thread pool over the pairs was
-measured slower than the serial loop (the work is GIL-bound ``Fraction``
-arithmetic), so ``jobs`` is accepted only for compatibility and never
+Both routes reduce to per-stratum data, so ``check_faithful`` builds three
+tables once per call: each stratum's face ids, its candidate and blocked
+rows for the certificate route, and, coordinate by coordinate, a bitmask
+of the strata whose image projection lies above its own.  Each of the
+O(S^2) pairs is then settled by set and bit lookups, and only pairs that
+no coordinate separates reach the LP.  Pairs are checked serially, in
+sorted order; ``jobs`` is accepted only for compatibility and never
 changes the output.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Sequence
 
 from .complexes import DualComplex, SimplexPoint, Stratum, validate_complex
@@ -184,19 +189,38 @@ def separation_certificate(f: PiecewiseAffineMap, m: OrderMatrix,
         raise ValueError("separation requires two distinct strata")
     if c.face_related(st, tt):
         raise ValueError("face pairs are discharged by injectivity, not separation")
-    t_verts = tt.vertex_set
-    for j in st.vertices:
-        if j in t_verts:
-            continue
-        if not m.horizontal_effective[j]:
-            continue
-        if m.order(j, j) != 0:
-            continue
-        if any(m.order(j, v) != 1 for v in st.vertices if v != j):
-            continue
-        if any(m.order(j, w) < 1 for w in tt.vertices):
-            continue
-        return j
+    return _separating_row(_candidate_rows(m, st),
+                           _blocked_rows(tt, _low_rows(m, tt.vertices)))
+
+
+def _candidate_rows(m: OrderMatrix, s: Stratum) -> tuple[int, ...]:
+    """Rows whose coordinate maps the open simplex of ``s`` into [0, 1), in
+    vertex order: flagged, order 0 at their own vertex and 1 at the rest."""
+    return tuple(j for j in s.vertices
+                 if m.horizontal_effective[j] and m.order(j, j) == 0
+                 and all(m.order(j, v) == 1 for v in s.vertices if v != j))
+
+
+def _low_rows(m: OrderMatrix, components: Iterable[int]) -> dict[int, frozenset[int]]:
+    """For each component ``w``, the rows ``j >= 1`` with an order below 1 along ``w``."""
+    out = {}
+    for w in components:
+        if not 1 <= w <= m.ell:
+            raise ValueError(f"component index {w} out of range 1..{m.ell}")
+        out[w] = frozenset(j for j, row in enumerate(m.orders[1:], start=1) if row[w - 1] < 1)
+    return out
+
+
+def _blocked_rows(t: Stratum, low: dict[int, frozenset[int]]) -> frozenset[int]:
+    """Rows that cannot bound all of ``t`` from below by 1: its own vertices
+    and every row with an order below 1 on one of them."""
+    return t.vertex_set.union(*(low[w] for w in t.vertices))
+
+
+def _separating_row(candidates: tuple[int, ...], blocked: frozenset[int]) -> int | None:
+    for j in candidates:
+        if j not in blocked:
+            return j
     return None
 
 
@@ -232,18 +256,20 @@ class PairEvidence:
     disjoint: bool | None
 
 
-def _piece_memo(f: PiecewiseAffineMap):
-    """One memo for the per-stratum data the pair checks reuse.
+_FACE_INJECTIVE = ExactVerdict(True, None, "face-injectivity")
+_INTERVAL = ExactVerdict(True, None, "interval")
 
-    ``memo(kind, sid)`` returns, computed on first use, the coordinate
-    interval table ("intervals"), the relative-interior image polyhedron
-    ("polyhedron") or the piece injectivity flag ("injective") of a stratum.
+
+def _piece_memo(f: PiecewiseAffineMap):
+    """One memo for the per-stratum data the exact route reuses.
+
+    ``memo(kind, sid)`` returns, computed on first use, the relative-interior
+    image polyhedron ("polyhedron") or the piece injectivity flag
+    ("injective") of a stratum.
     """
 
     @cache
     def memo(kind: str, sid: str):
-        if kind == "intervals":
-            return tuple((min(vals), max(vals)) for vals in zip(*f.vertex_images(sid)))
         if kind == "polyhedron":
             return simplex_image_polyhedron(f.vertex_images(sid), relative_interior=True)
         return piece_injective(f, sid)
@@ -260,32 +286,47 @@ def _ambient(c: DualComplex, sid: str, tid: str) -> str | None:
     return None
 
 
+def _interval_table(piece: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
+    """Per coordinate, integer endpoints of a stratum's open image projection.
+
+    A coordinate's vertex values span [lo, hi]; the open simplex projects
+    onto the point lo when lo == hi and onto the open interval (lo, hi)
+    otherwise.  Doubled, these become the integer ranges (2lo, 2lo) and
+    (2lo+1, 2hi-1), and since all endpoints are integers, projection a lies
+    wholly below projection b exactly when right_a < left_b.
+    """
+    return tuple((2 * lo, 2 * lo) if lo == hi else (2 * lo + 1, 2 * hi - 1)
+                 for lo, hi in zip(map(min, piece), map(max, piece)))
+
+
 def _intervals_separate(ta, tb) -> bool:
-    # Projections of the two open images; a single coordinate with disjoint
-    # projections proves the images disjoint.
-    for (alo, ahi), (blo, bhi) in zip(ta, tb):
-        if alo == ahi and blo == bhi:
-            if alo != blo:
-                return True
-        elif alo == ahi:
-            if alo <= blo or alo >= bhi:
-                return True
-        elif blo == bhi:
-            if blo <= alo or blo >= ahi:
-                return True
-        elif ahi <= blo or bhi <= alo:
-            return True
-    return False
+    # One coordinate with disjoint projections proves the open images disjoint.
+    return any(ra < lb or rb < la for (la, ra), (lb, rb) in zip(ta, tb))
 
 
-def _exact_verdict(memo, sid: str, tid: str, ambient: str | None) -> ExactVerdict:
-    """The exact oracle on one pair; ``ambient`` is the larger stratum of a
-    face pair (see ``_ambient``) and None for an independent pair."""
+def _above_masks(ends: Sequence[tuple[int, int]]) -> list[int]:
+    """For one coordinate: per stratum ``a``, the bitmask of the strata ``b``
+    (bit ``b`` for position ``b`` in ``ends``) with right_a < left_b."""
+    by_left: dict[int, int] = {}
+    for b, (left, _) in enumerate(ends):
+        by_left[left] = by_left.get(left, 0) | (1 << b)
+    lefts = sorted(by_left)
+    suffix = [0] * (len(lefts) + 1)
+    for k in range(len(lefts) - 1, -1, -1):
+        suffix[k] = suffix[k + 1] | by_left[lefts[k]]
+    return [suffix[bisect_right(lefts, right)] for _, right in ends]
+
+
+def _exact_verdict(memo, sid: str, tid: str, ambient: str | None,
+                   separated: bool) -> ExactVerdict:
+    """The exact oracle on one pair.  ``ambient`` is the larger stratum of a
+    face pair (see ``_ambient``) and None for an independent pair;
+    ``separated`` says whether one coordinate separates the two images."""
     if ambient is not None and memo("injective", ambient):
-        return ExactVerdict(True, None, "face-injectivity")
+        return _FACE_INJECTIVE
     # Degenerate ambient piece or independent pair: decide on the images.
-    if _intervals_separate(memo("intervals", sid), memo("intervals", tid)):
-        return ExactVerdict(True, None, "interval")
+    if separated:
+        return _INTERVAL
     hit, witness = relint_intersection_nonempty(memo("polyhedron", sid),
                                                 memo("polyhedron", tid))
     return ExactVerdict(not hit, witness, "lp")
@@ -304,7 +345,9 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
     tid = f.complex.stratum(t).id
     if sid == tid:
         raise ValueError("disjointness query requires two distinct strata")
-    return _exact_verdict(_piece_memo(f), sid, tid, _ambient(f.complex, sid, tid))
+    separated = _intervals_separate(_interval_table(f.piece(sid)),
+                                    _interval_table(f.piece(tid)))
+    return _exact_verdict(_piece_memo(f), sid, tid, _ambient(f.complex, sid, tid), separated)
 
 
 @dataclass(frozen=True)
@@ -314,28 +357,6 @@ class FaithfulnessReport:
     pairs: tuple[PairEvidence, ...]
     overall: str  # "faithful" | "not_faithful" | "certificate_incomplete"
     defects: tuple[str, ...]
-
-
-def _pair_evidence(f: PiecewiseAffineMap, m: OrderMatrix, sid: str, tid: str,
-                   mode: str, memo) -> PairEvidence:
-    ambient = _ambient(f.complex, sid, tid)
-    if ambient is not None:
-        ok = memo("injective", ambient)
-        exact = None if ok or mode == "certificate" else _exact_verdict(memo, sid, tid, ambient)
-        disjoint = True if ok else (exact.disjoint if exact is not None else None)
-        return PairEvidence(sid, tid, "face", FaceDischarge(ambient, ok),
-                            None, exact, disjoint)
-
-    separation = None
-    if mode != "exact":
-        for interior, other in ((sid, tid), (tid, sid)):
-            coord = separation_certificate(f, m, interior, other)
-            if coord is not None:
-                separation = SeparationCertificate(interior, coord)
-                break
-    exact = None if mode == "certificate" else _exact_verdict(memo, sid, tid, ambient)
-    disjoint = exact.disjoint if exact is not None else (True if separation is not None else None)
-    return PairEvidence(sid, tid, "independent", None, separation, exact, disjoint)
 
 
 def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
@@ -351,6 +372,16 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     ``pair_filter`` restricts which unordered pairs are examined, each entry
     two distinct stratum ids; the overall verdict then only speaks for the
     examined pairs.
+
+    The per-pair rules are those of ``separation_certificate`` and
+    ``images_relint_disjoint_exact``, read from tables built once per call:
+    each stratum's face ids (from ``c.face_map``; on a validated complex the
+    same relation as ``is_face``), its candidate rows (``_candidate_rows``)
+    and blocked rows (``_blocked_rows``), so that a pair's separating row is
+    the first candidate of one stratum the other does not block, and per
+    coordinate a bitmask of the strata whose image projection lies above
+    each stratum's (``_interval_table``, ``_above_masks``).  The LP runs
+    only for pairs that no coordinate separates.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -372,11 +403,53 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
                 c.stratum(sid)  # raises on unknown ids
             wanted.add(frozenset(p))
 
-    # combinations() of the sorted ids yields the pairs already in report order.
+    # The per-stratum tables: face ids, the certificate route's candidate
+    # and blocked rows, and per coordinate the strata lying above each one.
+    faces: dict[str, set[str]] = {sid: set() for sid in order}
+    for (owner, _), fid in c.face_map.items():
+        faces[owner].add(fid)
+    if mode != "exact":
+        low = _low_rows(m, range(1, m.ell + 1))
+        candidates = {s.id: _candidate_rows(m, s) for s in c.strata}
+        blocked = {s.id: _blocked_rows(s, low) for s in c.strata}
+    if mode != "certificate":
+        above = [0] * len(order)
+        for ends in zip(*(_interval_table(f.pieces[sid]) for sid in order)):
+            above = list(map(or_, above, _above_masks(ends)))
+
+    # Lexicographic index pairs are the sorted ids' pairs in report order.
+    if wanted is None:
+        pairs = combinations(range(len(order)), 2)
+    else:
+        index = {sid: k for k, sid in enumerate(order)}
+        pairs = sorted(tuple(sorted(index[sid] for sid in p)) for p in wanted)
     memo = _piece_memo(f)
-    evidence = [_pair_evidence(f, m, a, b, mode, memo)
-                for a, b in combinations(order, 2)
-                if wanted is None or frozenset((a, b)) in wanted]
+    certs: dict[tuple[str, int], SeparationCertificate] = {}
+    evidence = []
+    for a, b in pairs:
+        sid, tid = order[a], order[b]
+        ambient = sid if tid in faces[sid] else tid if sid in faces[tid] else None
+        separated = mode != "certificate" and bool(above[a] >> b & 1 or above[b] >> a & 1)
+        if ambient is not None:
+            ok = memo("injective", ambient)
+            exact = (None if ok or mode == "certificate"
+                     else _exact_verdict(memo, sid, tid, ambient, separated))
+            disjoint = True if ok else (exact.disjoint if exact is not None else None)
+            evidence.append(PairEvidence(sid, tid, "face", FaceDischarge(ambient, ok),
+                                         None, exact, disjoint))
+            continue
+        separation = None
+        if mode != "exact":
+            for interior, other in ((sid, tid), (tid, sid)):
+                j = _separating_row(candidates[interior], blocked[other])
+                if j is not None:
+                    separation = certs.get((interior, j))
+                    if separation is None:
+                        separation = certs[interior, j] = SeparationCertificate(interior, j)
+                    break
+        exact = None if mode == "certificate" else _exact_verdict(memo, sid, tid, None, separated)
+        disjoint = exact.disjoint if exact is not None else (True if separation is not None else None)
+        evidence.append(PairEvidence(sid, tid, "independent", None, separation, exact, disjoint))
 
     defects = []
     for e in evidence:

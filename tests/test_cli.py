@@ -85,6 +85,65 @@ def test_validate_clean_and_defective(tmp_path, capsys):
     assert "face-missing" in capsys.readouterr().out
 
 
+def test_check_validates_each_document_once(cycle3_file, tmp_path, capsys, monkeypatch):
+    import skeletrop.complexes as complexes
+    import skeletrop.sections as sections
+
+    runs = {"complex": 0, "orders": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            runs[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(complexes, "_find_violations",
+                        counting("complex", complexes._find_violations))
+    monkeypatch.setattr(sections, "_order_violations",
+                        counting("orders", sections._order_violations))
+    assert main(["check", str(cycle3_file), "--out", str(tmp_path / "c.json")]) == 0
+    assert runs == {"complex": 1, "orders": 1}
+
+    # Invalid orders still stop the check with exit 1 and one stderr line per violation.
+    doc = json.loads(cycle3_file.read_text())
+    doc["order_matrix"] = {"orders": [[0, 0, 0], [0, 2, 2], [2, 0, 2], [2, 2, 0]]}
+    bad = tmp_path / "bad-orders.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(bad)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 6 and all(line.startswith("orders: [edge-order] ") for line in err)
+
+
+def test_oversized_facet_exits_1_before_expansion(tmp_path):
+    # One 20-vertex facet would expand into about 3.5e9 face-map entries.
+    # The child's address space is capped, so a regression fails with a
+    # MemoryError instead of exhausting the machine's memory.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import skeletrop
+
+    doc = tmp_path / "big.json"
+    doc.write_text(json.dumps({"schema_version": 1,
+                               "complex": {"ell": 20, "d": 19,
+                                           "facets": [list(range(1, 21))]}}),
+                   encoding="utf-8")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from skeletrop.cli import main\n"
+            "sys.exit(main(['check', sys.argv[1]]))\n")
+    src = str(Path(skeletrop.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(doc)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: $.complex.facets: ")
+    assert "face-map entries" in proc.stderr
+
+
 def test_validate_warns_on_disconnected(tmp_path, capsys):
     doc = tmp_path / "two.json"
     doc.write_text(json.dumps({

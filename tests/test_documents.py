@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeletrop._version import __version__
-from skeletrop.documents import (SCHEMA_VERSION, InputError, emit_certificate,
+from skeletrop.documents import (MAX_FACE_MAP_ENTRIES, SCHEMA_VERSION, InputError, emit_certificate,
                                  format_rational, generate_fixture, input_digest,
                                  input_text, parse_input, parse_rational)
 from skeletrop.lattice import IntMatrix
@@ -33,6 +33,25 @@ class TestParseInput:
         text = '{"schema_version": 1, "complex": {"ell": 3, "d": 1, "facets": [[1, 2, 3]]}}'
         with pytest.raises(InputError, match="exceeds d\\+1"):
             parse_input(text)
+
+    def test_expansion_limit(self):
+        def doc(spec):
+            return json.dumps({"schema_version": 1, "complex": spec})
+
+        # Two 11-vertex facets would need 2 * 173,052 face-map entries.
+        facets = [list(range(1, 12)), list(range(2, 13))]
+        with pytest.raises(InputError, match="face-map entries") as info:
+            parse_input(doc({"ell": 12, "d": 10, "facets": facets}))
+        assert info.value.path == "$.complex.facets"
+        strata = [{"id": "big", "vertices": list(range(1, 13))}]
+        with pytest.raises(InputError, match="face-map entries") as info:
+            parse_input(doc({"ell": 12, "d": 11, "mode": "delta", "strata": strata,
+                             "face_map": []}))
+        assert info.value.path == "$.complex.strata"
+        # A list far longer than any complex still costs nothing to bound.
+        with pytest.raises(InputError, match="face-map entries"):
+            parse_input(doc({"ell": 1, "d": 0, "facets": [[1] * 10 ** 5]}))
+        assert MAX_FACE_MAP_ENTRIES > 7 * (3 ** 6 - 2 ** 7 + 1)  # simplex boundary, dim 6
 
     def test_not_json(self):
         with pytest.raises(InputError, match="not valid JSON"):

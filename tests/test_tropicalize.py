@@ -1,17 +1,24 @@
 """Piecewise map assembly, unimodularity, separation, and faithfulness."""
 
+import hashlib
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeletrop.complexes import (DualComplex, SimplexPoint, Stratum, build_delta_complex,
                                  build_from_facets)
-from skeletrop.documents import generate_fixture
+from skeletrop.documents import emit_certificate, generate_fixture, input_digest, parse_input
 from skeletrop.lattice import relint_intersection_nonempty, simplex_image_polyhedron
 from skeletrop.sections import OrderMatrix, canonical_order_matrix
 from skeletrop.tropical import trop_eq
-from skeletrop.tropicalize import (ExactVerdict, PiecewiseAffineMap, build_map,
+from skeletrop.tropicalize import (ExactVerdict, FaceDischarge, PairEvidence,
+                                   PiecewiseAffineMap, SeparationCertificate, _above_masks,
+                                   _interval_table, _intervals_separate, build_map,
                                    check_faithful, check_unimodular,
                                    images_relint_disjoint_exact, piece_injective,
                                    separation_certificate)
@@ -387,3 +394,174 @@ class TestProjectiveCoherence:
             same_affine = f.apply(p) == f.apply(q)
             same_projective = trop_eq(f.projective_image(p), f.projective_image(q))
             assert same_affine == same_projective
+
+
+# ---------------------------------------------------------------------------
+# The table-driven pair loop against the public per-pair functions
+# ---------------------------------------------------------------------------
+
+
+def raw_intervals_separate(ta, tb) -> bool:
+    """Interval separation on raw (min, max) vertex-value tables, case by case."""
+    for (alo, ahi), (blo, bhi) in zip(ta, tb):
+        if alo == ahi and blo == bhi:
+            if alo != blo:
+                return True
+        elif alo == ahi:
+            if alo <= blo or alo >= bhi:
+                return True
+        elif blo == bhi:
+            if blo <= alo or blo >= ahi:
+                return True
+        elif ahi <= blo or bhi <= alo:
+            return True
+    return False
+
+
+def random_valid_orders(rng, c, cleared=0.25) -> OrderMatrix:
+    rows = [[0] * c.ell]
+    for i in range(1, c.ell + 1):
+        rows.append([0 if i == j else (1 if c.adjacent(i, j) else rng.randint(1, 3))
+                     for j in range(1, c.ell + 1)])
+    flags = tuple(rng.random() >= cleared for _ in range(c.ell + 1))
+    return OrderMatrix(tuple(map(tuple, rows)), flags)
+
+
+def random_simplicial(rng):
+    ell = rng.randint(2, 6)
+    facets = [sorted(rng.sample(range(1, ell + 1), rng.randint(1, min(4, ell))))
+              for _ in range(rng.randint(1, 4))]
+    covered = {v for f in facets for v in f}
+    facets += [[v] for v in range(1, ell + 1) if v not in covered]
+    return build_from_facets(ell, max(map(len, facets)) - 1, facets)
+
+
+def _shuffled(rng, verts):
+    verts = list(verts)
+    rng.shuffle(verts)
+    return tuple(verts)
+
+
+def banana_ring(rng):
+    """``n`` vertices in a ring, ``k`` parallel edges between neighbours."""
+    n, k = rng.randint(2, 4), rng.randint(1, 3)
+    strata = [(f"v{v}", (v,)) for v in range(1, n + 1)]
+    faces = []
+    ends = {(v, v % n + 1) for v in range(1, n + 1)} if n > 2 else {(1, 2)}
+    for a, b in sorted(ends):
+        for r in range(k):
+            eid = f"e{a}{b}.{r}"
+            strata.append((eid, _shuffled(rng, (a, b))))
+            faces += [(eid, [a], f"v{a}"), (eid, [b], f"v{b}")]
+    return build_delta_complex(n, 1, strata, faces)
+
+
+def triangle_stack(rng):
+    """``k`` triangles on the edges of vertices 1, 2, 3, a path out to ``ell``
+    and up to two more edges on 1, 2 that are no triangle's face (their open
+    images lie on the triangles' boundary, below them in coordinate 3)."""
+    k, ell = rng.randint(1, 3), rng.randint(3, 5)
+    strata = [(f"v{v}", (v,)) for v in range(1, ell + 1)]
+    faces = []
+    edges = [(1, 2), (1, 3), (2, 3)] + [(v, v + 1) for v in range(3, ell)]
+    for eid, (a, b) in ([(f"e{a}{b}", (a, b)) for a, b in edges]
+                        + [(f"e12.{r}", (1, 2)) for r in range(rng.randint(0, 2))]):
+        strata.append((eid, _shuffled(rng, (a, b))))
+        faces += [(eid, [a], f"v{a}"), (eid, [b], f"v{b}")]
+    for t in range(k):
+        tid = f"t{t}"
+        strata.append((tid, _shuffled(rng, (1, 2, 3))))
+        faces += [(tid, [v], f"v{v}") for v in (1, 2, 3)]
+        faces += [(tid, [a, b], f"e{a}{b}") for a, b in edges[:3]]
+    return build_delta_complex(ell, 2, strata, faces)
+
+
+def reference_evidence(c, m, f, a, b, mode) -> PairEvidence:
+    """One pair's evidence from the public per-pair functions alone."""
+    if c.face_related(a, b):
+        ambient = a if c.is_face(b, a) else b
+        ok = piece_injective(f, ambient)
+        exact = None if ok or mode == "certificate" else images_relint_disjoint_exact(f, a, b)
+        disjoint = True if ok else (exact.disjoint if exact is not None else None)
+        return PairEvidence(a, b, "face", FaceDischarge(ambient, ok), None, exact, disjoint)
+    separation = None
+    if mode != "exact":
+        for interior, other in ((a, b), (b, a)):
+            j = separation_certificate(f, m, interior, other)
+            if j is not None:
+                separation = SeparationCertificate(interior, j)
+                break
+    exact = None if mode == "certificate" else images_relint_disjoint_exact(f, a, b)
+    disjoint = exact.disjoint if exact is not None else (True if separation is not None else None)
+    return PairEvidence(a, b, "independent", None, separation, exact, disjoint)
+
+
+class TestTableDrivenPairLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_evidence_matches_public_per_pair_functions(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        make = data.draw(st.sampled_from((random_simplicial, banana_ring, triangle_stack)))
+        c = make(rng)
+        m = random_valid_orders(rng, c, cleared=data.draw(st.sampled_from((0.0, 0.25, 0.6))))
+        mode = data.draw(st.sampled_from(("certificate", "exact", "both")))
+        ids = c.stratum_ids()
+        all_pairs = list(itertools.combinations(ids, 2))
+        chosen = set(all_pairs)
+        pair_filter = None
+        if all_pairs and data.draw(st.booleans()):
+            chosen = data.draw(st.sets(st.sampled_from(all_pairs), max_size=8))
+            # Either orientation of a pair selects it.
+            pair_filter = [p if rng.random() < 0.5 else p[::-1] for p in chosen]
+        report = check_faithful(c, m, mode=mode, pair_filter=pair_filter)
+        f = build_map(c, m)
+        assert [(e.left, e.right) for e in report.pairs] == [p for p in all_pairs if p in chosen]
+        for e in report.pairs:
+            assert e == reference_evidence(c, m, f, e.left, e.right, mode), (e.left, e.right)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                             min_size=3, max_size=3), min_size=1, max_size=12))
+    def test_bulk_masks_match_pairwise_interval_rule(self, raw):
+        # Each stratum: per coordinate a vertex-value range [lo, hi], a point
+        # when lo == hi; small values make touching endpoints common.
+        raw = [[(min(x, y), max(x, y)) for x, y in coords] for coords in raw]
+        tables = [_interval_table([(lo, hi) for lo, hi in coords]) for coords in raw]
+        above = [0] * len(tables)
+        for ends in zip(*tables):
+            above = [x | y for x, y in zip(above, _above_masks(ends))]
+        for a, b in itertools.permutations(range(len(tables)), 2):
+            bulk = bool(above[a] >> b & 1 or above[b] >> a & 1)
+            assert bulk == _intervals_separate(tables[a], tables[b])
+            assert bulk == raw_intervals_separate(raw[a], raw[b]), (raw[a], raw[b])
+
+    def test_touching_endpoints(self):
+        point = _interval_table([(1, 1)])
+        assert _interval_table([(1, 3)]) == ((3, 5),)
+        assert _intervals_separate(point, _interval_table([(1, 3)]))      # point at an end
+        assert _intervals_separate(_interval_table([(0, 1)]), _interval_table([(1, 2)]))
+        assert not _intervals_separate(_interval_table([(0, 2)]), point)  # point inside
+        assert not _intervals_separate(point, point)
+
+    # sha256 of the cycle n=40 certificate under seeded random orders with
+    # some horizontal flags cleared, taken before the pair loop was built
+    # from per-stratum tables.
+    CYCLE40_SHA256 = {
+        "both": "66775bc1f7c0dabfac1ea259d91a8712a14b8a18b9c9731ff6babee68f64e30c",
+        "exact": "c3fd23b9ecec1aa0a91afb31c3e637c4888bd1846c258a9222d3947c5cdf2637",
+        "certificate": "156d55bc221d76c9d7f8b0816c0fb2284478fcd97461331a44f6bb3696fd996b",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(CYCLE40_SHA256))
+    def test_cycle40_random_orders_certificate_is_pinned(self, mode):
+        base = generate_fixture("cycle", n=40)
+        c = base.complex
+        rng = random.Random(40)
+        rows = [[0] * 40] + [[0 if i == j else (1 if c.adjacent(i, j) else rng.randint(1, 4))
+                              for j in range(1, 41)] for i in range(1, 41)]
+        flags = [True] + [rng.random() > 0.2 for _ in range(40)]
+        doc = parse_input(json.dumps(dict(
+            base.canonical, order_matrix={"orders": rows, "horizontal_effective": flags})))
+        report = check_faithful(doc.complex, doc.effective_orders(), mode=mode)
+        text = emit_certificate(report, input_digest(doc))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CYCLE40_SHA256[mode]
