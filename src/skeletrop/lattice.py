@@ -13,13 +13,16 @@ rows are cleared of denominators once and kept integer by fraction-free
 API boundary, in rational vertex images, constraint bounds and witnesses.
 
 Everything in this module is a pure function on immutable values and is
-safe to call concurrently.
+safe to call concurrently.  The one piece of state is the LP result that
+``relint_intersection_nonempty`` keeps on a ``RationalPolyhedron``; it is
+a function of the two constraint systems alone, so a result computed twice
+by concurrent callers is the same result.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -402,10 +405,16 @@ class Constraint:
 
 @dataclass(frozen=True)
 class RationalPolyhedron:
-    """Finite conjunction of closed/strict rational half-spaces."""
+    """Finite conjunction of closed/strict rational half-spaces.
+
+    ``_relint_memo`` holds the results of ``relint_intersection_nonempty``
+    against other polyhedra, keyed by their ``constraints``; it lives and
+    dies with the object and takes no part in equality, hashing or repr.
+    """
 
     ambient_dim: int
     constraints: tuple[Constraint, ...]
+    _relint_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.ambient_dim < 1:
@@ -478,14 +487,14 @@ def _eliminate_variables(rows, drop: int):
 
 
 def _emit_constraints(rows, drop: int) -> list[Constraint]:
-    out: dict[tuple[int, ...], tuple[Fraction, bool]] = {}
+    out: dict[tuple[int, ...], Constraint] = {}
 
     def push(normal, rhs, strict):
         cand = Constraint(tuple(normal), rhs, strict)
         prev = out.get(cand.normal)
         # Same normal: the smaller bound wins; at a tie, strict is tighter.
-        if prev is None or (cand.bound, not cand.strict) < (prev[0], not prev[1]):
-            out[cand.normal] = (cand.bound, cand.strict)
+        if prev is None or (cand.bound, not cand.strict) < (prev.bound, not prev.strict):
+            out[cand.normal] = cand
 
     for coeffs, rel, rhs in rows:
         xcoeffs = coeffs[drop:]
@@ -502,9 +511,7 @@ def _emit_constraints(rows, drop: int) -> list[Constraint]:
             push([-c for c in xcoeffs], -rhs, False)
         else:
             push(xcoeffs, rhs, rel == _LT)
-    made = [Constraint(n, b, s) for n, (b, s) in out.items()]
-    made.sort(key=Constraint.sort_key)
-    return made
+    return sorted(out.values(), key=Constraint.sort_key)
 
 
 def simplex_image_polyhedron(vertex_images: Sequence[Sequence],
@@ -688,11 +695,20 @@ def relint_intersection_nonempty(p: RationalPolyhedron, q: RationalPolyhedron):
     strictly), or ``(False, None)``.  Decided by maximizing the minimum
     slack over the strict constraints with exact fraction-free pivoting and
     requiring a strictly positive optimum.
+
+    The LP depends only on the merged constraint set, so the result is kept
+    on both polyhedra, each keyed by the other's ``constraints``, and a
+    repeated or swapped query on the same objects is answered without
+    solving again.  The memo lasts as long as the polyhedra do: callers
+    that build them per call, as ``check_faithful`` does, solve each
+    distinct pair of systems once per call.
     """
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("polyhedra live in different ambient dimensions")
-    merged = sorted(set(p.constraints) | set(q.constraints), key=Constraint.sort_key)
-    value, point = _max_min_slack(merged, p.ambient_dim)
-    if value is None or value <= 0:
-        return False, None
-    return True, point
+    result = p._relint_memo.get(q.constraints)
+    if result is None:
+        merged = sorted(set(p.constraints) | set(q.constraints), key=Constraint.sort_key)
+        value, point = _max_min_slack(merged, p.ambient_dim)
+        result = (False, None) if value is None or value <= 0 else (True, point)
+        p._relint_memo[q.constraints] = q._relint_memo[p.constraints] = result
+    return result

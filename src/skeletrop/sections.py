@@ -135,25 +135,42 @@ def _order_violations(m: OrderMatrix, c: DualComplex) -> list[Violation]:
 
 @dataclass(frozen=True)
 class AffineFunctional:
-    """Affine function of barycentric weights: <coefficients, u> + constant."""
+    """Affine function of barycentric weights: <coefficients, u> + constant.
+
+    Coefficients and the constant are exact rationals; ints are kept as
+    they are (they are rationals already), anything else goes through
+    ``Fraction``.  ``evaluate`` and ``vertex_values`` return ``Fraction``s.
+    """
 
     stratum: str
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[Fraction | int, ...]
     constant: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           tuple(Fraction(x) for x in self.coefficients))
-        object.__setattr__(self, "constant", Fraction(self.constant))
+        object.__setattr__(self, "coefficients", tuple(map(_rational, self.coefficients)))
+        if type(self.constant) is not Fraction:
+            object.__setattr__(self, "constant", Fraction(self.constant))
 
     def evaluate(self, u: Sequence) -> Fraction:
         if len(u) != len(self.coefficients):
             raise ValueError("weight vector does not match the functional arity")
-        return sum((c * Fraction(x) for c, x in zip(self.coefficients, u)),
-                   self.constant)
+        # Accumulate an unreduced num/den; only the result is normalised.
+        num, den = self.constant.numerator, self.constant.denominator
+        for c, x in zip(self.coefficients, map(_rational, u)):
+            n, d = c.numerator * x.numerator, c.denominator * x.denominator
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+        return Fraction(num, den)
 
     def vertex_values(self) -> tuple[Fraction, ...]:
         return tuple(c + self.constant for c in self.coefficients)
+
+
+def _rational(x) -> Fraction | int:
+    # ``type`` rather than ``isinstance``: a bool becomes Fraction(0 or 1).
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
 def restrict_affine(m: OrderMatrix, i: int, s: Stratum) -> AffineFunctional:
@@ -164,8 +181,18 @@ def restrict_affine(m: OrderMatrix, i: int, s: Stratum) -> AffineFunctional:
     """
     if not 1 <= i <= m.ell:
         raise ValueError(f"section index {i} out of range 1..{m.ell}")
-    coeffs = tuple(Fraction(m.order(i, v)) for v in s.vertices)
-    return AffineFunctional(s.id, coeffs)
+    return AffineFunctional(s.id, _orders_along(m, i, s))
+
+
+def _orders_along(m: OrderMatrix, i: int, s: Stratum) -> tuple[int, ...]:
+    """The orders of section ``i`` (already range-checked) along the
+    stratum's vertices, in vertex order; raises like ``OrderMatrix.order``."""
+    ell = m.ell
+    for v in s.vertices:
+        if not 1 <= v <= ell:
+            raise ValueError(f"component index {v} out of range 1..{ell}")
+    row = m.orders[i]
+    return tuple(row[v - 1] for v in s.vertices)
 
 
 def concavity_lower_bound(m: OrderMatrix, i: int, s: Stratum, u: Sequence) -> Fraction:
@@ -199,6 +226,6 @@ def concavity_lower_bound(m: OrderMatrix, i: int, s: Stratum, u: Sequence) -> Fr
     if any(n < 0 for n in nums) or sum(nums) != common:
         raise ValueError("weights must be nonnegative and sum to 1")
     total = 0
-    for n, v in zip(nums, s.vertices):
-        total += n * m.order(i, v)
+    for n, order in zip(nums, _orders_along(m, i, s)):
+        total += n * order
     return Fraction(total, common)

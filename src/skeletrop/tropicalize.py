@@ -23,7 +23,8 @@ tables once per call: each stratum's face ids, its candidate and blocked
 rows for the certificate route, and, coordinate by coordinate, a bitmask
 of the strata whose image projection lies above its own.  Each of the
 O(S^2) pairs is then settled by set and bit lookups, and only pairs that
-no coordinate separates reach the LP.  Pairs are checked serially, in
+no coordinate separates reach the LP, which solves each distinct system
+once per call.  Pairs are checked serially, in
 sorted order; ``jobs`` is accepted only for compatibility and never
 changes the output.
 """
@@ -41,8 +42,9 @@ from typing import Iterable, Sequence
 from .complexes import DualComplex, SimplexPoint, Stratum, validate_complex
 # ``smith_normal_form`` is unused here but stays importable from this module:
 # perfbench's traced run wraps it under this name.
-from .lattice import (IntMatrix, _smith_diagonal, relint_intersection_nonempty,  # noqa: F401
-                      simplex_image_polyhedron, smith_normal_form)
+from .lattice import (IntMatrix, RationalPolyhedron, _smith_diagonal,  # noqa: F401
+                      relint_intersection_nonempty, simplex_image_polyhedron,
+                      smith_normal_form)
 from .sections import OrderMatrix, validate_orders
 from .tropical import TropicalProjectivePoint, trop_normalize
 
@@ -261,20 +263,38 @@ _INTERVAL = ExactVerdict(True, None, "interval")
 
 
 def _piece_memo(f: PiecewiseAffineMap):
-    """One memo for the per-stratum data the exact route reuses.
+    """One memo for the relative-interior image polyhedra of the exact route.
 
-    ``memo(kind, sid)`` returns, computed on first use, the relative-interior
-    image polyhedron ("polyhedron") or the piece injectivity flag
-    ("injective") of a stratum.
+    ``memo(sid)`` returns the polyhedron of a stratum.  It is built once
+    per distinct ``f.vertex_images(sid)``, the exact input of
+    ``simplex_image_polyhedron`` (not the vertex set: a Delta stratum may
+    list the same vertices in another order, and Fourier-Motzkin's
+    redundant rows depend on that order), and interned by value, so strata
+    with equal constraint systems share one object and with it the LP
+    results that ``relint_intersection_nonempty`` keeps on it.  The memo
+    belongs to one call of ``check_faithful`` or
+    ``images_relint_disjoint_exact`` and dies with it.
     """
+    by_images: dict[tuple[tuple[int, ...], ...], RationalPolyhedron] = {}
+    interned: dict[RationalPolyhedron, RationalPolyhedron] = {}
 
     @cache
-    def memo(kind: str, sid: str):
-        if kind == "polyhedron":
-            return simplex_image_polyhedron(f.vertex_images(sid), relative_interior=True)
-        return piece_injective(f, sid)
+    def memo(sid: str) -> RationalPolyhedron:
+        images = f.vertex_images(sid)
+        poly = by_images.get(images)
+        if poly is None:
+            poly = simplex_image_polyhedron(images, relative_interior=True)
+            poly = by_images[images] = interned.setdefault(poly, poly)
+        return poly
 
     return memo
+
+
+def _injective(cert: UnimodularityCertificate) -> bool:
+    """Piece injectivity read off the Smith diagonal: the rank is the number
+    of nonzero diagonal entries, and the piece is injective when that is
+    the number of edge vectors."""
+    return sum(1 for x in cert.elementary_divisors if x) == cert.edge_matrix.rows
 
 
 def _ambient(c: DualComplex, sid: str, tid: str) -> str | None:
@@ -317,18 +337,13 @@ def _above_masks(ends: Sequence[tuple[int, int]]) -> list[int]:
     return [suffix[bisect_right(lefts, right)] for _, right in ends]
 
 
-def _exact_verdict(memo, sid: str, tid: str, ambient: str | None,
-                   separated: bool) -> ExactVerdict:
-    """The exact oracle on one pair.  ``ambient`` is the larger stratum of a
-    face pair (see ``_ambient``) and None for an independent pair;
-    ``separated`` says whether one coordinate separates the two images."""
-    if ambient is not None and memo("injective", ambient):
-        return _FACE_INJECTIVE
-    # Degenerate ambient piece or independent pair: decide on the images.
+def _image_verdict(memo, sid: str, tid: str, separated: bool) -> ExactVerdict:
+    """The exact oracle on the two images of an independent pair or a face
+    pair with a degenerate ambient piece; ``separated`` says whether one
+    coordinate separates them."""
     if separated:
         return _INTERVAL
-    hit, witness = relint_intersection_nonempty(memo("polyhedron", sid),
-                                                memo("polyhedron", tid))
+    hit, witness = relint_intersection_nonempty(memo(sid), memo(tid))
     return ExactVerdict(not hit, witness, "lp")
 
 
@@ -345,9 +360,12 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
     tid = f.complex.stratum(t).id
     if sid == tid:
         raise ValueError("disjointness query requires two distinct strata")
+    ambient = _ambient(f.complex, sid, tid)
+    if ambient is not None and piece_injective(f, ambient):
+        return _FACE_INJECTIVE
     separated = _intervals_separate(_interval_table(f.piece(sid)),
                                     _interval_table(f.piece(tid)))
-    return _exact_verdict(_piece_memo(f), sid, tid, _ambient(f.complex, sid, tid), separated)
+    return _image_verdict(_piece_memo(f), sid, tid, separated)
 
 
 @dataclass(frozen=True)
@@ -380,8 +398,12 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     and blocked rows (``_blocked_rows``), so that a pair's separating row is
     the first candidate of one stratum the other does not block, and per
     coordinate a bitmask of the strata whose image projection lies above
-    each stratum's (``_interval_table``, ``_above_masks``).  The LP runs
-    only for pairs that no coordinate separates.
+    each stratum's (``_interval_table``, ``_above_masks``).  A face pair's
+    ambient injectivity is read off the Smith diagonal of its unimodularity
+    certificate (``_injective``), the rank ``piece_injective`` computes.
+    The LP runs only for pairs that no coordinate separates, on polyhedra
+    shared by strata with equal images (``_piece_memo``), so each distinct
+    system is solved once per call.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -391,6 +413,7 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
 
     order = c.stratum_ids()
     certificates = tuple(check_unimodular(f, sid) for sid in order)
+    injective = {cert.stratum: _injective(cert) for cert in certificates}
 
     wanted = None
     if pair_filter is not None:
@@ -431,9 +454,9 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
         ambient = sid if tid in faces[sid] else tid if sid in faces[tid] else None
         separated = mode != "certificate" and bool(above[a] >> b & 1 or above[b] >> a & 1)
         if ambient is not None:
-            ok = memo("injective", ambient)
+            ok = injective[ambient]
             exact = (None if ok or mode == "certificate"
-                     else _exact_verdict(memo, sid, tid, ambient, separated))
+                     else _image_verdict(memo, sid, tid, separated))
             disjoint = True if ok else (exact.disjoint if exact is not None else None)
             evidence.append(PairEvidence(sid, tid, "face", FaceDischarge(ambient, ok),
                                          None, exact, disjoint))
@@ -447,7 +470,7 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
                     if separation is None:
                         separation = certs[interior, j] = SeparationCertificate(interior, j)
                     break
-        exact = None if mode == "certificate" else _exact_verdict(memo, sid, tid, None, separated)
+        exact = None if mode == "certificate" else _image_verdict(memo, sid, tid, separated)
         disjoint = exact.disjoint if exact is not None else (True if separation is not None else None)
         evidence.append(PairEvidence(sid, tid, "independent", None, separation, exact, disjoint))
 

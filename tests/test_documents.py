@@ -1,7 +1,9 @@
 """Input parsing, fixtures, digests, and certificate serialization."""
 
 import hashlib
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -274,11 +276,80 @@ CERTIFICATE_SHA256 = [
 ]
 
 
+def delta_document(kind: str, size: int, extra: int, seed: int) -> str:
+    """A Delta document with shuffled vertex orders and seeded random valid
+    orders: ``("ring", n, k, seed)`` is ``n`` components in a ring with
+    ``k`` parallel edges between neighbours, ``("stack", k, ell, seed)`` is
+    ``k`` triangles on the edges of components 1, 2, 3 plus isolated
+    components up to ``ell``."""
+    rng = random.Random(seed)
+    if kind == "ring":
+        n, k = size, extra
+        strata = [(f"v{i}", [i]) for i in range(1, n + 1)]
+        for i in range(1, n + 1):
+            for p in range(1, k + 1):
+                pair = [i, i % n + 1]
+                rng.shuffle(pair)
+                strata.append((f"e{i}.{p}", pair))
+        ell, d = n, 1
+    else:
+        k, ell, d = size, extra, 2
+        strata = [(f"v{i}", [i]) for i in range(1, ell + 1)]
+        strata += [("e12", [1, 2]), ("e13", [1, 3]), ("e23", [2, 3])]
+        for p in range(1, k + 1):
+            tri = [1, 2, 3]
+            rng.shuffle(tri)
+            strata.append((f"t{p}", tri))
+    # Only top strata repeat a vertex set, so each face is found by its set.
+    by_set = {}
+    for sid, verts in strata:
+        by_set.setdefault(frozenset(verts), sid)
+    face_map = [{"stratum": sid, "subset": list(sub), "face": by_set[frozenset(sub)]}
+                for sid, verts in strata for r in range(1, len(verts))
+                for sub in itertools.combinations(sorted(verts), r)]
+    adjacent = {pair for _, verts in strata for pair in itertools.permutations(verts, 2)}
+    orders = [[0] * ell] + [[0 if i == j else 1 if (i, j) in adjacent else rng.randint(1, 5)
+                             for j in range(1, ell + 1)] for i in range(1, ell + 1)]
+    return json.dumps({
+        "schema_version": SCHEMA_VERSION,
+        "complex": {"ell": ell, "d": d, "mode": "delta",
+                    "strata": [{"id": sid, "vertices": v} for sid, v in strata],
+                    "face_map": face_map},
+        "order_matrix": {"orders": orders, "horizontal_effective": [True] * (ell + 1)}})
+
+
+# sha256 of Delta certificates for (shape, mode), taken before the exact
+# route shared polyhedra and LP results between strata with equal images.
+DELTA_CERTIFICATE_SHA256 = [
+    (("ring", 6, 4, 7), "both",
+     "cd9b2bc01fb9374c670da268f9680749ee3f3e4247090b48be239d25905cb1a4"),
+    (("ring", 6, 4, 7), "exact",
+     "ae8687e9e10b3e0549f8384e8de8165fca6e571b480f3e43f555d7b3a2521ba9"),
+    (("ring", 6, 4, 7), "certificate",
+     "2c226a54195600e5347f2c0eea027adfd49de3bb700a43cf02e11b89f8d1ac5b"),
+    (("stack", 5, 6, 8), "both",
+     "e922b144d654fe2952a27da1ef2103a079466dca128cdd830de693bdf2879357"),
+    (("stack", 5, 6, 8), "exact",
+     "ac1d579350c970ee6b65db7cebdb9fb88a9b5c5c2fadbe2c1dae40440d1fc80e"),
+    (("stack", 5, 6, 8), "certificate",
+     "c4aa1378b12b7e8bd34651401c20dcdc7941724cfe3f094b7becad3a1045569e"),
+]
+
+
 class TestCertificateBytes:
     @pytest.mark.parametrize("fixture,mode,sha", CERTIFICATE_SHA256)
     def test_certificate_bytes_are_pinned(self, fixture, mode, sha):
         kind, params = fixture
         doc = generate_fixture(kind, **params)
+        report = check_faithful(doc.complex, doc.effective_orders(), mode=mode)
+        text = emit_certificate(report, input_digest(doc))
+        assert text == reference_emit_certificate(report, input_digest(doc))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha
+
+    @pytest.mark.parametrize("shape,mode,sha", DELTA_CERTIFICATE_SHA256)
+    def test_delta_certificate_bytes_are_pinned(self, shape, mode, sha):
+        # Delta certificates carry the LP collision witnesses.
+        doc = parse_input(delta_document(*shape))
         report = check_faithful(doc.complex, doc.effective_orders(), mode=mode)
         text = emit_certificate(report, input_digest(doc))
         assert text == reference_emit_certificate(report, input_digest(doc))

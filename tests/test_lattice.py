@@ -607,3 +607,44 @@ class TestIntegerKernelsMatchReference:
             lattice._emit_constraints([([0, 0, 0], lattice._LT, 0)], 2)
         with pytest.raises(ArithmeticError):
             lattice._emit_constraints([([0, 1, 1], lattice._LE, 3)], 2)
+
+
+class TestRelintMemo:
+    """``relint_intersection_nonempty`` keeps its result on both polyhedra."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_repeated_swapped_and_fresh_calls_agree(self, dim, data):
+        p, q = data.draw(polyhedra(dim)), data.draw(polyhedra(dim))
+        merged = sorted(set(p.constraints) | set(q.constraints), key=Constraint.sort_key)
+        solves = []
+        solve = lattice._max_min_slack
+        value, point = solve(merged, dim)
+        expected = (True, point) if value is not None and value > 0 else (False, None)
+
+        def counting(constraints, d):
+            solves.append(tuple(constraints))
+            return solve(constraints, d)
+
+        lattice._max_min_slack = counting
+        try:
+            first = relint_intersection_nonempty(p, q)
+            repeated = relint_intersection_nonempty(p, q)
+            swapped = relint_intersection_nonempty(q, p)
+            assert solves == [tuple(merged)]
+            p2, q2 = (RationalPolyhedron(x.ambient_dim, x.constraints) for x in (p, q))
+            assert (p2, q2) == (p, q)
+            fresh = relint_intersection_nonempty(p2, q2)
+            fresh_swapped = relint_intersection_nonempty(q2, p2)
+            assert len(solves) == 2
+        finally:
+            lattice._max_min_slack = solve
+        assert first == repeated == swapped == fresh == fresh_swapped == expected
+
+    def test_memo_is_not_part_of_the_value(self):
+        p = segment_relint((0, 1), (1, 0))
+        q = RationalPolyhedron(p.ambient_dim, p.constraints)
+        relint_intersection_nonempty(p, p)
+        assert p == q and hash(p) == hash(q)
+        assert repr(p) == repr(q)
+        assert q._relint_memo == {}

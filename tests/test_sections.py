@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skeletrop.complexes import build_from_facets, face_restriction, SimplexPoint
-from skeletrop.sections import (OrderMatrix, canonical_order_matrix,
+from skeletrop.complexes import Stratum, build_from_facets, face_restriction, SimplexPoint
+from skeletrop.sections import (AffineFunctional, OrderMatrix, canonical_order_matrix,
                                 concavity_lower_bound, restrict_affine,
                                 validate_orders)
 
@@ -212,3 +214,58 @@ class TestConcavityBound:
                     exact = restrict_affine(m, i, s).evaluate(u)
                     bound = concavity_lower_bound(m, i, s, u)
                     assert exact == bound
+
+
+def reference_evaluate(coefficients, constant, u):
+    """``AffineFunctional.evaluate`` as a ``Fraction`` sum, term by term."""
+    coefficients = tuple(Fraction(x) for x in coefficients)
+    if len(u) != len(coefficients):
+        raise ValueError("weight vector does not match the functional arity")
+    return sum((c * Fraction(x) for c, x in zip(coefficients, u)), Fraction(constant))
+
+
+def outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc)
+    return value, tuple(map(type, value)) if isinstance(value, tuple) else type(value)
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+class TestAffineFunctionalExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 9), rationals, st.booleans()), max_size=5),
+           st.one_of(st.integers(-3, 3), rationals),
+           st.lists(st.one_of(st.integers(-5, 5), rationals, st.booleans(),
+                              st.floats(allow_nan=True, allow_infinity=True, width=32),
+                              st.sampled_from(["1/3", "-2", "0.25", "x", None])),
+                    max_size=6))
+    def test_evaluate_and_vertex_values_match_fraction_sums(self, coefficients, constant, u):
+        g = AffineFunctional("s", tuple(coefficients), constant)
+        assert outcome(g.evaluate, tuple(u)) == outcome(reference_evaluate,
+                                                        coefficients, constant, tuple(u))
+        assert g.vertex_values() == tuple(Fraction(c) + Fraction(constant)
+                                          for c in coefficients)
+        assert all(type(x) is Fraction for x in g.vertex_values())
+
+    def test_restriction_keeps_the_integer_orders(self):
+        c = build_from_facets(3, 2, [[1, 2, 3]])
+        rows = [[0, 0, 0], [0, 1, 4], [1, 0, 1], [3, 1, 0]]
+        m = OrderMatrix(tuple(map(tuple, rows)), (True,) * 4)
+        g = restrict_affine(m, 3, c.stratum("1-2-3"))
+        assert g.coefficients == (3, 1, 0)
+        assert all(type(x) is int for x in g.coefficients)
+        assert g.evaluate((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))) == Fraction(11, 6)
+        assert g.vertex_values() == (Fraction(3), Fraction(1), Fraction(0))
+
+    @pytest.mark.parametrize("vertex", [0, 4])
+    def test_foreign_vertex_raises_like_order(self, vertex):
+        m = canonical_order_matrix(cycle3())
+        stratum = Stratum("far", (1, vertex))
+        with pytest.raises(ValueError, match=f"component index {vertex} out of range 1..3"):
+            restrict_affine(m, 1, stratum)
+        with pytest.raises(ValueError, match=f"component index {vertex} out of range 1..3"):
+            concavity_lower_bound(m, 1, stratum, (Fraction(1, 2), Fraction(1, 2)))

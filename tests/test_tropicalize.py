@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeletrop import lattice, tropicalize
 from skeletrop.complexes import (DualComplex, SimplexPoint, Stratum, build_delta_complex,
                                  build_from_facets)
 from skeletrop.documents import emit_certificate, generate_fixture, input_digest, parse_input
@@ -18,7 +19,7 @@ from skeletrop.sections import OrderMatrix, canonical_order_matrix
 from skeletrop.tropical import trop_eq
 from skeletrop.tropicalize import (ExactVerdict, FaceDischarge, PairEvidence,
                                    PiecewiseAffineMap, SeparationCertificate, _above_masks,
-                                   _interval_table, _intervals_separate, build_map,
+                                   _injective, _interval_table, _intervals_separate, build_map,
                                    check_faithful, check_unimodular,
                                    images_relint_disjoint_exact, piece_injective,
                                    separation_certificate)
@@ -456,11 +457,13 @@ def banana_ring(rng):
     return build_delta_complex(n, 1, strata, faces)
 
 
-def triangle_stack(rng):
+def triangle_stack(rng, k=None, ell=None):
     """``k`` triangles on the edges of vertices 1, 2, 3, a path out to ``ell``
     and up to two more edges on 1, 2 that are no triangle's face (their open
-    images lie on the triangles' boundary, below them in coordinate 3)."""
-    k, ell = rng.randint(1, 3), rng.randint(3, 5)
+    images lie on the triangles' boundary, below them in coordinate 3).
+    ``k`` and ``ell`` are drawn from ``rng`` unless given."""
+    k = rng.randint(1, 3) if k is None else k
+    ell = rng.randint(3, 5) if ell is None else ell
     strata = [(f"v{v}", (v,)) for v in range(1, ell + 1)]
     faces = []
     edges = [(1, 2), (1, 3), (2, 3)] + [(v, v + 1) for v in range(3, ell)]
@@ -565,3 +568,132 @@ class TestTableDrivenPairLoop:
         report = check_faithful(doc.complex, doc.effective_orders(), mode=mode)
         text = emit_certificate(report, input_digest(doc))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CYCLE40_SHA256[mode]
+
+
+# ---------------------------------------------------------------------------
+# Shared exact-route work, injectivity from the Smith diagonal, and which
+# rule settles each pair
+# ---------------------------------------------------------------------------
+
+
+def random_simplicial_or_delta(data):
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    make = data.draw(st.sampled_from((random_simplicial, banana_ring, triangle_stack)))
+    return rng, make(rng)
+
+
+class TestSharedExactWork:
+    def test_one_solve_per_distinct_merged_system_per_call(self, monkeypatch):
+        rng = random.Random(6)
+        c = triangle_stack(rng, k=6, ell=5)
+        m = random_valid_orders(rng, c, cleared=0.0)
+        solves, builds = [], []
+        solve = lattice._max_min_slack
+        build = tropicalize.simplex_image_polyhedron
+
+        def counting_solve(constraints, dim):
+            solves.append(tuple(constraints))
+            return solve(constraints, dim)
+
+        def counting_build(images, relative_interior=True):
+            builds.append(images)
+            return build(images, relative_interior)
+
+        monkeypatch.setattr(lattice, "_max_min_slack", counting_solve)
+        monkeypatch.setattr(tropicalize, "simplex_image_polyhedron", counting_build)
+        report = check_faithful(c, m, mode="both")
+
+        f = build_map(c, m)
+        lp = [(e.left, e.right) for e in report.pairs
+              if e.exact is not None and e.exact.method == "lp"]
+        images = {sid: f.vertex_images(sid) for pair in lp for sid in pair}
+        systems = {sid: frozenset(build(imgs).constraints) for sid, imgs in images.items()}
+        merged = {systems[a] | systems[b] for a, b in lp}
+        distinct_images = set(images.values())
+        # Shuffled vertex orders give the triangles several distinct inputs.
+        assert len(lp) > len(distinct_images) > len(merged) > 0
+        assert len(solves) == len(set(solves)) == len(merged)
+        assert len(builds) == len(set(builds)) == len(distinct_images)
+
+        # Nothing outlives the call: the same inputs are solved again.
+        assert check_faithful(c, m, mode="both") == report
+        assert len(solves) == 2 * len(merged)
+        assert len(builds) == 2 * len(distinct_images)
+
+    def test_public_oracle_builds_fresh_polyhedra(self, monkeypatch):
+        c = generate_fixture("cycle", n=2).complex
+        f = canonical_map(c)
+        solves = []
+        solve = lattice._max_min_slack
+
+        def counting_solve(constraints, dim):
+            solves.append(tuple(constraints))
+            return solve(constraints, dim)
+
+        monkeypatch.setattr(lattice, "_max_min_slack", counting_solve)
+        first = images_relint_disjoint_exact(f, "e1", "e2")
+        assert images_relint_disjoint_exact(f, "e1", "e2") == first
+        assert first.method == "lp" and not first.disjoint
+        assert len(solves) == 2
+
+
+class TestInjectivityFromSmithDiagonal:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_piece_injective_on_arbitrary_orders(self, data):
+        # Orders drawn from 0..top violate the axioms, so build_map runs
+        # unchecked and many pieces are rank-deficient (all of them at top 0).
+        rng, c = random_simplicial_or_delta(data)
+        top = data.draw(st.integers(0, 3))
+        rows = [[rng.randint(0, top) for _ in range(c.ell)] for _ in range(c.ell + 1)]
+        f = build_map(c, OrderMatrix(tuple(map(tuple, rows)), (True,) * (c.ell + 1)),
+                      check=False)
+        for sid in c.stratum_ids():
+            assert _injective(check_unimodular(f, sid)) == piece_injective(f, sid), sid
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_sympy_rank(self, data):
+        sympy = pytest.importorskip("sympy")
+        rng, c = random_simplicial_or_delta(data)
+        rows = [[rng.randint(0, 2) for _ in range(c.ell)] for _ in range(c.ell + 1)]
+        f = build_map(c, OrderMatrix(tuple(map(tuple, rows)), (True,) * (c.ell + 1)),
+                      check=False)
+        for sid in c.stratum_ids():
+            edges = f.edge_vectors(sid)
+            expected = not edges or sympy.Matrix(edges).rank() == len(edges)
+            assert _injective(check_unimodular(f, sid)) == expected, sid
+
+    def test_rank_deficient_and_non_unimodular_pieces(self):
+        c = build_from_facets(3, 2, [[1, 2, 3]])
+        flat = OrderMatrix(((0, 0, 0),) * 4, (True,) * 4)
+        doubled = OrderMatrix(((0, 0, 0), (0, 2, 2), (2, 0, 2), (2, 2, 0)), (True,) * 4)
+        for m, edge_ok in ((flat, False), (doubled, True)):
+            f = build_map(c, m, check=False)
+            for s in c.strata:
+                cert = check_unimodular(f, s)
+                expected = edge_ok or len(s.vertices) == 1
+                assert _injective(cert) == piece_injective(f, s) == expected, s.id
+        # Doubled orders: injective everywhere, unimodular only on vertices.
+        assert not check_unimodular(build_map(c, doubled, check=False), "1-2").verdict
+
+
+class TestWhichRuleSettlesEachPair:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rules_follow_the_order_axioms(self, data):
+        rng, c = random_simplicial_or_delta(data)
+        m = random_valid_orders(rng, c, cleared=data.draw(st.sampled_from((0.0, 0.25, 0.6))))
+        all_flags = all(m.horizontal_effective[1:])
+        for e in check_faithful(c, m, mode="both").pairs:
+            same = c.stratum(e.left).vertex_set == c.stratum(e.right).vertex_set
+            if e.relation == "face":
+                assert e.face.injective and e.exact is None and e.disjoint
+            elif same:
+                # Equal vertex sets: one image, so the LP finds a collision.
+                assert e.exact.method == "lp" and not e.exact.disjoint
+                assert e.exact.witness is not None and e.disjoint is False
+            else:
+                assert e.exact == ExactVerdict(True, None, "interval") and e.disjoint
+                if all_flags:
+                    assert e.separation is not None
