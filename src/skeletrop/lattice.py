@@ -6,11 +6,13 @@ a code path, so every verdict and witness is exact.  One elimination routine
 computes the Smith form: ``smith_normal_form`` runs it with its transform
 matrices, while ``elementary_divisors``, ``extends_to_basis`` and the
 unimodularity check run it on the matrix alone, because the diagonal is
-unique and needs no transforms.  The rank, Fourier-Motzkin and simplex
-kernels run on Python ints:
-rows are cleared of denominators once and kept integer by fraction-free
-(Bareiss) updates and gcd reduction.  ``fractions.Fraction`` appears at the
-API boundary, in rational vertex images, constraint bounds and witnesses.
+unique and needs no transforms.  The determinant, rank, unimodular
+inverse, Fourier-Motzkin and simplex kernels run on Python ints: rows are
+cleared of denominators once and kept integer by fraction-free (Bareiss)
+updates and gcd reduction.  The determinant, the rank and the inverse are
+one Gauss-Jordan elimination on the simplex's pivot.  ``fractions.Fraction``
+appears at the API boundary, in rational vertex images, constraint bounds,
+LP values and witnesses.
 
 Everything in this module is a pure function on immutable values and is
 safe to call concurrently.  The one piece of state is the LP result that
@@ -82,17 +84,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("incompatible shapes for matrix product")
@@ -106,49 +97,15 @@ class IntMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
     def det(self) -> int:
-        """Exact determinant by Bareiss fraction-free elimination."""
+        """Exact determinant by fraction-free Gauss-Jordan elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        _, d, sign, rank = _gauss_jordan([list(row) for row in self.entries], self.cols)
+        return sign * d if rank == self.rows else 0
 
     def rank(self) -> int:
-        """Rank over the rationals by Bareiss fraction-free elimination."""
-        a = [list(row) for row in self.entries]
-        rank = 0
-        prev = 1
-        for col in range(self.cols):
-            pivot = next((i for i in range(rank, self.rows) if a[i][col] != 0), None)
-            if pivot is None:
-                continue
-            a[rank], a[pivot] = a[pivot], a[rank]
-            prow = a[rank]
-            p = prow[col]
-            for i in range(rank + 1, self.rows):
-                f = a[i][col]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
-            prev = p
-            rank += 1
-        return rank
+        """Rank over the rationals by fraction-free Gauss-Jordan elimination."""
+        return _gauss_jordan([list(row) for row in self.entries], self.cols)[3]
 
 
 @dataclass(frozen=True)
@@ -317,31 +274,20 @@ def extends_to_basis(vectors: Sequence[Sequence[int]]) -> bool:
 
 
 def _inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
+    """Exact inverse of a matrix with determinant +-1.
+
+    Eliminates ``[m | I]`` on its left half; at full rank the tableau over
+    its denominator ``|det m|`` is ``[I | m^-1]``, an integer matrix exactly
+    when that denominator is 1.
+    """
     n = m.rows
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m.entries)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = a[i][n + j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(x))
-        out.append(tuple(row))
-    return IntMatrix(n, n, tuple(out))
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
+    rows, d, _, rank = _gauss_jordan(rows, n)
+    if rank < n:
+        raise ValueError("matrix is singular")
+    if d != 1:
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix(n, n, tuple(tuple(row[n:]) for row in rows))
 
 
 def complete_to_basis(vectors: Sequence[Sequence[int]]) -> IntMatrix:
@@ -548,11 +494,13 @@ def simplex_image_polyhedron(vertex_images: Sequence[Sequence],
     return RationalPolyhedron(n, tuple(_emit_constraints(_eliminate_variables(rows, r), r)))
 
 
-# --- exact simplex method ---------------------------------------------------
+# --- fraction-free elimination and the exact simplex method ------------------
 #
 # The tableau is a list of integer rows, each its coefficients followed by its
 # right-hand side, over one positive common denominator d: the true tableau
-# is rows / d.  The objective row has the same layout and denominator.
+# is rows / d.  The objective row has the same layout and denominator.  The
+# same pivot drives the simplex and the Gauss-Jordan elimination behind
+# ``IntMatrix.det``, ``IntMatrix.rank`` and ``_inverse_unimodular``.
 
 
 def _pivot(rows, obj, basis, d: int, r: int, c: int) -> int:
@@ -562,9 +510,10 @@ def _pivot(rows, obj, basis, d: int, r: int, c: int) -> int:
     ``(p * row - row[c] * rows[r]) // d``, and ``p`` is the new denominator.
     The division is exact: each entry is then a minor of the starting
     tableau (Sylvester's identity, as in Bareiss elimination).  The pivot
-    row is kept.  A negative pivot, which only driving an artificial
-    variable out of the basis can meet, negates the pivot row first, which
-    negates the whole tableau and keeps the denominator positive.
+    row is kept.  A negative pivot negates the pivot row first, which keeps
+    the denominator positive.  The simplex meets one only when it drives an
+    artificial variable out of the basis; ``_gauss_jordan`` meets one
+    wherever a pivot entry is negative.
     """
     prow = rows[r]
     p = prow[c]
@@ -583,6 +532,33 @@ def _pivot(rows, obj, basis, d: int, r: int, c: int) -> int:
         obj[:] = [(p * x - f * y) // d for x, y in zip(obj, prow)]
     basis[r] = c
     return p
+
+
+def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], int, int, int]:
+    """Fraction-free Gauss-Jordan elimination on the first ``ncols`` columns.
+
+    Column by column, the first row at or below the current rank with a
+    nonzero entry is swapped up to that rank and pivoted on with
+    ``_pivot``; columns with no such row are skipped.  Returns ``(rows, d,
+    sign, rank)``: ``rows / d`` is the reduced row echelon form on those
+    columns, ``rank`` is the pivot count, and ``sign`` (+-1) flips on every
+    swap and every negative pivot, so that for a square matrix of full rank
+    ``sign * d`` is its determinant.  ``rows`` is reduced in place.
+    """
+    basis = [None] * len(rows)
+    d, sign, rank = 1, 1, 0
+    for c in range(ncols):
+        r = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if r is None:
+            continue
+        if r != rank:
+            rows[rank], rows[r] = rows[r], rows[rank]
+            sign = -sign
+        if rows[rank][c] < 0:
+            sign = -sign
+        d = _pivot(rows, None, basis, d, rank, c)
+        rank += 1
+    return rows, d, sign, rank
 
 
 def _run_simplex(rows, basis, cost, d: int):

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 from .complexes import DualComplex, SimplexPoint, Stratum, validate_complex
 # ``smith_normal_form`` is unused here but stays importable from this module:
 # perfbench's traced run wraps it under this name.
-from .lattice import (IntMatrix, RationalPolyhedron, _smith_diagonal,  # noqa: F401
+from .lattice import (IntMatrix, RationalPolyhedron, elementary_divisors,  # noqa: F401
                       relint_intersection_nonempty, simplex_image_polyhedron,
                       smith_normal_form)
 from .sections import OrderMatrix, validate_orders
@@ -136,7 +136,8 @@ def build_map(c: DualComplex, m: OrderMatrix, check: bool = True) -> PiecewiseAf
 
 @dataclass(frozen=True)
 class UnimodularityCertificate:
-    """Per-stratum evidence: edge-difference vectors and their divisors."""
+    """Per-stratum evidence: edge-difference vectors and their elementary
+    divisors, the nonzero entries of the Smith diagonal."""
 
     stratum: str
     edge_matrix: IntMatrix
@@ -157,9 +158,9 @@ def check_unimodular(f: PiecewiseAffineMap, s: "Stratum | str") -> Unimodularity
     matrix = IntMatrix.from_rows(vectors, cols=f.n)
     if not vectors:
         return UnimodularityCertificate(st.id, matrix, (), True)
-    diag = _smith_diagonal(matrix)
-    verdict = len(diag) == len(vectors) and all(x == 1 for x in diag)
-    return UnimodularityCertificate(st.id, matrix, diag, verdict)
+    divisors = elementary_divisors(matrix)
+    verdict = len(divisors) == len(vectors) and all(x == 1 for x in divisors)
+    return UnimodularityCertificate(st.id, matrix, divisors, verdict)
 
 
 def piece_injective(f: PiecewiseAffineMap, s: "Stratum | str") -> bool:
@@ -272,8 +273,7 @@ def _piece_memo(f: PiecewiseAffineMap):
     redundant rows depend on that order), and interned by value, so strata
     with equal constraint systems share one object and with it the LP
     results that ``relint_intersection_nonempty`` keeps on it.  The memo
-    belongs to one call of ``check_faithful`` or
-    ``images_relint_disjoint_exact`` and dies with it.
+    belongs to one call of ``check_faithful`` and dies with it.
     """
     by_images: dict[tuple[tuple[int, ...], ...], RationalPolyhedron] = {}
     interned: dict[RationalPolyhedron, RationalPolyhedron] = {}
@@ -292,9 +292,9 @@ def _piece_memo(f: PiecewiseAffineMap):
 
 def _injective(cert: UnimodularityCertificate) -> bool:
     """Piece injectivity read off the Smith diagonal: the rank is the number
-    of nonzero diagonal entries, and the piece is injective when that is
-    the number of edge vectors."""
-    return sum(1 for x in cert.elementary_divisors if x) == cert.edge_matrix.rows
+    of elementary divisors, and the piece is injective when that is the
+    number of edge vectors."""
+    return len(cert.elementary_divisors) == cert.edge_matrix.rows
 
 
 def _ambient(c: DualComplex, sid: str, tid: str) -> str | None:
@@ -340,7 +340,8 @@ def _above_masks(ends: Sequence[tuple[int, int]]) -> list[int]:
 def _image_verdict(memo, sid: str, tid: str, separated: bool) -> ExactVerdict:
     """The exact oracle on the two images of an independent pair or a face
     pair with a degenerate ambient piece; ``separated`` says whether one
-    coordinate separates them."""
+    coordinate separates them, and ``memo(sid)`` gives a stratum's
+    relative-interior image polyhedron."""
     if separated:
         return _INTERVAL
     hit, witness = relint_intersection_nonempty(memo(sid), memo(tid))
@@ -354,7 +355,9 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
     Face pairs reduce to injectivity of the ambient piece; other pairs are
     decided on the image polytopes, first by a one-coordinate interval
     separation and otherwise by the exact rational LP oracle, which returns
-    a collision witness when the images meet.
+    a collision witness when the images meet.  A single query has nothing
+    to share, so the two polyhedra are built directly, without the memo
+    ``check_faithful`` keeps.
     """
     sid = f.complex.stratum(s).id
     tid = f.complex.stratum(t).id
@@ -365,7 +368,8 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
         return _FACE_INJECTIVE
     separated = _intervals_separate(_interval_table(f.piece(sid)),
                                     _interval_table(f.piece(tid)))
-    return _image_verdict(_piece_memo(f), sid, tid, separated)
+    return _image_verdict(lambda x: simplex_image_polyhedron(f.vertex_images(x)),
+                          sid, tid, separated)
 
 
 @dataclass(frozen=True)
@@ -449,6 +453,8 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     memo = _piece_memo(f)
     certs: dict[tuple[str, int], SeparationCertificate] = {}
     evidence = []
+    defects = []
+    collision = unknown = False
     for a, b in pairs:
         sid, tid = order[a], order[b]
         ambient = sid if tid in faces[sid] else tid if sid in faces[tid] else None
@@ -460,36 +466,36 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
             disjoint = True if ok else (exact.disjoint if exact is not None else None)
             evidence.append(PairEvidence(sid, tid, "face", FaceDischarge(ambient, ok),
                                          None, exact, disjoint))
-            continue
-        separation = None
-        if mode != "exact":
-            for interior, other in ((sid, tid), (tid, sid)):
-                j = _separating_row(candidates[interior], blocked[other])
-                if j is not None:
-                    separation = certs.get((interior, j))
-                    if separation is None:
-                        separation = certs[interior, j] = SeparationCertificate(interior, j)
-                    break
-        exact = None if mode == "certificate" else _image_verdict(memo, sid, tid, separated)
-        disjoint = exact.disjoint if exact is not None else (True if separation is not None else None)
-        evidence.append(PairEvidence(sid, tid, "independent", None, separation, exact, disjoint))
+        else:
+            separation = None
+            if mode != "exact":
+                for interior, other in ((sid, tid), (tid, sid)):
+                    j = _separating_row(candidates[interior], blocked[other])
+                    if j is not None:
+                        separation = certs.get((interior, j))
+                        if separation is None:
+                            separation = certs[interior, j] = SeparationCertificate(interior, j)
+                        break
+            exact = None if mode == "certificate" else _image_verdict(memo, sid, tid, separated)
+            disjoint = (exact.disjoint if exact is not None
+                        else True if separation is not None else None)
+            evidence.append(PairEvidence(sid, tid, "independent", None, separation, exact,
+                                         disjoint))
+            if exact is not None and not exact.disjoint:
+                if separation is not None:
+                    defects.append(f"pair {sid}/{tid}: separation certificate "
+                                   f"contradicts the exact oracle")
+                elif mode == "both":
+                    # Only both-mode actually consulted the certificate route,
+                    # so only there can its silence be reported as a gap.
+                    defects.append(f"pair {sid}/{tid}: no separating vertex exists "
+                                   f"and the exact oracle reports a collision")
+        if disjoint is None:
+            unknown = True
+        elif not disjoint:
+            collision = True
 
-    defects = []
-    for e in evidence:
-        if e.separation is not None and e.exact is not None and not e.exact.disjoint:
-            defects.append(f"pair {e.left}/{e.right}: separation certificate "
-                           f"contradicts the exact oracle")
-        # Only both-mode actually consulted the certificate route, so only
-        # there can its silence be reported as a gap.
-        if (mode == "both" and e.relation == "independent" and e.separation is None
-                and e.exact is not None and not e.exact.disjoint):
-            defects.append(f"pair {e.left}/{e.right}: no separating vertex exists "
-                           f"and the exact oracle reports a collision")
-
-    unimodular_ok = all(cert.verdict for cert in certificates)
-    collision = any(e.disjoint is False for e in evidence)
-    unknown = any(e.disjoint is None for e in evidence)
-    if not unimodular_ok or collision:
+    if not all(cert.verdict for cert in certificates) or collision:
         overall = "not_faithful"
     elif unknown:
         overall = "certificate_incomplete"

@@ -8,6 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+try:
+    import sympy
+except ImportError:  # the sympy comparisons are skipped without it
+    sympy = None
+
 from skeletrop import lattice
 from skeletrop.lattice import (Constraint, IntMatrix, RationalPolyhedron,
                                complete_to_basis, extends_to_basis,
@@ -207,6 +212,240 @@ class TestExtendsToBasis:
         assert full.rows == full.cols == n
         assert [list(r) for r in full.entries[:len(vecs)]] == [list(v) for v in vecs]
         assert abs(full.det()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Reference eliminations: the Bareiss determinant and rank loops and the
+# Fraction Gauss-Jordan inverse that ``IntMatrix.det``, ``IntMatrix.rank``
+# and ``_inverse_unimodular`` ran before they shared ``_gauss_jordan``.
+# ---------------------------------------------------------------------------
+
+
+def ref_det(rows):
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def ref_rank(rows, ncols):
+    a = [list(row) for row in rows]
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        prow = a[rank]
+        p = prow[col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
+        prev = p
+        rank += 1
+    return rank
+
+
+def ref_inverse_unimodular(rows):
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = a[col][col]
+        a[col] = [x / inv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            x = a[i][n + j]
+            if x.denominator != 1:
+                raise ValueError("matrix is not unimodular")
+            row.append(int(x))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def ref_complete_to_basis(vectors):
+    """``complete_to_basis`` with the reference inverse."""
+    snf = smith_normal_form(IntMatrix.from_rows(vectors))
+    k, n = len(vectors), len(vectors[0])
+    return tuple(map(tuple, vectors)) + ref_inverse_unimodular(snf.v.entries)[k:n]
+
+
+def raised(fn, *args):
+    """The message ``fn`` raises with ValueError, or None if it returns."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def matrices(draw, min_rows=0, max_rows=5, min_cols=0, max_cols=5, square=False):
+    """Integer matrices that are often singular or rank-deficient (a product
+    through k columns has rank at most k) and often need row swaps and
+    negative pivots (sparse entries of both signs)."""
+    nr = draw(st.integers(min_rows, max_rows))
+    nc = nr if square else draw(st.integers(min_cols, max_cols))
+    entry = draw(st.sampled_from((st.integers(-4, 4), st.sampled_from((0, 0, 0, 1, -1, 2, -3)),
+                                  st.integers(-10 ** 6, 10 ** 6))))
+    if draw(st.booleans()):
+        return [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+    k = draw(st.integers(0, max(nr, nc)))
+    left = [[draw(entry) for _ in range(k)] for _ in range(nr)]
+    right = [[draw(entry) for _ in range(nc)] for _ in range(k)]
+    return [[sum(row[t] * right[t][j] for t in range(k)) for j in range(nc)] for row in left]
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Square matrices of determinant +-1: products of elementary row
+    operations (add a multiple, swap, negate) or Smith transforms."""
+    if draw(st.booleans()):
+        m = draw(matrices(min_rows=1, min_cols=1))
+        snf = smith_normal_form(IntMatrix.from_rows(m))
+        return [list(row) for row in draw(st.sampled_from((snf.u, snf.v))).entries]
+    n = draw(st.integers(0, 6))
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 12)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(("add", "swap", "negate")))
+        if op == "add" and i != j:
+            q = draw(st.integers(-3, 3))
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        elif op == "swap":
+            a[i], a[j] = a[j], a[i]
+        elif op == "negate":
+            a[i] = [-x for x in a[i]]
+    return a
+
+
+class TestGaussJordanMatchesReference:
+    """det, rank and the unimodular inverse share ``_gauss_jordan``; each
+    must agree with its old elimination loop and, where installed, sympy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_rank_matches_reference_and_sympy(self, rows):
+        nc = len(rows[0]) if rows else 0
+        rank = IntMatrix.from_rows(rows, cols=nc).rank()
+        assert rank == ref_rank(rows, nc)
+        if sympy is not None:
+            assert rank == sympy.Matrix(len(rows), nc, sum(rows, [])).rank()
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(square=True))
+    def test_det_matches_reference_and_sympy(self, rows):
+        det = IntMatrix.from_rows(rows, cols=len(rows)).det()
+        assert det == ref_det(rows)
+        if sympy is not None:
+            assert det == sympy.Matrix(len(rows), len(rows), sum(rows, [])).det()
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(min_rows=1, min_cols=1))
+    def test_driver_reaches_reduced_row_echelon_form(self, rows):
+        if sympy is None:
+            pytest.skip("sympy is not installed")
+        nc = len(rows[0])
+        out, d, _, rank = lattice._gauss_jordan([list(row) for row in rows], nc)
+        rref, pivots = sympy.Matrix(rows).rref()
+        assert d > 0 and rank == len(pivots)
+        assert [[Fraction(x, d) for x in row] for row in out] == \
+            [[Fraction(int(x.p), int(x.q)) for x in rref.row(i)] for i in range(len(rows))]
+
+    def test_swaps_negative_pivots_and_empty_shapes(self):
+        cases = [
+            ([[0, 1], [1, 0]], -1, 2),        # one swap
+            ([[-1]], -1, 1),                  # one negative pivot
+            ([[0, -2], [3, 0]], 6, 2),        # a swap and a negative pivot
+            ([[0, 0, 1], [0, -1, 0], [-1, 0, 0]], -1, 3),
+            ([[1, 2], [2, 4]], 0, 1),         # singular
+            ([[0, 0], [0, 0]], 0, 0),
+            ([[0, 5], [0, 7]], 0, 1),         # first column has no pivot
+        ]
+        for rows, det, rank in cases:
+            m = IntMatrix.from_rows(rows)
+            assert (m.det(), m.rank()) == (det, rank) == (ref_det(rows), ref_rank(rows, len(rows)))
+        empty = IntMatrix(0, 0, ())
+        assert (empty.det(), empty.rank()) == (1, 0)
+        assert IntMatrix.from_rows([], cols=3).rank() == 0
+        assert IntMatrix(3, 0, ((), (), ())).rank() == 0
+        assert lattice._inverse_unimodular(empty) == empty
+        with pytest.raises(ValueError, match="non-square"):
+            IntMatrix.from_rows([[1, 2]]).det()
+
+    @settings(max_examples=200, deadline=None)
+    @given(unimodular_matrices())
+    def test_inverse_of_unimodular_matches_reference(self, rows):
+        n = len(rows)
+        m = IntMatrix(n, n, tuple(map(tuple, rows)))
+        inv = lattice._inverse_unimodular(m)
+        assert inv.entries == ref_inverse_unimodular(rows)
+        assert m @ inv == inv @ m == IntMatrix.identity(n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(min_rows=1, square=True))
+    def test_inverse_errors_match_reference(self, rows):
+        m = IntMatrix.from_rows(rows)
+        message = raised(ref_inverse_unimodular, rows)
+        assert raised(lattice._inverse_unimodular, m) == message
+        det = ref_det(rows)
+        assert message == ("matrix is singular" if det == 0
+                           else "matrix is not unimodular" if abs(det) != 1 else None)
+
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            lattice._inverse_unimodular(IntMatrix.from_rows([[1, 2], [2, 4]]))
+        with pytest.raises(ValueError, match="^matrix is not unimodular$"):
+            lattice._inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_complete_to_basis_matches_reference(self, n, k, data):
+        vecs = [[data.draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(min(k, n))]
+        if extends_to_basis(vecs):
+            assert complete_to_basis(vecs).entries == ref_complete_to_basis(vecs)
+
+    def test_complete_to_basis_outputs_are_pinned(self):
+        # Completions returned by the Fraction Gauss-Jordan inverse.
+        pinned = [
+            ([[1, -1, 0], [1, 0, -1]], ((1, -1, 0), (1, 0, -1), (0, 0, 1))),
+            ([[2, 3]], ((2, 3), (1, 1))),
+            ([[0, 0, 1]], ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+            ([[3, 5, 0, 1], [0, 1, 1, 1]],
+             ((3, 5, 0, 1), (0, 1, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0))),
+            ([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]],
+             ((0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (0, 0, 1, 0))),
+        ]
+        for vecs, expected in pinned:
+            assert complete_to_basis(vecs).entries == expected
 
 
 class TestConstraints:

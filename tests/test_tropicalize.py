@@ -129,6 +129,16 @@ class TestUnimodularity:
         assert cert.verdict and cert.elementary_divisors == ()
         assert cert.edge_matrix.rows == 0
 
+    def test_degenerate_piece_has_no_elementary_divisors(self):
+        # All-zero orders flatten the triangle: its Smith diagonal is (0, 0),
+        # and the certificate keeps only the nonzero entries.
+        c = build_from_facets(3, 2, [[1, 2, 3]])
+        f = build_map(c, OrderMatrix(((0, 0, 0),) * 4, (True,) * 4), check=False)
+        cert = check_unimodular(f, "1-2-3")
+        assert lattice._smith_diagonal(cert.edge_matrix) == (0, 0)
+        assert cert.elementary_divisors == () == lattice.elementary_divisors(cert.edge_matrix)
+        assert not cert.verdict and not _injective(cert)
+
     def test_unimodular_implies_injective_on_rational_points(self):
         # exhaustive over barycentric points with denominators up to 8
         c = generate_fixture("simplex_boundary", dim=3).complex
@@ -676,6 +686,48 @@ class TestInjectivityFromSmithDiagonal:
                 assert _injective(cert) == piece_injective(f, s) == expected, s.id
         # Doubled orders: injective everywhere, unimodular only on vertices.
         assert not check_unimodular(build_map(c, doubled, check=False), "1-2").verdict
+
+
+def ref_verdict(report):
+    """Defects and overall verdict recomputed from the evidence in separate
+    passes, as ``check_faithful`` once did after its pair loop."""
+    defects = []
+    for e in report.pairs:
+        if e.separation is not None and e.exact is not None and not e.exact.disjoint:
+            defects.append(f"pair {e.left}/{e.right}: separation certificate "
+                           f"contradicts the exact oracle")
+        if (report.mode == "both" and e.relation == "independent" and e.separation is None
+                and e.exact is not None and not e.exact.disjoint):
+            defects.append(f"pair {e.left}/{e.right}: no separating vertex exists "
+                           f"and the exact oracle reports a collision")
+    if (not all(cert.verdict for cert in report.certificates)
+            or any(e.disjoint is False for e in report.pairs)):
+        overall = "not_faithful"
+    elif any(e.disjoint is None for e in report.pairs):
+        overall = "certificate_incomplete"
+    else:
+        overall = "faithful"
+    return tuple(defects), overall
+
+
+class TestSinglePassVerdict:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_verdict_recomputed_from_evidence(self, data):
+        rng, c = random_simplicial_or_delta(data)
+        m = random_valid_orders(rng, c, cleared=data.draw(st.sampled_from((0.0, 0.25, 0.6))))
+        for mode in ("certificate", "exact", "both"):
+            report = check_faithful(c, m, mode=mode)
+            assert (report.defects, report.overall) == ref_verdict(report), mode
+
+    def test_contradiction_defects_keep_pair_order(self, monkeypatch):
+        # An oracle that reports every pair as colliding contradicts every
+        # separation certificate, one defect per independent pair.
+        c = cycle(4)
+        colliding = ExactVerdict(False, None, "lp")
+        monkeypatch.setattr(tropicalize, "_image_verdict", lambda *args: colliding)
+        report = check_faithful(c, canonical_order_matrix(c), mode="both")
+        assert report.defects and (report.defects, report.overall) == ref_verdict(report)
 
 
 class TestWhichRuleSettlesEachPair:
