@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
@@ -228,6 +229,13 @@ def parse_input(text: str) -> InputDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("$", f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("$", "the document is nested too deeply") from None
+    except ValueError:
+        # ``json`` reads an integer through ``int``, which refuses a literal
+        # longer than the interpreter's digit limit.
+        raise InputError("$", f"an integer literal has more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(data, dict):
         raise InputError("$", "top level must be an object")
     _reject_unknown(data, ("schema_version", "complex", "order_matrix", "check"), "$")
@@ -409,7 +417,7 @@ def _stratum_record(cert) -> str:
     rows = cert.edge_matrix.entries
     matrix = _items([_items([str(x) for x in row], " " * 10) for row in rows], " " * 8)
     divisors = _items([str(x) for x in cert.elementary_divisors], " " * 8)
-    return ("    {\n"
+    return (",\n    {\n"
             f'      "edge_matrix": {matrix},\n'
             f'      "elementary_divisors": {divisors},\n'
             f'      "id": {_encode(cert.stratum)},\n'
@@ -417,42 +425,90 @@ def _stratum_record(cert) -> str:
             "    }")
 
 
-def _pair_record(e) -> str:
-    parts = [f'    {{\n      "disjoint": {_literal(e.disjoint)}']
-    if e.exact is not None:
-        x = e.exact
-        witness = ("null" if x.witness is None else
-                   _items([_encode(format_rational(q)) for q in x.witness], " " * 10))
-        parts.append(',\n      "exact": {\n'
-                     f'        "disjoint": {_literal(x.disjoint)},\n'
-                     f'        "method": {_encode(x.method)},\n'
-                     f'        "witness": {witness}\n'
-                     "      }")
-    if e.face is not None:
-        parts.append(',\n      "face": {\n'
-                     f'        "ambient": {_encode(e.face.ambient)},\n'
-                     f'        "injective": {_literal(e.face.injective)}\n'
-                     "      }")
-    parts.append(f',\n      "left": {_encode(e.left)},\n'
-                 f'      "relation": {_encode(e.relation)},\n'
-                 f'      "right": {_encode(e.right)}')
-    if e.separation is not None:
-        parts.append(',\n      "separation": {\n'
-                     f'        "coordinate": {e.separation.coordinate:d},\n'
-                     f'        "interior": {_encode(e.separation.interior)}\n'
-                     "      }")
-    parts.append("\n    }")
-    return "".join(parts)
+class _Rendered(dict):
+    """The text of each distinct value, rendered on its first lookup.
+
+    A certificate repeats few distinct values across its O(S^2) pair
+    records: S stratum ids, a handful of exact verdicts, one face discharge
+    per ambient stratum and one separation per (stratum, coordinate).
+    Looking each up by value renders it once per certificate.
+    """
+
+    def __init__(self, render, known=()):
+        super().__init__(known)
+        self.render = render
+
+    def __missing__(self, value):
+        text = self[value] = self.render(value)
+        return text
+
+
+def _exact_field(x) -> str:
+    witness = ("null" if x.witness is None else
+               _items([_encode(format_rational(q)) for q in x.witness], " " * 10))
+    return (',\n      "exact": {\n'
+            f'        "disjoint": {_literal(x.disjoint)},\n'
+            f'        "method": {_encode(x.method)},\n'
+            f'        "witness": {witness}\n'
+            "      }")
+
+
+def _face_field(face) -> str:
+    return (',\n      "face": {\n'
+            f'        "ambient": {_encode(face.ambient)},\n'
+            f'        "injective": {_literal(face.injective)}\n'
+            "      }")
+
+
+def _separation_field(sep) -> str:
+    return (',\n      "separation": {\n'
+            f'        "coordinate": {sep.coordinate:d},\n'
+            f'        "interior": {_encode(sep.interior)}\n'
+            "      }")
+
+
+def _pair_records(pairs):
+    """The pair records in report order, each led by a comma and a newline.
+
+    An absent optional field renders as nothing; its key is None.  The
+    exact verdict, face discharge and separation are dataclasses, whose
+    hash is computed in Python on every lookup, and consecutive pairs
+    mostly hold the very same objects, so each is looked up only when it
+    is not the object of the pair before.
+    """
+    name = _Rendered(_encode)
+    literal = _Rendered(_literal)
+    exact = _Rendered(_exact_field, {None: ""})
+    face = _Rendered(_face_field, {None: ""})
+    separation = _Rendered(_separation_field, {None: ""})
+    last_ex = last_fc = last_sep = None
+    ex_text = fc_text = sep_text = ""
+    for left, right, relation, fc, sep, ex, disjoint in pairs:
+        if ex is not last_ex:
+            last_ex, ex_text = ex, exact[ex]
+        if fc is not last_fc:
+            last_fc, fc_text = fc, face[fc]
+        if sep is not last_sep:
+            last_sep, sep_text = sep, separation[sep]
+        yield (f',\n    {{\n      "disjoint": {literal[disjoint]}{ex_text}{fc_text},\n'
+               f'      "left": {name[left]},\n'
+               f'      "relation": {name[relation]},\n'
+               f'      "right": {name[right]}{sep_text}\n'
+               "    }")
 
 
 def _records(out: list, records) -> None:
-    """Append a JSON list of records at indent 2 to ``out``, piece by piece."""
-    first = True
-    for record in records:
-        out.append("[\n" if first else ",\n")
-        out.append(record)
-        first = False
-    out.append("[]" if first else "\n  ]")
+    """Append a JSON list of records at indent 2 to ``out``.  Each record
+    is led by the comma and newline that separate it from the one before;
+    the first record's comma is dropped."""
+    out.append("[")
+    start = len(out)
+    out.extend(records)
+    if len(out) == start:
+        out[-1] = "[]"
+    else:
+        out[start] = out[start][1:]
+        out.append("\n  ]")
 
 
 def emit_certificate(report: FaithfulnessReport, digest: str) -> str:
@@ -463,7 +519,10 @@ def emit_certificate(report: FaithfulnessReport, digest: str) -> str:
     byte-identical text regardless of how many jobs computed the report.
     The text is exactly ``json.dumps(certificate, sort_keys=True, indent=2)``
     plus a newline; it is assembled from one string per stratum and per
-    pair record and joined once.
+    pair record and joined once.  A pair record is a template filled with
+    texts looked up by value: each distinct stratum id, exact verdict, face
+    discharge and separation is rendered once per certificate
+    (``_Rendered``), whatever the number of pairs that carry it.
     """
     out = ["{\n"
            f'  "defects": {_items([_encode(d) for d in report.defects], "    ")},\n'
@@ -471,7 +530,7 @@ def emit_certificate(report: FaithfulnessReport, digest: str) -> str:
            f'  "mode": {_encode(report.mode)},\n'
            f'  "overall": {_encode(report.overall)},\n'
            '  "pairs": ']
-    _records(out, map(_pair_record, report.pairs))
+    _records(out, _pair_records(report.pairs))
     out.append(f',\n  "schema_version": {SCHEMA_VERSION:d},\n  "strata": ')
     _records(out, map(_stratum_record, report.certificates))
     out.append(',\n  "tool": {\n'

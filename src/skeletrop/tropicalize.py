@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import DualComplex, SimplexPoint, Stratum, validate_complex
 # ``smith_normal_form`` is unused here but stays importable from this module:
@@ -248,8 +248,29 @@ class FaceDischarge:
     injective: bool
 
 
-@dataclass(frozen=True)
-class PairEvidence:
+class PairEvidence(NamedTuple):
+    """The evidence for one unordered pair of distinct strata.
+
+    A ``NamedTuple`` rather than a dataclass: a report holds one per pair,
+    O(S^2) of them, and a tuple is built several times faster.  Instances
+    are immutable, hashable and equal by value.  The fields, in the order
+    of the v1 certificate record:
+
+    * ``left``, ``right``: the two stratum ids, ``left`` first in the
+      report's sorted order;
+    * ``relation``: ``"face"`` when one stratum is a face of the other,
+      else ``"independent"``;
+    * ``face``: for a face pair, the ambient (larger) stratum and whether
+      its piece is injective; None for independent pairs;
+    * ``separation``: for an independent pair, the certificate route's
+      separating coordinate and the stratum mapped below it; None when
+      that route was not run or found none;
+    * ``exact``: the exact route's verdict; None when it was not run, or
+      for a face pair whose ambient piece is injective;
+    * ``disjoint``: whether the two open images are disjoint; None when
+      the routes that ran could not tell.
+    """
+
     left: str
     right: str
     relation: str  # "face" | "independent"
@@ -417,7 +438,9 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
 
     order = c.stratum_ids()
     certificates = tuple(check_unimodular(f, sid) for sid in order)
-    injective = {cert.stratum: _injective(cert) for cert in certificates}
+    # One discharge per stratum, shared by every face pair it is ambient to.
+    discharges = {cert.stratum: FaceDischarge(cert.stratum, _injective(cert))
+                  for cert in certificates}
 
     wanted = None
     if pair_filter is not None:
@@ -460,12 +483,12 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
         ambient = sid if tid in faces[sid] else tid if sid in faces[tid] else None
         separated = mode != "certificate" and bool(above[a] >> b & 1 or above[b] >> a & 1)
         if ambient is not None:
-            ok = injective[ambient]
+            discharge = discharges[ambient]
+            ok = discharge.injective
             exact = (None if ok or mode == "certificate"
                      else _image_verdict(memo, sid, tid, separated))
             disjoint = True if ok else (exact.disjoint if exact is not None else None)
-            evidence.append(PairEvidence(sid, tid, "face", FaceDischarge(ambient, ok),
-                                         None, exact, disjoint))
+            evidence.append(PairEvidence(sid, tid, "face", discharge, None, exact, disjoint))
         else:
             separation = None
             if mode != "exact":

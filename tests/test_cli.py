@@ -114,16 +114,24 @@ def test_check_validates_each_document_once(cycle3_file, tmp_path, capsys, monke
     assert len(err) == 6 and all(line.startswith("orders: [edge-order] ") for line in err)
 
 
+def _child_env() -> dict:
+    """The environment for a child interpreter that imports this skeletrop."""
+    import os
+    from pathlib import Path
+
+    import skeletrop
+
+    src = str(Path(skeletrop.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_oversized_facet_exits_1_before_expansion(tmp_path):
     # One 20-vertex facet would expand into about 3.5e9 face-map entries.
     # The child's address space is capped, so a regression fails with a
     # MemoryError instead of exhausting the machine's memory.
-    import os
     import subprocess
     import sys
-    from pathlib import Path
-
-    import skeletrop
 
     doc = tmp_path / "big.json"
     doc.write_text(json.dumps({"schema_version": 1,
@@ -134,14 +142,34 @@ def test_oversized_facet_exits_1_before_expansion(tmp_path):
             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
             "from skeletrop.cli import main\n"
             "sys.exit(main(['check', sys.argv[1]]))\n")
-    src = str(Path(skeletrop.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code, str(doc)], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, str(doc)], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: $.complex.facets: ")
     assert "face-map entries" in proc.stderr
+
+
+def test_hostile_json_exits_1_without_traceback(tmp_path):
+    # Too deep for json's recursion, and an integer too long for int().
+    import subprocess
+    import sys
+
+    docs = {"deep": '{"schema_version": 1, "complex": '
+                    + "[" * 100_000 + "]" * 100_000 + "}"}
+    # Python before 3.10.7 has no digit limit.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        docs["long"] = '{"schema_version": ' + "1" * (limit + 1) + "}"
+    env = _child_env()
+    for name, text in docs.items():
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(text, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "skeletrop.cli", "check", str(doc)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, name
+        assert proc.stderr.startswith("error: $: "), name
+        assert proc.stderr.count("\n") == 1, name
+        assert "Traceback" not in proc.stderr, name
 
 
 def test_validate_warns_on_disconnected(tmp_path, capsys):

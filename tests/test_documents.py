@@ -1,9 +1,11 @@
 """Input parsing, fixtures, digests, and certificate serialization."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -58,6 +60,20 @@ class TestParseInput:
     def test_not_json(self):
         with pytest.raises(InputError, match="not valid JSON"):
             parse_input("{")
+
+    def test_hostile_json_fails_cleanly(self):
+        # Nesting beyond the recursion limit, and an integer literal beyond
+        # the interpreter's digit limit, are input errors at "$".
+        deep = '{"schema_version": 1, "complex": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(InputError, match="nested too deeply") as info:
+            parse_input(deep)
+        assert info.value.path == "$"
+        # Python before 3.10.7 has no digit limit.
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit:
+            with pytest.raises(InputError, match=f"more than {limit} digits") as info:
+                parse_input('{"schema_version": ' + "1" * (limit + 1) + "}")
+            assert info.value.path == "$"
 
     def test_missing_fields_carry_paths(self):
         with pytest.raises(InputError, match=r"\$\.complex\.ell"):
@@ -273,6 +289,16 @@ CERTIFICATE_SHA256 = [
      "c954e0a7067031352a63439e430a3e35b276c1dbf8a1e0ac63db3a6dc4444cc5"),
     (("random", {"ell": 6, "dim": 3, "seed": 11}), "both",
      "fd9bc553a3e85b043691af2c5712acb6c198ba767c943876de01972d4f700560"),
+    # The shapes of the benchmark's scale workload, taken while pair records
+    # were still frozen dataclasses written field by field.
+    (("cycle", {"n": 100}), "both",
+     "d5c58c535de0eb8da8981fdf5aa72210f01a489acc49a5720205289f12a58ad0"),
+    (("cycle", {"n": 100}), "exact",
+     "111e2537d524d85323a2ece7bc026d1987bc6d65a8b87189c2f83d73eafa713a"),
+    (("cycle", {"n": 100}), "certificate",
+     "9812a1efdc62202c1ef22b9f599ac2d237631ee643aa446f369c08e5130e3468"),
+    (("simplex_boundary", {"dim": 6}), "both",
+     "77509e15db66e195e19460d007bafe705cc106dde4801cf777261c448d82a3ed"),
 ]
 
 
@@ -371,8 +397,21 @@ class TestCertificateBytes:
                 data.draw(text), IntMatrix.from_rows(rows, cols=nc),
                 tuple(data.draw(st.lists(ints, max_size=3))), data.draw(st.booleans()))
 
-        def optional(strategy):
-            return data.draw(st.one_of(st.none(), strategy))
+        drawn = {FaceDischarge: [], SeparationCertificate: [], ExactVerdict: []}
+
+        def optional(kind, strategy):
+            # None, a new object, or, as check_faithful shares them, an
+            # earlier object itself or an equal but distinct copy of one.
+            earlier = drawn[kind]
+            how = data.draw(st.sampled_from(("none", "new", "same", "equal")
+                                            if earlier else ("none", "new")))
+            if how == "none":
+                return None
+            if how == "new":
+                earlier.append(data.draw(strategy))
+                return earlier[-1]
+            x = data.draw(st.sampled_from(earlier))
+            return x if how == "same" else dataclasses.replace(x)
 
         def pair():
             witness = st.one_of(st.none(), st.lists(
@@ -380,16 +419,18 @@ class TestCertificateBytes:
             return PairEvidence(
                 data.draw(text), data.draw(text),
                 data.draw(st.sampled_from(("face", "independent"))),
-                optional(st.builds(FaceDischarge, text, st.booleans())),
-                optional(st.builds(SeparationCertificate, text, st.integers(0, 10 ** 6))),
-                optional(st.builds(ExactVerdict, st.booleans(), witness,
-                                   st.sampled_from(("face-injectivity", "interval", "lp")))),
+                optional(FaceDischarge, st.builds(FaceDischarge, text, st.booleans())),
+                optional(SeparationCertificate,
+                         st.builds(SeparationCertificate, text, st.integers(0, 10 ** 6))),
+                optional(ExactVerdict, st.builds(
+                    ExactVerdict, st.booleans(), witness,
+                    st.sampled_from(("face-injectivity", "interval", "lp")))),
                 data.draw(st.sampled_from((True, False, None))))
 
         report = FaithfulnessReport(
             data.draw(st.sampled_from(MODES)),
             tuple(certificate() for _ in range(data.draw(st.integers(0, 3)))),
-            tuple(pair() for _ in range(data.draw(st.integers(0, 4)))),
+            tuple(pair() for _ in range(data.draw(st.integers(0, 6)))),
             data.draw(st.sampled_from(("faithful", "not_faithful", "certificate_incomplete"))),
             tuple(data.draw(st.lists(text, max_size=3))))
         digest = data.draw(st.one_of(st.just("sha256:" + "0" * 64), text))

@@ -389,6 +389,23 @@ class TestCheckFaithful:
         with pytest.raises(ValueError):
             check_faithful(c, canonical_order_matrix(c), jobs=0)
 
+    def test_pair_evidence_contract(self):
+        # The v1 record's fields, in order; immutable; equal and hashed by value.
+        assert PairEvidence._fields == ("left", "right", "relation", "face", "separation",
+                                        "exact", "disjoint")
+        e = PairEvidence("1", "2", "independent", None, SeparationCertificate("1", 1),
+                         ExactVerdict(True, None, "interval"), True)
+        with pytest.raises(AttributeError):
+            e.disjoint = False
+        twin = PairEvidence("1", "2", "independent", None, SeparationCertificate("1", 1),
+                            ExactVerdict(True, None, "interval"), True)
+        assert twin == e and hash(twin) == hash(e) and twin is not e
+        assert e != e._replace(disjoint=None)
+        c = cycle(3)
+        pairs = check_faithful(c, canonical_order_matrix(c)).pairs
+        assert type(pairs) is tuple
+        assert all(type(p) is PairEvidence for p in pairs)
+
 
 class TestProjectiveCoherence:
     def test_chart_embedding_preserves_equality(self):
