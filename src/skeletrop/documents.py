@@ -140,6 +140,18 @@ def _check_expansion(sizes, path: str) -> None:
                                    f"{MAX_FACE_MAP_ENTRIES} face-map entries")
 
 
+def _check_vertex_count(ell: int, entries: int, path: str) -> None:
+    """Reject an ``ell`` that the listed vertices cannot cover.
+
+    Each vertex 1..ell needs a 0-dimensional stratum, so a valid document
+    lists at least ``ell`` vertex entries.  Checking this first keeps an
+    oversized ``ell`` from sizing anything (order rows, default flags).
+    """
+    if entries < ell:
+        raise InputError(f"{path}.ell", f"{ell} vertices need a 0-dimensional stratum each, "
+                                        f"but the complex lists only {entries} vertex entries")
+
+
 def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
     ell = _expect(spec, "ell", int, path)
     d = _expect(spec, "d", int, path)
@@ -156,6 +168,7 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
         facets = [_int_list(f, f"{path}.facets[{k}]")
                   for k, f in enumerate(facets_raw)]
         _check_expansion(map(len, facets), f"{path}.facets")
+        _check_vertex_count(ell, sum(map(len, facets)), path)
         try:
             cx = build_from_facets(ell, d, facets)
         except ValueError as exc:
@@ -185,6 +198,7 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
         fid = _expect(entry, "face", str, epath)
         faces.append((owner, subset, fid))
     _check_expansion((len(verts) for _, verts in strata), f"{path}.strata")
+    _check_vertex_count(ell, sum(len(verts) for _, verts in strata), path)
     try:
         cx = build_delta_complex(ell, d, strata, faces)
     except ValueError as exc:

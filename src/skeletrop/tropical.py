@@ -5,7 +5,9 @@ Coordinates live in Q union {infinity}; finite values are exact
 The valuation of a monomial family at barycentric weights ``u`` is the
 minimum of ``<u, m>`` over the exponent support, i.e. the negative log of
 the corresponding monomial absolute value.  Coefficients are modeled only
-as present/absent: the valuation depends on the support alone.
+as present/absent: the valuation depends on the support alone, and since
+weights are nonnegative, only on the support's minimal exponents (those
+that are not entrywise >= another exponent of the support).
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import le, mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -95,22 +99,47 @@ class MonomialSupport:
     exponents: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
-        exps = frozenset(tuple(int(e) for e in m) for m in self.exponents)
+        # Checked before the set is formed, so that an exponent such as 1.0
+        # cannot hide behind an equal int.
+        exps = [tuple(m) for m in self.exponents]
         if not exps:
             raise ValueError("monomial support must be nonempty")
         for m in exps:
             if len(m) != self.arity:
                 raise ValueError(f"exponent vector {m} does not have arity {self.arity}")
-            if any(e < 0 for e in m):
-                raise ValueError(f"exponent vector {m} has a negative entry")
-        object.__setattr__(self, "exponents", exps)
+            for e in m:
+                if isinstance(e, bool) or not isinstance(e, int):
+                    raise TypeError(f"exponent vector {m} has a non-integer entry {e!r}")
+                if e < 0:
+                    raise ValueError(f"exponent vector {m} has a negative entry")
+        object.__setattr__(self, "exponents", frozenset(exps))
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[Sequence[int]]) -> "MonomialSupport":
         exps = [tuple(m) for m in exponents]
         if not exps:
             raise ValueError("monomial support must be nonempty")
-        return cls(len(exps[0]), frozenset(exps))
+        return cls(len(exps[0]), exps)
+
+    @cached_property
+    def minimal_exponents(self) -> tuple[tuple[int, ...], ...]:
+        """The exponents that are not entrywise >= another exponent.
+
+        At nonnegative weights every exponent pairs to at least the value of
+        a minimal one below it, so the valuation is the minimum over these.
+        Sorted by total degree, then lexicographically.  Computed on first
+        use and kept in the instance's ``__dict__``; it is not a field, so
+        equality, hashing and repr ignore it.
+        """
+        kept: list[tuple[int, ...]] = []
+        # A dominating exponent has a smaller sum, so it is kept first.
+        for m in sorted(sorted(self.exponents), key=sum):
+            for k in kept:
+                if all(map(le, k, m)):
+                    break
+            else:
+                kept.append(m)
+        return tuple(kept)
 
     def minkowski_sum(self, other: "MonomialSupport") -> "MonomialSupport":
         """Support of a product of two families with generic coefficients."""
@@ -126,16 +155,20 @@ def eval_min_plus(f: MonomialSupport, u: Sequence) -> Fraction:
 
     This is the negative log absolute value of the monomial family at the
     point with barycentric weights ``u``; weights must be nonnegative exact
-    rationals of the right arity.
+    rationals of the right arity.  The minimum is taken over
+    ``f.minimal_exponents`` alone: at nonnegative weights no other exponent
+    can attain a smaller value.
     """
-    weights = [_coord(x) for x in u]
-    if any(is_infinite(w) for w in weights):
+    # ints and Fractions are used as they are; anything else is coerced, or
+    # refused, by _coord, which returns a float only for infinity.
+    weights = [x if type(x) is int or type(x) is Fraction else _coord(x) for x in u]
+    if float in map(type, weights):
         raise TypeError("weights must be finite rationals")
     if len(weights) != f.arity:
         raise ValueError(f"expected {f.arity} weights, got {len(weights)}")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative")
     # Clear denominators once; the minimum is then over integer dot products.
     denom = math.lcm(*(w.denominator for w in weights))
     numer = [w.numerator * (denom // w.denominator) for w in weights]
-    return Fraction(min(sum(n * e for n, e in zip(numer, m)) for m in f.exponents), denom)
+    if any(n < 0 for n in numer):
+        raise ValueError("weights must be nonnegative")
+    return Fraction(min(sum(map(mul, numer, m)) for m in f.minimal_exponents), denom)

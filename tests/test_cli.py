@@ -149,6 +149,34 @@ def test_oversized_facet_exits_1_before_expansion(tmp_path):
     assert "face-map entries" in proc.stderr
 
 
+def test_huge_ell_exits_1_before_sizing(tmp_path):
+    # ell-sized rows (canonical orders, default flags) would exhaust the
+    # capped address space; the vertex count rejects the document first.
+    import subprocess
+    import sys
+
+    docs = {"canonical": {"schema_version": 1,
+                          "complex": {"ell": 10 ** 12, "d": 1, "facets": [[1]]}},
+            "flags": {"schema_version": 1,
+                      "complex": {"ell": 10 ** 9, "d": 1, "facets": [[1]]},
+                      "order_matrix": {"orders": [[0]]}}}
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from skeletrop.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    for name, data in docs.items():
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(json.dumps(data), encoding="utf-8")
+        for verb in ("check", "validate"):
+            proc = subprocess.run([sys.executable, "-c", code, verb, str(doc)],
+                                  env=_child_env(), capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 1, (name, verb, proc.stderr)
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: $.complex.ell: ")
+            assert "Traceback" not in proc.stderr
+
+
 def test_hostile_json_exits_1_without_traceback(tmp_path):
     # Too deep for json's recursion, and an integer too long for int().
     import subprocess

@@ -57,6 +57,23 @@ class TestParseInput:
             parse_input(doc({"ell": 1, "d": 0, "facets": [[1] * 10 ** 5]}))
         assert MAX_FACE_MAP_ENTRIES > 7 * (3 ** 6 - 2 ** 7 + 1)  # simplex boundary, dim 6
 
+    def test_ell_beyond_listed_vertices(self):
+        def doc(spec):
+            return json.dumps({"schema_version": 1, "complex": spec})
+
+        for ell in (3, 10 ** 9, 10 ** 12):
+            with pytest.raises(InputError, match="only 2 vertex entries") as info:
+                parse_input(doc({"ell": ell, "d": 1, "facets": [[1, 2]]}))
+            assert info.value.path == "$.complex.ell"
+        strata = [{"id": "a", "vertices": [1]}, {"id": "b", "vertices": [2]}]
+        with pytest.raises(InputError, match="only 2 vertex entries") as info:
+            parse_input(doc({"ell": 3, "d": 1, "mode": "delta", "strata": strata,
+                             "face_map": []}))
+        assert info.value.path == "$.complex.ell"
+        # As many entries as ell passes the bound.
+        assert parse_input(doc({"ell": 2, "d": 1, "mode": "delta", "strata": strata,
+                                "face_map": []})).complex.ell == 2
+
     def test_not_json(self):
         with pytest.raises(InputError, match="not valid JSON"):
             parse_input("{")
