@@ -1,0 +1,40 @@
+"""What counts as an exact number.  An integer is an ``int``, never a ``bool``.
+A rational is an ``int`` or ``Fraction``, used as given; ``bool`` and ``float``
+are refused, and other values (``"p/q"`` strings) are read through ``Fraction``."""
+
+from fractions import Fraction
+from math import lcm
+from typing import Iterable, Sequence
+
+
+def ints(row: Iterable, message: str) -> tuple[int, ...]:
+    """``row`` as a tuple of ints, or a ``TypeError`` formatting ``message``."""
+    row = tuple(row)
+    for x in row:
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+            raise TypeError(message.format(x=x, row=row))
+    return row
+
+
+def rational(x) -> int | Fraction:
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"numbers must be exact rationals, got {x!r}")
+    return Fraction(x)
+
+
+def cleared(u: Sequence) -> tuple[list[int], int]:
+    """Integer numerators ``n`` and one denominator ``D > 0`` with ``u = n / D``."""
+    # Plain loops: cheaper than comprehensions on a few weights.
+    den = 1
+    for x in u:
+        if type(x) is not int:
+            if type(x) is not Fraction:
+                return cleared(list(map(rational, u)))
+            if den % x.denominator:
+                den = lcm(den, x.denominator)
+    nums = []
+    for x in u:
+        nums.append(x.numerator * (den // x.denominator))
+    return nums, den

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from ._exact import ints, rational
+
 __all__ = [
     "Stratum",
     "Violation",
@@ -47,7 +49,7 @@ class Stratum:
     vertex_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
+        object.__setattr__(self, "vertices", ints(self.vertices, "vertices must be ints, got {x!r}"))
         if not self.id or not isinstance(self.id, str):
             raise ValueError("stratum id must be a nonempty string")
         if len(self.vertices) == 0:
@@ -151,7 +153,7 @@ class DualComplex:
 
 
 def _check_facet(facet: Sequence[int], ell: int, d: int) -> tuple[int, ...]:
-    verts = tuple(int(v) for v in facet)
+    verts = ints(facet, "facet vertices must be ints, got {x!r}")
     if not verts:
         raise ValueError("empty facet")
     if len(set(verts)) != len(verts):
@@ -210,7 +212,7 @@ def build_delta_complex(ell: int, d: int,
             built.append(Stratum(str(sid), tuple(verts)))
     face_map = {}
     for owner, subset, fid in face_entries:
-        key = (str(owner), frozenset(int(v) for v in subset))
+        key = (str(owner), frozenset(ints(subset, "face vertices must be ints, got {x!r}")))
         if key in face_map and face_map[key] != str(fid):
             raise ValueError(f"conflicting face assignments for {owner!r} along {sorted(key[1])}")
         face_map[key] = str(fid)
@@ -312,12 +314,6 @@ def connected_components(c: DualComplex) -> list[list[int]]:
     return sorted(sorted(g) for g in groups.values())
 
 
-def _as_weight(x) -> Fraction:
-    if isinstance(x, bool) or isinstance(x, float):
-        raise TypeError(f"barycentric weights must be exact rationals, got {x!r}")
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class SimplexPoint:
     """A point of a canonical simplex in barycentric coordinates.
@@ -330,7 +326,7 @@ class SimplexPoint:
     u: tuple[Fraction, ...]
 
     def __post_init__(self):
-        weights = tuple(_as_weight(x) for x in self.u)
+        weights = tuple(Fraction(rational(x)) for x in self.u)
         if not weights:
             raise ValueError("a simplex point needs at least one weight")
         if any(w < 0 for w in weights):

@@ -29,6 +29,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from ._exact import ints, rational
+
 __all__ = [
     "IntMatrix",
     "SmithDecomposition",
@@ -43,10 +45,8 @@ __all__ = [
 ]
 
 def _as_fraction(x) -> Fraction:
-    """Coerce to Fraction, refusing floats (exactness would be lost)."""
-    if isinstance(x, bool) or isinstance(x, float):
-        raise TypeError(f"expected an exact rational, got {x!r}")
-    return Fraction(x)
+    """An exact rational (see ``_exact.rational``) as a ``Fraction``."""
+    return Fraction(rational(x))
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,7 @@ class IntMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged rows in matrix entries")
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, int):
-                    raise TypeError(f"matrix entries must be ints, got {x!r}")
+            ints(row, "matrix entries must be ints, got {x!r}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -327,12 +325,9 @@ class Constraint:
     strict: bool = False
 
     def __post_init__(self):
-        normal = tuple(self.normal)
+        normal = ints(self.normal, "constraint normals must be integer vectors, got {x!r}")
         if not normal or all(x == 0 for x in normal):
             raise ValueError("constraint normal must be a nonzero vector")
-        for x in normal:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise TypeError("constraint normals must be integer vectors")
         bound = _as_fraction(self.bound)
         g = gcd(*(abs(x) for x in normal))
         if g > 1:

@@ -11,15 +11,19 @@ along that vertex's component.
 Rows may additionally be flagged as having effective horizontal part, which
 is what justifies the concavity lower bound
 ``value(u) >= sum_a u_a * order(i, vertex_a)``.
+
+Orders are ints, flags bools; weights are ints and ``Fraction``s as given,
+other rationals through ``Fraction``, and ``bool`` and ``float`` are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import mul
 from typing import Sequence
 
+from ._exact import cleared, ints, rational
 from .complexes import DualComplex, Stratum, Violation
 
 __all__ = [
@@ -40,7 +44,7 @@ class OrderMatrix:
     horizontal_effective: tuple[bool, ...]
 
     def __post_init__(self):
-        orders = tuple(tuple(int(x) for x in row) for row in self.orders)
+        orders = tuple(ints(row, "orders must be ints, got {x!r}") for row in self.orders)
         if len(orders) < 2:
             raise ValueError("an order matrix needs rows for s_0 and at least one section")
         ell = len(orders) - 1
@@ -49,7 +53,9 @@ class OrderMatrix:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {ell}")
             if any(x < 0 for x in row):
                 raise ValueError(f"row {i} has a negative order")
-        flags = tuple(bool(f) for f in self.horizontal_effective)
+        flags = tuple(self.horizontal_effective)
+        if any(type(f) is not bool for f in flags):
+            raise TypeError(f"horizontal-effectivity flags must be bools, got {flags}")
         if len(flags) != ell + 1:
             raise ValueError("need one horizontal-effectivity flag per row")
         object.__setattr__(self, "orders", orders)
@@ -137,9 +143,8 @@ def _order_violations(m: OrderMatrix, c: DualComplex) -> list[Violation]:
 class AffineFunctional:
     """Affine function of barycentric weights: <coefficients, u> + constant.
 
-    Coefficients and the constant are exact rationals; ints are kept as
-    they are (they are rationals already), anything else goes through
-    ``Fraction``.  ``evaluate`` and ``vertex_values`` return ``Fraction``s.
+    Coefficients and the constant are exact rationals, the weights too;
+    ``evaluate`` and ``vertex_values`` return ``Fraction``s.
     """
 
     stratum: str
@@ -147,30 +152,20 @@ class AffineFunctional:
     constant: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(map(_rational, self.coefficients)))
+        object.__setattr__(self, "coefficients", tuple(map(rational, self.coefficients)))
         if type(self.constant) is not Fraction:
-            object.__setattr__(self, "constant", Fraction(self.constant))
+            object.__setattr__(self, "constant", Fraction(rational(self.constant)))
 
     def evaluate(self, u: Sequence) -> Fraction:
         if len(u) != len(self.coefficients):
             raise ValueError("weight vector does not match the functional arity")
-        # Accumulate an unreduced num/den; only the result is normalised.
-        num, den = self.constant.numerator, self.constant.denominator
-        for c, x in zip(self.coefficients, map(_rational, u)):
-            n, d = c.numerator * x.numerator, c.denominator * x.denominator
-            if d == den:
-                num += n
-            else:
-                num, den = num * d + n * den, den * d
-        return Fraction(num, den)
+        # u = n / D and constant p / q: the value is (q <c, n> + p D) / (q D).
+        nums, den = cleared(u)
+        p, q = self.constant.numerator, self.constant.denominator
+        return Fraction(q * sum(map(mul, self.coefficients, nums)) + p * den, q * den)
 
     def vertex_values(self) -> tuple[Fraction, ...]:
         return tuple(c + self.constant for c in self.coefficients)
-
-
-def _rational(x) -> Fraction | int:
-    # ``type`` rather than ``isinstance``: a bool becomes Fraction(0 or 1).
-    return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
 def restrict_affine(m: OrderMatrix, i: int, s: Stratum) -> AffineFunctional:
@@ -179,20 +174,20 @@ def restrict_affine(m: OrderMatrix, i: int, s: Stratum) -> AffineFunctional:
     The coefficient at the stratum's a-th vertex is the vanishing order of
     ``s_i`` along that vertex's component; the constant term is zero.
     """
-    if not 1 <= i <= m.ell:
-        raise ValueError(f"section index {i} out of range 1..{m.ell}")
     return AffineFunctional(s.id, _orders_along(m, i, s))
 
 
-def _orders_along(m: OrderMatrix, i: int, s: Stratum) -> tuple[int, ...]:
-    """The orders of section ``i`` (already range-checked) along the
-    stratum's vertices, in vertex order; raises like ``OrderMatrix.order``."""
+def _orders_along(m: OrderMatrix, i: int, s: Stratum) -> list[int]:
+    """The orders of section ``i`` along the stratum's vertices, in vertex
+    order; an index out of range raises like ``OrderMatrix.order``."""
     ell = m.ell
+    if not 1 <= i <= ell:
+        raise ValueError(f"section index {i} out of range 1..{ell}")
     for v in s.vertices:
         if not 1 <= v <= ell:
             raise ValueError(f"component index {v} out of range 1..{ell}")
     row = m.orders[i]
-    return tuple(row[v - 1] for v in s.vertices)
+    return [row[v - 1] for v in s.vertices]
 
 
 def concavity_lower_bound(m: OrderMatrix, i: int, s: Stratum, u: Sequence) -> Fraction:
@@ -201,31 +196,13 @@ def concavity_lower_bound(m: OrderMatrix, i: int, s: Stratum, u: Sequence) -> Fr
     Valid exactly when row ``i`` has effective horizontal part; the bound is
     the weighted average of the vertex orders.
     """
-    if not 1 <= i <= m.ell:
-        raise ValueError(f"section index {i} out of range 1..{m.ell}")
+    orders = _orders_along(m, i, s)
     if not m.horizontal_effective[i]:
         raise ValueError(f"row {i} lacks the horizontal-effectivity flag; "
                          "the lower bound is not justified")
-    # Clear the weight denominators once: w_a = n_a / D with integer n_a.
-    nums, dens = [], []
-    saw_float = False
-    for x in u:
-        if isinstance(x, float):
-            saw_float = True
-            continue
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
-        nums.append(x.numerator)
-        dens.append(x.denominator)
-    if saw_float:
-        raise TypeError("weights must be exact rationals")
-    if len(nums) != len(s.vertices):
+    nums, den = cleared(u)
+    if len(nums) != len(orders):
         raise ValueError("weight vector does not match the stratum arity")
-    common = lcm(*dens)
-    nums = [n * (common // d) for n, d in zip(nums, dens)]
-    if any(n < 0 for n in nums) or sum(nums) != common:
+    if any(n < 0 for n in nums) or sum(nums) != den:
         raise ValueError("weights must be nonnegative and sum to 1")
-    total = 0
-    for n, order in zip(nums, _orders_along(m, i, s)):
-        total += n * order
-    return Fraction(total, common)
+    return Fraction(sum(map(mul, nums, orders)), den)

@@ -1,7 +1,8 @@
 """Tropical projective points and min-plus valuations of monomial families.
 
 Coordinates live in Q union {infinity}; finite values are exact
-``Fraction`` objects and the only float ever tolerated is ``inf`` itself.
+``Fraction`` objects and the only float ever tolerated is ``inf`` itself;
+``bool`` and other floats raise ``TypeError``, other rationals go through ``Fraction``.
 The valuation of a monomial family at barycentric weights ``u`` is the
 minimum of ``<u, m>`` over the exponent support, i.e. the negative log of
 the corresponding monomial absolute value.  Coefficients are modeled only
@@ -18,6 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 from operator import le, mul
 from typing import Iterable, Sequence
+
+from ._exact import cleared, ints, rational
 
 __all__ = [
     "INFINITY",
@@ -37,11 +40,7 @@ def is_infinite(x) -> bool:
 
 
 def _coord(x) -> "Fraction | float":
-    if is_infinite(x):
-        return INFINITY
-    if isinstance(x, bool) or isinstance(x, float):
-        raise TypeError(f"finite coordinates must be exact rationals, got {x!r}")
-    return Fraction(x)
+    return INFINITY if is_infinite(x) else Fraction(rational(x))
 
 
 @dataclass(frozen=True)
@@ -101,17 +100,15 @@ class MonomialSupport:
     def __post_init__(self):
         # Checked before the set is formed, so that an exponent such as 1.0
         # cannot hide behind an equal int.
-        exps = [tuple(m) for m in self.exponents]
+        exps = [ints(m, "exponent vector {row} has a non-integer entry {x!r}")
+                for m in self.exponents]
         if not exps:
             raise ValueError("monomial support must be nonempty")
         for m in exps:
             if len(m) != self.arity:
                 raise ValueError(f"exponent vector {m} does not have arity {self.arity}")
-            for e in m:
-                if isinstance(e, bool) or not isinstance(e, int):
-                    raise TypeError(f"exponent vector {m} has a non-integer entry {e!r}")
-                if e < 0:
-                    raise ValueError(f"exponent vector {m} has a negative entry")
+            if any(e < 0 for e in m):
+                raise ValueError(f"exponent vector {m} has a negative entry")
         object.__setattr__(self, "exponents", frozenset(exps))
 
     @classmethod
@@ -159,16 +156,10 @@ def eval_min_plus(f: MonomialSupport, u: Sequence) -> Fraction:
     ``f.minimal_exponents`` alone: at nonnegative weights no other exponent
     can attain a smaller value.
     """
-    # ints and Fractions are used as they are; anything else is coerced, or
-    # refused, by _coord, which returns a float only for infinity.
-    weights = [x if type(x) is int or type(x) is Fraction else _coord(x) for x in u]
-    if float in map(type, weights):
-        raise TypeError("weights must be finite rationals")
-    if len(weights) != f.arity:
-        raise ValueError(f"expected {f.arity} weights, got {len(weights)}")
     # Clear denominators once; the minimum is then over integer dot products.
-    denom = math.lcm(*(w.denominator for w in weights))
-    numer = [w.numerator * (denom // w.denominator) for w in weights]
+    numer, denom = cleared(u)
+    if len(numer) != f.arity:
+        raise ValueError(f"expected {f.arity} weights, got {len(numer)}")
     if any(n < 0 for n in numer):
         raise ValueError("weights must be nonnegative")
     return Fraction(min(sum(map(mul, numer, m)) for m in f.minimal_exponents), denom)

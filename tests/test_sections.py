@@ -216,12 +216,25 @@ class TestConcavityBound:
                     assert exact == bound
 
 
+def reference_exact(x) -> Fraction:
+    """The exactness rule spelled out: bool and float refused, the rest
+    through ``Fraction``."""
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"not exact: {x!r}")
+    return Fraction(x)
+
+
 def reference_evaluate(coefficients, constant, u):
-    """``AffineFunctional.evaluate`` as a ``Fraction`` sum, term by term."""
-    coefficients = tuple(Fraction(x) for x in coefficients)
+    """``AffineFunctional(...).evaluate`` as a ``Fraction`` sum, term by term."""
+    coefficients = tuple(reference_exact(x) for x in coefficients)
+    constant = reference_exact(constant)
     if len(u) != len(coefficients):
         raise ValueError("weight vector does not match the functional arity")
-    return sum((c * Fraction(x) for c, x in zip(coefficients, u)), Fraction(constant))
+    return sum((c * reference_exact(x) for c, x in zip(coefficients, u)), constant)
+
+
+def build_and_evaluate(coefficients, constant, u):
+    return AffineFunctional("s", coefficients, constant).evaluate(u)
 
 
 def outcome(fn, *args):
@@ -244,9 +257,17 @@ class TestAffineFunctionalExactness:
                               st.sampled_from(["1/3", "-2", "0.25", "x", None])),
                     max_size=6))
     def test_evaluate_and_vertex_values_match_fraction_sums(self, coefficients, constant, u):
+        got = outcome(build_and_evaluate, tuple(coefficients), constant, tuple(u))
+        assert got == outcome(reference_evaluate, coefficients, constant, tuple(u))
+        # bool and float are refused, as coefficients and as weights.
+        if any(type(c) is bool for c in coefficients):
+            assert got is TypeError
+            return
+        numeric = all(type(x) in (int, Fraction, bool, float) for x in u)
+        if len(u) == len(coefficients) and numeric and \
+                any(type(x) in (bool, float) for x in u):
+            assert got is TypeError
         g = AffineFunctional("s", tuple(coefficients), constant)
-        assert outcome(g.evaluate, tuple(u)) == outcome(reference_evaluate,
-                                                        coefficients, constant, tuple(u))
         assert g.vertex_values() == tuple(Fraction(c) + Fraction(constant)
                                           for c in coefficients)
         assert all(type(x) is Fraction for x in g.vertex_values())

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeletrop._exact import rational
 from skeletrop.tropical import (INFINITY, MonomialSupport, TropicalProjectivePoint,
                                 _coord, eval_min_plus, is_infinite, trop_eq,
                                 trop_normalize)
@@ -148,9 +149,8 @@ class TestEvalMinPlus:
 
 def reference_eval_min_plus(f: MonomialSupport, u) -> Fraction:
     """The earlier kernel: every weight through _coord, every exponent tried."""
-    weights = [_coord(x) for x in u]
-    if any(is_infinite(w) for w in weights):
-        raise TypeError("weights must be finite rationals")
+    # Infinity is a float, so a weight of infinity is refused where it stands.
+    weights = [rational(x) if is_infinite(x) else _coord(x) for x in u]
     if len(weights) != f.arity:
         raise ValueError(f"expected {f.arity} weights, got {len(weights)}")
     if any(w < 0 for w in weights):
