@@ -1,6 +1,10 @@
-"""What counts as an exact number.  An integer is an ``int``, never a ``bool``.
-A rational is an ``int`` or ``Fraction``, used as given; ``bool`` and ``float``
-are refused, and other values (``"p/q"`` strings) are read through ``Fraction``."""
+"""What counts as an exact number, and the one place that converts them.
+
+An integer is an ``int``, never a ``bool``.  A rational is an ``int`` or
+``Fraction``, used as given; ``bool`` and ``float`` are refused, and other
+values (``"p/q"`` strings) are read through ``Fraction``.  ``fraction`` turns
+a rational into a ``Fraction`` and ``cleared`` clears the denominators of a
+vector of them; no other module does either."""
 
 from fractions import Fraction
 from math import lcm
@@ -22,6 +26,11 @@ def rational(x) -> int | Fraction:
     if isinstance(x, (bool, float)):
         raise TypeError(f"numbers must be exact rationals, got {x!r}")
     return Fraction(x)
+
+
+def fraction(x) -> Fraction:
+    """``x`` as a ``Fraction``: a ``Fraction`` unchanged, anything else through ``rational``."""
+    return x if type(x) is Fraction else Fraction(rational(x))
 
 
 def cleared(u: Sequence) -> tuple[list[int], int]:

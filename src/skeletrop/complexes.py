@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from ._exact import ints, rational
+from ._exact import fraction, ints
 
 __all__ = [
     "Stratum",
@@ -226,10 +226,12 @@ def validate_complex(c: DualComplex) -> list[Violation]:
     and kept on it: a caller that validates before ``check_faithful``
     validates again does no second pass.
     """
-    cached = c.__dict__.get("_violations")
+    if not isinstance(c, DualComplex):
+        raise TypeError(f"validate_complex takes a DualComplex, got {type(c).__name__}")
+    cached = c.__dict__.get("_complex_violations")
     if cached is None:
         cached = tuple(_find_violations(c))
-        object.__setattr__(c, "_violations", cached)
+        object.__setattr__(c, "_complex_violations", cached)
     return list(cached)
 
 
@@ -326,7 +328,7 @@ class SimplexPoint:
     u: tuple[Fraction, ...]
 
     def __post_init__(self):
-        weights = tuple(Fraction(rational(x)) for x in self.u)
+        weights = tuple(map(fraction, self.u))
         if not weights:
             raise ValueError("a simplex point needs at least one weight")
         if any(w < 0 for w in weights):

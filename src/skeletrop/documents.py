@@ -11,6 +11,7 @@ record by record from fixed templates with the same layout.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
 
+from ._exact import fraction
 from ._version import __version__
 from .complexes import DualComplex, build_delta_complex, build_from_facets
 from .sections import OrderMatrix, canonical_order_matrix
@@ -41,11 +43,18 @@ FIXTURE_KINDS = ("cycle", "path", "simplex_boundary", "random")
 # Most face-map entries a document may need.  A stratum with k vertices
 # needs one per pair (face, nonempty proper subset of the face), that is
 # 3^k - 2^(k+1) + 1, so a single 20-vertex facet in a document of a few
-# hundred bytes would need about 3.5e9 and exhaust memory.  One 11-vertex
-# facet (173,052 entries) parses with a 106 MB peak; every fixture lies far
-# below the limit (the dimension-6 simplex boundary needs 4,214 entries,
-# the 400-cycle 800).
+# hundred bytes would need about 3.5e9 and exhaust memory.  This bound is
+# checked on the listed sizes before anything is expanded; the stratum limit
+# below then refuses every facet of 10 or more vertices (an 11-vertex facet
+# has 2,047 strata), so it no longer parses.  Every fixture lies far below
+# both limits (the dimension-6 simplex boundary needs 4,214 entries and has
+# 126 strata, the 400-cycle 800 of each).
 MAX_FACE_MAP_ENTRIES = 250_000
+# Most strata a complex may have.  ``check`` records every unordered pair of
+# strata, so its time, memory and certificate grow with S^2: 1,001 singleton
+# facets (500,500 pairs) peak at 427 MB and write a 151 MB certificate.  The
+# limit allows 499,500 pairs.
+MAX_STRATA = 1_000
 
 
 class InputError(ValueError):
@@ -57,7 +66,8 @@ class InputError(ValueError):
 
 
 def format_rational(x) -> str:
-    return str(Fraction(x))
+    """``x`` as ``p/q`` text (``n`` for an integer); ``bool`` and ``float`` are refused."""
+    return str(fraction(x))
 
 
 def parse_rational(text, path: str = "value") -> Fraction:
@@ -140,16 +150,26 @@ def _check_expansion(sizes, path: str) -> None:
                                    f"{MAX_FACE_MAP_ENTRIES} face-map entries")
 
 
-def _check_vertex_count(ell: int, entries: int, path: str) -> None:
+def _check_vertex_count(ell: int, vertex_lists, path: str) -> None:
     """Reject an ``ell`` that the listed vertices cannot cover.
 
     Each vertex 1..ell needs a 0-dimensional stratum, so a valid document
-    lists at least ``ell`` vertex entries.  Checking this first keeps an
-    oversized ``ell`` from sizing anything (order rows, default flags).
+    lists at least ``ell`` distinct vertices.  Checking this first keeps an
+    oversized ``ell`` from sizing anything (order rows, default flags), and
+    counting distinct vertices keeps repeated facets from standing in for
+    missing ones.
     """
-    if entries < ell:
+    distinct = len(set(itertools.chain.from_iterable(vertex_lists)))
+    if distinct < ell:
         raise InputError(f"{path}.ell", f"{ell} vertices need a 0-dimensional stratum each, "
-                                        f"but the complex lists only {entries} vertex entries")
+                                        f"but the complex lists only {distinct} distinct vertices")
+
+
+def _check_strata(cx: DualComplex, path: str) -> None:
+    """Reject a complex with more than ``MAX_STRATA`` strata, before any pair exists."""
+    if len(cx.strata) > MAX_STRATA:
+        raise InputError(path, f"the complex has {len(cx.strata)} strata, "
+                               f"more than the {MAX_STRATA} a document may have")
 
 
 def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
@@ -168,11 +188,12 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
         facets = [_int_list(f, f"{path}.facets[{k}]")
                   for k, f in enumerate(facets_raw)]
         _check_expansion(map(len, facets), f"{path}.facets")
-        _check_vertex_count(ell, sum(map(len, facets)), path)
+        _check_vertex_count(ell, facets, path)
         try:
             cx = build_from_facets(ell, d, facets)
         except ValueError as exc:
             raise InputError(f"{path}.facets", str(exc)) from None
+        _check_strata(cx, f"{path}.facets")
         canon = {"ell": ell, "d": d, "mode": "simplicial", "facets": facets}
         return cx, mode, canon
     _reject_unknown(spec, ("ell", "d", "mode", "strata", "face_map"), path)
@@ -198,11 +219,12 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
         fid = _expect(entry, "face", str, epath)
         faces.append((owner, subset, fid))
     _check_expansion((len(verts) for _, verts in strata), f"{path}.strata")
-    _check_vertex_count(ell, sum(len(verts) for _, verts in strata), path)
+    _check_vertex_count(ell, (verts for _, verts in strata), path)
     try:
         cx = build_delta_complex(ell, d, strata, faces)
     except ValueError as exc:
         raise InputError(f"{path}.strata", str(exc)) from None
+    _check_strata(cx, f"{path}.strata")
     canon = {"ell": ell, "d": d, "mode": "delta",
              "strata": [{"id": sid, "vertices": list(vs)} for sid, vs in strata],
              "face_map": [{"stratum": o, "subset": sorted(sub), "face": fid}

@@ -11,8 +11,10 @@ inverse, Fourier-Motzkin and simplex kernels run on Python ints: rows are
 cleared of denominators once and kept integer by fraction-free (Bareiss)
 updates and gcd reduction.  The determinant, the rank and the inverse are
 one Gauss-Jordan elimination on the simplex's pivot.  ``fractions.Fraction``
-appears at the API boundary, in rational vertex images, constraint bounds,
-LP values and witnesses.
+appears only at the API boundary: constraint bounds, the points
+``RationalPolyhedron.contains`` tests, and LP values and witnesses.  Vertex
+images are used as given and their denominators cleared one coordinate at a
+time; conversion and clearing both go through ``_exact``.
 
 Everything in this module is a pure function on immutable values and is
 safe to call concurrently.  The one piece of state is the LP result that
@@ -26,10 +28,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
-from ._exact import ints, rational
+from ._exact import cleared, fraction, ints
 
 __all__ = [
     "IntMatrix",
@@ -43,11 +45,6 @@ __all__ = [
     "simplex_image_polyhedron",
     "relint_intersection_nonempty",
 ]
-
-def _as_fraction(x) -> Fraction:
-    """An exact rational (see ``_exact.rational``) as a ``Fraction``."""
-    return Fraction(rational(x))
-
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -328,7 +325,7 @@ class Constraint:
         normal = ints(self.normal, "constraint normals must be integer vectors, got {x!r}")
         if not normal or all(x == 0 for x in normal):
             raise ValueError("constraint normal must be a nonzero vector")
-        bound = _as_fraction(self.bound)
+        bound = fraction(self.bound)
         g = gcd(*(abs(x) for x in normal))
         if g > 1:
             normal = tuple(x // g for x in normal)
@@ -365,7 +362,7 @@ class RationalPolyhedron:
                 raise ValueError("constraint dimension does not match ambient space")
 
     def contains(self, x: Sequence) -> bool:
-        pt = [_as_fraction(v) for v in x]
+        pt = [fraction(v) for v in x]
         if len(pt) != self.ambient_dim:
             raise ValueError("point dimension does not match ambient space")
         return all(c.holds_at(pt) for c in self.constraints)
@@ -465,7 +462,7 @@ def simplex_image_polyhedron(vertex_images: Sequence[Sequence],
     relative interiors onto relative interiors).  Computed by eliminating
     the barycentric coordinates from ``x = sum_a lambda_a w_a``.
     """
-    verts = [tuple(_as_fraction(x) for x in w) for w in vertex_images]
+    verts = [tuple(w) for w in vertex_images]
     if not verts:
         raise ValueError("need at least one vertex image")
     n = len(verts[0])
@@ -475,9 +472,9 @@ def simplex_image_polyhedron(vertex_images: Sequence[Sequence],
     width = r + n
     rows = []
     for i in range(n):
-        # Coordinate i, cleared of denominators: sum_a den*w_a[i]*lambda_a - den*x_i = 0.
-        den = lcm(*(w[i].denominator for w in verts))
-        coeffs = [w[i].numerator * (den // w[i].denominator) for w in verts] + [0] * n
+        # Coordinate i, cleared of denominators: sum_a num_a*lambda_a - den*x_i = 0.
+        nums, den = cleared([w[i] for w in verts])
+        coeffs = nums + [0] * n
         coeffs[r + i] = -den
         rows.append((coeffs, _EQ, 0))
     rows.append(([1] * r + [0] * n, _EQ, 1))
@@ -604,9 +601,9 @@ def _max_min_slack(constraints: Sequence[Constraint], dim: int):
     m = len(constraints) + 1
     base = 2 * dim + 2  # x split into +/- parts, then the slack variable t
     total = base + m
-    scale = lcm(*(c.bound.denominator for c in constraints))
+    bounds, scale = cleared([c.bound for c in constraints])
     rows = []
-    for c in constraints:
+    for c, bound in zip(constraints, bounds):
         row = [0] * (total + 1)
         for i, ai in enumerate(c.normal):
             row[i] = ai
@@ -614,7 +611,7 @@ def _max_min_slack(constraints: Sequence[Constraint], dim: int):
         if c.strict:
             row[2 * dim] = 1
             row[2 * dim + 1] = -1
-        row[-1] = c.bound.numerator * (scale // c.bound.denominator)
+        row[-1] = bound
         rows.append(row)
     cap = [0] * (total + 1)
     cap[2 * dim] = 1

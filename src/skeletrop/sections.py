@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from ._exact import cleared, ints, rational
+from ._exact import cleared, fraction, ints, rational
 from .complexes import DualComplex, Stratum, Violation
 
 __all__ = [
@@ -94,12 +94,15 @@ def validate_orders(m: OrderMatrix, c: DualComplex) -> list[Violation]:
     The violations are kept on the (immutable) matrix for the last complex
     it was checked against, so validating the same pair again is free.
     """
+    if not isinstance(m, OrderMatrix) or not isinstance(c, DualComplex):
+        raise TypeError(f"validate_orders takes an OrderMatrix and a DualComplex, "
+                        f"got {type(m).__name__} and {type(c).__name__}")
     if m.ell != c.ell:
         raise ValueError(f"order matrix is for {m.ell} components, complex has {c.ell}")
-    cached = m.__dict__.get("_violations")
+    cached = m.__dict__.get("_orders_violations")
     if cached is None or cached[0] is not c:
         cached = (c, tuple(_order_violations(m, c)))
-        object.__setattr__(m, "_violations", cached)
+        object.__setattr__(m, "_orders_violations", cached)
     return list(cached[1])
 
 
@@ -154,7 +157,7 @@ class AffineFunctional:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(map(rational, self.coefficients)))
         if type(self.constant) is not Fraction:
-            object.__setattr__(self, "constant", Fraction(rational(self.constant)))
+            object.__setattr__(self, "constant", fraction(self.constant))
 
     def evaluate(self, u: Sequence) -> Fraction:
         if len(u) != len(self.coefficients):

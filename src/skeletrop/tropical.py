@@ -20,7 +20,7 @@ from functools import cached_property
 from operator import le, mul
 from typing import Iterable, Sequence
 
-from ._exact import cleared, ints, rational
+from ._exact import cleared, fraction, ints
 
 __all__ = [
     "INFINITY",
@@ -40,7 +40,7 @@ def is_infinite(x) -> bool:
 
 
 def _coord(x) -> "Fraction | float":
-    return INFINITY if is_infinite(x) else Fraction(rational(x))
+    return INFINITY if is_infinite(x) else fraction(x)
 
 
 @dataclass(frozen=True)

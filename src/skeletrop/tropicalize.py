@@ -36,9 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from operator import or_
+from operator import mul, or_
 from typing import Iterable, NamedTuple, Sequence
 
+from ._exact import cleared
 from .complexes import DualComplex, SimplexPoint, Stratum, validate_complex
 # ``smith_normal_form`` is unused here but stays importable from this module:
 # perfbench's traced run wraps it under this name.
@@ -99,7 +100,9 @@ class PiecewiseAffineMap:
         rows = self.piece(p.stratum)
         if len(rows[0]) != len(p.u):
             raise ValueError("point arity does not match the piece")
-        return tuple(sum((c * w for c, w in zip(row, p.u)), Fraction(0)) for row in rows)
+        # Clear the weights once; each coordinate is then an integer dot product.
+        nums, den = cleared(p.u)
+        return tuple(Fraction(sum(map(mul, row, nums)), den) for row in rows)
 
     def projective_image(self, p: SimplexPoint) -> TropicalProjectivePoint:
         """Image in tropical projective space, with the base chart coordinate 0."""

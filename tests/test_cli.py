@@ -177,6 +177,34 @@ def test_huge_ell_exits_1_before_sizing(tmp_path):
             assert "Traceback" not in proc.stderr
 
 
+def test_small_documents_that_would_exhaust_memory_exit_1(tmp_path):
+    # Repeated facets once let ell exceed the distinct vertices (an ell^2
+    # order matrix), and 2,000 singletons once reached the S^2 pair loop;
+    # both ended in a MemoryError under the capped address space.
+    import subprocess
+    import sys
+
+    docs = {"repeated": ({"ell": 20_000, "d": 1, "facets": [[1, 2]] * 10_000},
+                         "error: $.complex.ell: "),
+            "strata": ({"ell": 2_000, "d": 0, "facets": [[v] for v in range(1, 2_001)]},
+                       "error: $.complex.facets: ")}
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from skeletrop.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    for name, (spec, prefix) in docs.items():
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(json.dumps({"schema_version": 1, "complex": spec}), encoding="utf-8")
+        for verb in ("check", "validate"):
+            proc = subprocess.run([sys.executable, "-c", code, verb, str(doc)],
+                                  env=_child_env(), capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 1, (name, verb, proc.stderr)
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(prefix), (name, verb, lines)
+            assert proc.stdout == ""
+
+
 def test_hostile_json_exits_1_without_traceback(tmp_path):
     # Too deep for json's recursion, and an integer too long for int().
     import subprocess

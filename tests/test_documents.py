@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeletrop._version import __version__
-from skeletrop.documents import (MAX_FACE_MAP_ENTRIES, SCHEMA_VERSION, InputError, emit_certificate,
+from skeletrop.documents import (MAX_FACE_MAP_ENTRIES, MAX_STRATA, SCHEMA_VERSION, InputError,
+                                 emit_certificate,
                                  format_rational, generate_fixture, input_digest,
                                  input_text, parse_input, parse_rational)
 from skeletrop.lattice import IntMatrix
@@ -62,17 +63,54 @@ class TestParseInput:
             return json.dumps({"schema_version": 1, "complex": spec})
 
         for ell in (3, 10 ** 9, 10 ** 12):
-            with pytest.raises(InputError, match="only 2 vertex entries") as info:
+            with pytest.raises(InputError, match="only 2 distinct vertices") as info:
                 parse_input(doc({"ell": ell, "d": 1, "facets": [[1, 2]]}))
             assert info.value.path == "$.complex.ell"
         strata = [{"id": "a", "vertices": [1]}, {"id": "b", "vertices": [2]}]
-        with pytest.raises(InputError, match="only 2 vertex entries") as info:
+        with pytest.raises(InputError, match="only 2 distinct vertices") as info:
             parse_input(doc({"ell": 3, "d": 1, "mode": "delta", "strata": strata,
                              "face_map": []}))
         assert info.value.path == "$.complex.ell"
         # As many entries as ell passes the bound.
         assert parse_input(doc({"ell": 2, "d": 1, "mode": "delta", "strata": strata,
                                 "face_map": []})).complex.ell == 2
+
+    def test_repeated_vertices_count_once(self):
+        def doc(spec):
+            return json.dumps({"schema_version": 1, "complex": spec})
+
+        # Repeated facets list 20,000 vertex entries but only two vertices.
+        with pytest.raises(InputError, match="only 2 distinct vertices") as info:
+            parse_input(doc({"ell": 3, "d": 1, "facets": [[1, 2]] * 10_000}))
+        assert info.value.path == "$.complex.ell"
+        strata = [{"id": f"e{k}", "vertices": [1, 2]} for k in range(10)]
+        with pytest.raises(InputError, match="only 2 distinct vertices"):
+            parse_input(doc({"ell": 3, "d": 1, "mode": "delta", "strata": strata,
+                             "face_map": []}))
+        assert parse_input(doc({"ell": 2, "d": 1, "facets": [[1, 2]] * 10_000})).complex.ell == 2
+
+    def test_stratum_limit(self):
+        def doc(spec):
+            return json.dumps({"schema_version": 1, "complex": spec})
+
+        def singletons(count):
+            return [[v] for v in range(1, count + 1)]
+
+        parse_input(doc({"ell": MAX_STRATA, "d": 0, "facets": singletons(MAX_STRATA)}))
+        with pytest.raises(InputError, match="1001 strata, more than the 1000") as info:
+            parse_input(doc({"ell": MAX_STRATA + 1, "d": 0,
+                             "facets": singletons(MAX_STRATA + 1)}))
+        assert info.value.path == "$.complex.facets"
+        strata = [{"id": f"v{v}", "vertices": [v]} for v in range(1, MAX_STRATA + 2)]
+        with pytest.raises(InputError, match="1001 strata") as info:
+            parse_input(doc({"ell": MAX_STRATA + 1, "d": 0, "mode": "delta",
+                             "strata": strata, "face_map": []}))
+        assert info.value.path == "$.complex.strata"
+        # Strata, not facets, are counted: a 10-vertex facet has 1,023.
+        with pytest.raises(InputError, match="1023 strata"):
+            parse_input(doc({"ell": 10, "d": 9, "facets": [list(range(1, 11))]}))
+        # The largest fixture on the benchmark ladder still parses.
+        assert len(generate_fixture("cycle", n=400).complex.strata) == 800
 
     def test_not_json(self):
         with pytest.raises(InputError, match="not valid JSON"):

@@ -6,11 +6,15 @@ and read other rationals (here ``"p/q"`` strings) through ``Fraction``.
 Each row of the table puts one value into one slot of one entry point.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import skeletrop
 from skeletrop.complexes import SimplexPoint, Stratum, build_delta_complex, build_from_facets
+from skeletrop.documents import format_rational
 from skeletrop.lattice import (Constraint, IntMatrix, RationalPolyhedron,
                                simplex_image_polyhedron)
 from skeletrop.sections import (AffineFunctional, OrderMatrix, canonical_order_matrix,
@@ -63,6 +67,7 @@ RATIONAL_SLOTS = [
     ("restrict_affine(...).evaluate",
      lambda x: restrict_affine(ORDERS, 1, EDGE).evaluate((x, rest(x)))),
     ("concavity_lower_bound", lambda x: concavity_lower_bound(ORDERS, 1, EDGE, (x, rest(x)))),
+    ("format_rational", format_rational),
 ]
 
 INEXACT = [0.5, 1.0, True, False]
@@ -127,6 +132,9 @@ def test_silent_coercions_are_gone():
         OrderMatrix(((0, 0), (0, 1.7), (True, 0.5)), (1, "yes", 0.0))
     with pytest.raises(TypeError, match="vertices must be ints, got 1.7"):
         Stratum("x", (1.7, 2))
+    for bad in (0.1, True):
+        with pytest.raises(TypeError, match="exact rationals"):
+            format_rational(bad)
 
 
 def test_valid_values_keep_their_types():
@@ -138,4 +146,23 @@ def test_valid_values_keep_their_types():
     assert type(eval_min_plus(SUPPORT, (1, 0))) is Fraction
     assert all(type(x) is Fraction for x in trop_normalize((1, 3)).coords)
     assert all(type(x) is Fraction for x in SimplexPoint("s", (1, 0)).u)
+    half = Fraction(1, 2)
+    assert TropicalProjectivePoint((0, half)).coords[1] is half
     assert type(Constraint((2, 0), 3).bound) is Fraction
+
+
+def _uses_lcm(tree) -> bool:
+    return any((isinstance(node, ast.Name) and node.id == "lcm")
+               or (isinstance(node, ast.Attribute) and node.attr == "lcm")
+               or (isinstance(node, ast.alias) and node.name == "lcm")
+               for node in ast.walk(tree))
+
+
+def test_only_exact_converts_and_clears():
+    # Stands in for a lint rule: conversion goes through ``_exact.fraction``
+    # and clearing denominators through ``_exact.cleared``.
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in Path(skeletrop.__file__).parent.glob("*.py")}
+    assert _uses_lcm(ast.parse(sources.pop("_exact.py")))
+    assert [name for name, text in sorted(sources.items())
+            if "Fraction(rational(" in text or _uses_lcm(ast.parse(text))] == []

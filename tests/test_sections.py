@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeletrop.complexes import Stratum, build_from_facets, face_restriction, SimplexPoint
+from skeletrop.complexes import (Stratum, build_from_facets, face_restriction, SimplexPoint,
+                                 validate_complex)
 from skeletrop.sections import (AffineFunctional, OrderMatrix, canonical_order_matrix,
                                 concavity_lower_bound, restrict_affine,
                                 validate_orders)
@@ -70,6 +71,19 @@ class TestOrderMatrixValidation:
         with pytest.raises(ValueError):
             validate_orders(canonical_order_matrix(cycle3()),
                             build_from_facets(2, 1, [[1, 2]]))
+
+    def test_swapped_arguments_are_refused(self):
+        # Both validators once kept their results under one attribute name,
+        # so a swapped call read the other's cache: an IndexError, or a
+        # silent "violations" list holding a complex.
+        c = cycle3()
+        m = canonical_order_matrix(c)
+        assert validate_complex(c) == [] and validate_orders(m, c) == []
+        with pytest.raises(TypeError, match="validate_orders takes an OrderMatrix"):
+            validate_orders(c, m)
+        with pytest.raises(TypeError, match="validate_complex takes a DualComplex"):
+            validate_complex(m)
+        assert validate_complex(c) == [] and validate_orders(m, c) == []
 
 
 class TestRestrictAffine:
