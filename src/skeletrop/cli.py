@@ -16,13 +16,14 @@ import json
 import sys
 from pathlib import Path
 
+from . import bounds
 from ._version import __version__
 from .bounds import BoundQuery, coordinate_count, corollary_twist, phi_upper_bound
 from .complexes import DualComplex, connected_components, validate_complex
-from .documents import (InputDocument, InputError, emit_certificate,
+from .documents import (FIXTURE_KINDS, InputDocument, InputError, emit_certificate,
                         generate_fixture, input_digest, input_text, parse_input)
 from .sections import OrderMatrix, canonical_order_matrix, validate_orders
-from .tropicalize import check_faithful
+from .tropicalize import MODES, check_faithful
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -138,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the faithfulness check and emit a certificate")
     p.add_argument("input", help="input document path, or - for stdin")
-    p.add_argument("--mode", choices=("certificate", "exact", "both"), default=None,
+    p.add_argument("--mode", choices=MODES, default=None,
                    help="evidence route per stratum pair (default: both)")
     p.add_argument("--jobs", type=int, default=None,
                    help="accepted for compatibility (at least 1); pairs are checked "
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixtures", help="fixture utilities")
     fix_sub = p.add_subparsers(dest="fixtures_command", required=True)
     g = fix_sub.add_parser("gen", help="generate a deterministic fixture document")
-    g.add_argument("kind", choices=("cycle", "path", "simplex_boundary", "random"))
+    g.add_argument("kind", choices=FIXTURE_KINDS)
     g.add_argument("--n", type=int, default=None, help="size for cycle/path")
     g.add_argument("--dim", type=int, default=None,
                    help="dimension for simplex_boundary/random")
@@ -160,10 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="basepoint-freeness thresholds and counts")
     p.add_argument("--dim", type=int, required=True, help="variety dimension d")
-    p.add_argument("--mode", choices=("angehrn_siu", "fujita"), default="angehrn_siu")
+    p.add_argument("--mode", choices=bounds.MODES, default="angehrn_siu")
     p.add_argument("--ell", type=int, default=None,
                    help="component count, to also report the section count")
-    p.add_argument("--case", choices=("trivial_canonical", "ample_canonical"),
+    p.add_argument("--case", choices=bounds.CASES,
                    default=None, help="also report the special-case twist")
     p.set_defaults(func=_cmd_bounds)
     return parser

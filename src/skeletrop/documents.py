@@ -23,7 +23,7 @@ from ._exact import fraction
 from ._version import __version__
 from .complexes import DualComplex, build_delta_complex, build_from_facets
 from .sections import OrderMatrix, canonical_order_matrix
-from .tropicalize import FaithfulnessReport
+from .tropicalize import MODES, FaithfulnessReport
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -71,16 +71,14 @@ def format_rational(x) -> str:
 
 
 def parse_rational(text, path: str = "value") -> Fraction:
-    if isinstance(text, bool) or isinstance(text, float):
-        raise InputError(path, f"rationals must be integers or 'p/q' strings, got {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(path, f"malformed rational {text!r}: {exc}") from None
-    raise InputError(path, f"rationals must be integers or 'p/q' strings, got {text!r}")
+    """``text`` as a ``Fraction`` by the ``_exact`` rule, or an ``InputError`` at ``path``."""
+    try:
+        return fraction(text)
+    except TypeError:
+        raise InputError(path, f"rationals must be integers or 'p/q' strings, "
+                               f"got {text!r}") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(path, f"malformed rational {text!r}: {exc}") from None
 
 
 def _reject_unknown(obj: dict, allowed: tuple, path: str) -> None:
@@ -165,11 +163,17 @@ def _check_vertex_count(ell: int, vertex_lists, path: str) -> None:
                                         f"but the complex lists only {distinct} distinct vertices")
 
 
-def _check_strata(cx: DualComplex, path: str) -> None:
-    """Reject a complex with more than ``MAX_STRATA`` strata, before any pair exists."""
+def _check_strata(cx: DualComplex, path: str, key: str) -> None:
+    """Reject more than ``MAX_STRATA`` strata, then an ``ell`` above it (each
+    vertex of a valid complex has its own 0-dimensional stratum), before any
+    pair or ell-wide order row exists."""
     if len(cx.strata) > MAX_STRATA:
-        raise InputError(path, f"the complex has {len(cx.strata)} strata, "
-                               f"more than the {MAX_STRATA} a document may have")
+        raise InputError(f"{path}.{key}", f"the complex has {len(cx.strata)} strata, "
+                                          f"more than the {MAX_STRATA} a document may have")
+    if cx.ell > MAX_STRATA:
+        raise InputError(f"{path}.ell", f"{cx.ell} vertices need a 0-dimensional stratum "
+                                        f"each, more than the {MAX_STRATA} strata a "
+                                        f"document may have")
 
 
 def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
@@ -193,7 +197,7 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
             cx = build_from_facets(ell, d, facets)
         except ValueError as exc:
             raise InputError(f"{path}.facets", str(exc)) from None
-        _check_strata(cx, f"{path}.facets")
+        _check_strata(cx, path, "facets")
         canon = {"ell": ell, "d": d, "mode": "simplicial", "facets": facets}
         return cx, mode, canon
     _reject_unknown(spec, ("ell", "d", "mode", "strata", "face_map"), path)
@@ -224,7 +228,7 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
         cx = build_delta_complex(ell, d, strata, faces)
     except ValueError as exc:
         raise InputError(f"{path}.strata", str(exc)) from None
-    _check_strata(cx, f"{path}.strata")
+    _check_strata(cx, path, "strata")
     canon = {"ell": ell, "d": d, "mode": "delta",
              "strata": [{"id": sid, "vertices": list(vs)} for sid, vs in strata],
              "face_map": [{"stratum": o, "subset": sorted(sub), "face": fid}
@@ -295,7 +299,7 @@ def parse_input(text: str) -> InputDocument:
         spec = _expect(data, "check", dict, "$")
         _reject_unknown(spec, ("mode", "jobs", "pairs"), "$.check")
         check_mode = _expect(spec, "mode", str, "$.check", default=None, required=False)
-        if check_mode is not None and check_mode not in ("certificate", "exact", "both"):
+        if check_mode is not None and check_mode not in MODES:
             raise InputError("$.check.mode", f"unknown mode {check_mode!r}")
         jobs = _expect(spec, "jobs", int, "$.check", default=None, required=False)
         if jobs is not None and jobs < 1:

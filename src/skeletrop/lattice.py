@@ -6,11 +6,12 @@ a code path, so every verdict and witness is exact.  One elimination routine
 computes the Smith form: ``smith_normal_form`` runs it with its transform
 matrices, while ``elementary_divisors``, ``extends_to_basis`` and the
 unimodularity check run it on the matrix alone, because the diagonal is
-unique and needs no transforms.  The determinant, rank, unimodular
-inverse, Fourier-Motzkin and simplex kernels run on Python ints: rows are
-cleared of denominators once and kept integer by fraction-free (Bareiss)
-updates and gcd reduction.  The determinant, the rank and the inverse are
-one Gauss-Jordan elimination on the simplex's pivot.  ``fractions.Fraction``
+unique and needs no transforms; it is also the only full reduction, and
+the inverse of a unimodular matrix is read off its transforms.  The
+determinant, rank, Fourier-Motzkin and simplex kernels run on Python ints:
+rows are cleared of denominators once and kept integer by fraction-free
+(Bareiss) updates and gcd reduction.  The determinant and the rank stop at
+an echelon form built with the simplex's pivot.  ``fractions.Fraction``
 appears only at the API boundary: constraint bounds, the points
 ``RationalPolyhedron.contains`` tests, and LP values and witnesses.  Vertex
 images are used as given and their denominators cleared one coordinate at a
@@ -29,6 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from ._exact import cleared, fraction, ints
@@ -82,25 +84,23 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("incompatible shapes for matrix product")
-        data = tuple(
-            tuple(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                  for j in range(other.cols))
-            for i in range(self.rows))
+        columns = list(zip(*other.entries)) or [()] * other.cols
+        data = tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in self.entries)
         return IntMatrix(self.rows, other.cols, data)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
     def det(self) -> int:
-        """Exact determinant by fraction-free Gauss-Jordan elimination."""
+        """Exact determinant by fraction-free elimination to echelon form."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        _, d, sign, rank = _gauss_jordan([list(row) for row in self.entries], self.cols)
+        d, sign, rank = _echelon([list(row) for row in self.entries], self.cols)
         return sign * d if rank == self.rows else 0
 
     def rank(self) -> int:
-        """Rank over the rationals by fraction-free Gauss-Jordan elimination."""
-        return _gauss_jordan([list(row) for row in self.entries], self.cols)[3]
+        """Rank over the rationals by fraction-free elimination to echelon form."""
+        return _echelon([list(row) for row in self.entries], self.cols)[2]
 
 
 @dataclass(frozen=True)
@@ -271,18 +271,13 @@ def extends_to_basis(vectors: Sequence[Sequence[int]]) -> bool:
 def _inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +-1.
 
-    Eliminates ``[m | I]`` on its left half; at full rank the tableau over
-    its denominator ``|det m|`` is ``[I | m^-1]``, an integer matrix exactly
-    when that denominator is 1.
+    The Smith form ``u @ m @ v`` of such a matrix is the identity, so its
+    inverse is ``v @ u``.
     """
-    n = m.rows
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
-    rows, d, _, rank = _gauss_jordan(rows, n)
-    if rank < n:
-        raise ValueError("matrix is singular")
-    if d != 1:
-        raise ValueError("matrix is not unimodular")
-    return IntMatrix(n, n, tuple(tuple(row[n:]) for row in rows))
+    snf = smith_normal_form(m)
+    if any(x != 1 for x in snf.diagonal):
+        raise ValueError("matrix is singular" if 0 in snf.diagonal else "matrix is not unimodular")
+    return snf.v @ snf.u
 
 
 def complete_to_basis(vectors: Sequence[Sequence[int]]) -> IntMatrix:
@@ -345,9 +340,10 @@ class Constraint:
 class RationalPolyhedron:
     """Finite conjunction of closed/strict rational half-spaces.
 
-    ``_relint_memo`` holds the results of ``relint_intersection_nonempty``
-    against other polyhedra, keyed by their ``constraints``; it lives and
-    dies with the object and takes no part in equality, hashing or repr.
+    ``_relint_memo`` maps the ``id`` of another polyhedron to it and its
+    ``relint_intersection_nonempty`` result (held, so the id is not reused);
+    it lives and dies with the object and takes no part in equality,
+    hashing or repr.
     """
 
     ambient_dim: int
@@ -491,8 +487,8 @@ def simplex_image_polyhedron(vertex_images: Sequence[Sequence],
 # The tableau is a list of integer rows, each its coefficients followed by its
 # right-hand side, over one positive common denominator d: the true tableau
 # is rows / d.  The objective row has the same layout and denominator.  The
-# same pivot drives the simplex and the Gauss-Jordan elimination behind
-# ``IntMatrix.det``, ``IntMatrix.rank`` and ``_inverse_unimodular``.
+# same pivot drives the simplex and, on the rows at and below the current
+# rank only, the echelon form behind ``IntMatrix.det`` and ``IntMatrix.rank``.
 
 
 def _pivot(rows, obj, basis, d: int, r: int, c: int) -> int:
@@ -504,8 +500,8 @@ def _pivot(rows, obj, basis, d: int, r: int, c: int) -> int:
     tableau (Sylvester's identity, as in Bareiss elimination).  The pivot
     row is kept.  A negative pivot negates the pivot row first, which keeps
     the denominator positive.  The simplex meets one only when it drives an
-    artificial variable out of the basis; ``_gauss_jordan`` meets one
-    wherever a pivot entry is negative.
+    artificial variable out of the basis; ``_echelon`` meets one wherever a
+    pivot entry is negative.
     """
     prow = rows[r]
     p = prow[c]
@@ -526,18 +522,17 @@ def _pivot(rows, obj, basis, d: int, r: int, c: int) -> int:
     return p
 
 
-def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], int, int, int]:
-    """Fraction-free Gauss-Jordan elimination on the first ``ncols`` columns.
+def _echelon(rows: list[list[int]], ncols: int) -> tuple[int, int, int]:
+    """Fraction-free elimination to echelon form on the first ``ncols`` columns.
 
     Column by column, the first row at or below the current rank with a
-    nonzero entry is swapped up to that rank and pivoted on with
-    ``_pivot``; columns with no such row are skipped.  Returns ``(rows, d,
-    sign, rank)``: ``rows / d`` is the reduced row echelon form on those
-    columns, ``rank`` is the pivot count, and ``sign`` (+-1) flips on every
-    swap and every negative pivot, so that for a square matrix of full rank
-    ``sign * d`` is its determinant.  ``rows`` is reduced in place.
+    nonzero entry is swapped up to that rank and pivoted on with ``_pivot``,
+    which sees only the rows from that rank down; columns with no such row
+    are skipped.  Returns ``(d, sign, rank)``: ``d`` is the last pivot,
+    ``rank`` the pivot count, and ``sign`` (+-1) flips on every swap and
+    every negative pivot, so that for a square matrix of full rank ``sign *
+    d`` is its determinant.  ``rows`` is reduced in place.
     """
-    basis = [None] * len(rows)
     d, sign, rank = 1, 1, 0
     for c in range(ncols):
         r = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
@@ -548,9 +543,11 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], i
             sign = -sign
         if rows[rank][c] < 0:
             sign = -sign
-        d = _pivot(rows, None, basis, d, rank, c)
+        below = rows[rank:]
+        d = _pivot(below, None, [None], d, 0, c)  # an echelon form keeps no basis
+        rows[rank:] = below
         rank += 1
-    return rows, d, sign, rank
+    return d, sign, rank
 
 
 def _run_simplex(rows, basis, cost, d: int):
@@ -665,18 +662,20 @@ def relint_intersection_nonempty(p: RationalPolyhedron, q: RationalPolyhedron):
     requiring a strictly positive optimum.
 
     The LP depends only on the merged constraint set, so the result is kept
-    on both polyhedra, each keyed by the other's ``constraints``, and a
-    repeated or swapped query on the same objects is answered without
-    solving again.  The memo lasts as long as the polyhedra do: callers
-    that build them per call, as ``check_faithful`` does, solve each
-    distinct pair of systems once per call.
+    on both polyhedra, each keyed by the other's identity (an ``id`` lookup
+    hashes no constraint), and a repeated or swapped query on the same
+    objects is answered without solving again.  The memo lasts as long as
+    the polyhedra do: callers that build them per call and intern equal
+    systems, as ``check_faithful`` does, solve each distinct pair of
+    systems once per call.
     """
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("polyhedra live in different ambient dimensions")
-    result = p._relint_memo.get(q.constraints)
-    if result is None:
+    entry = p._relint_memo.get(id(q))
+    if entry is None:
         merged = sorted(set(p.constraints) | set(q.constraints), key=Constraint.sort_key)
         value, point = _max_min_slack(merged, p.ambient_dim)
         result = (False, None) if value is None or value <= 0 else (True, point)
-        p._relint_memo[q.constraints] = q._relint_memo[p.constraints] = result
-    return result
+        entry = p._relint_memo[id(q)] = (q, result)
+        q._relint_memo[id(p)] = (p, result)
+    return entry[1]

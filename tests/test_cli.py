@@ -179,15 +179,20 @@ def test_huge_ell_exits_1_before_sizing(tmp_path):
 
 def test_small_documents_that_would_exhaust_memory_exit_1(tmp_path):
     # Repeated facets once let ell exceed the distinct vertices (an ell^2
-    # order matrix), and 2,000 singletons once reached the S^2 pair loop;
-    # both ended in a MemoryError under the capped address space.
+    # order matrix), 2,000 singletons once reached the S^2 pair loop, and
+    # 1,000 disjoint 5-vertex Delta strata once let ell reach 5,000; each
+    # ended in a MemoryError or exit 2 under the capped address space.
     import subprocess
     import sys
 
     docs = {"repeated": ({"ell": 20_000, "d": 1, "facets": [[1, 2]] * 10_000},
                          "error: $.complex.ell: "),
             "strata": ({"ell": 2_000, "d": 0, "facets": [[v] for v in range(1, 2_001)]},
-                       "error: $.complex.facets: ")}
+                       "error: $.complex.facets: "),
+            "delta": ({"ell": 5_000, "d": 4, "mode": "delta", "face_map": [],
+                       "strata": [{"id": f"s{k}", "vertices": list(range(5 * k + 1, 5 * k + 6))}
+                                  for k in range(1_000)]},
+                      "error: $.complex.ell: ")}
     code = ("import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
             "from skeletrop.cli import main\n"
@@ -195,7 +200,7 @@ def test_small_documents_that_would_exhaust_memory_exit_1(tmp_path):
     for name, (spec, prefix) in docs.items():
         doc = tmp_path / f"{name}.json"
         doc.write_text(json.dumps({"schema_version": 1, "complex": spec}), encoding="utf-8")
-        for verb in ("check", "validate"):
+        for verb in ("check", "validate", "canonical"):
             proc = subprocess.run([sys.executable, "-c", code, verb, str(doc)],
                                   env=_child_env(), capture_output=True, text=True,
                                   timeout=120)
@@ -322,3 +327,22 @@ def test_parser_is_built_once_per_process(cycle3_file, tmp_path, monkeypatch):
                  "--out", str(tmp_path / "c.json")]) == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert json.loads((tmp_path / "c.json").read_text())["mode"] == "exact"
+
+
+def test_choice_lists_are_the_owners_vocabularies():
+    import argparse
+
+    from skeletrop import bounds, documents, tropicalize
+
+    def sub(parser, name):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices[name]
+
+    def choices(parser, dest):
+        return next(a.choices for a in parser._actions if a.dest == dest)
+
+    parser = build_parser()
+    assert choices(sub(parser, "check"), "mode") == tropicalize.MODES
+    assert choices(sub(sub(parser, "fixtures"), "gen"), "kind") == documents.FIXTURE_KINDS
+    assert choices(sub(parser, "bounds"), "mode") == bounds.MODES
+    assert choices(sub(parser, "bounds"), "case") == bounds.CASES

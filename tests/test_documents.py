@@ -112,6 +112,25 @@ class TestParseInput:
         # The largest fixture on the benchmark ladder still parses.
         assert len(generate_fixture("cycle", n=400).complex.strata) == 800
 
+    def test_ell_beyond_stratum_limit(self):
+        # Disjoint 5-vertex Delta strata list 5 distinct vertices each, so the
+        # distinct-vertex rule alone lets ell reach 5 * MAX_STRATA.
+        def doc(ell, count):
+            strata = [{"id": f"s{k}", "vertices": list(range(5 * k + 1, 5 * k + 6))}
+                      for k in range(count)]
+            return json.dumps({"schema_version": 1, "complex": {
+                "ell": ell, "d": 4, "mode": "delta", "strata": strata, "face_map": []}})
+
+        assert parse_input(doc(MAX_STRATA, MAX_STRATA // 5)).complex.ell == MAX_STRATA
+        with pytest.raises(InputError, match="1001 vertices need a 0-dimensional stratum "
+                                             "each, more than the 1000") as info:
+            parse_input(doc(MAX_STRATA + 1, MAX_STRATA // 5 + 1))
+        assert info.value.path == "$.complex.ell"
+        # The stratum count is checked first and keeps its path.
+        with pytest.raises(InputError, match="1001 strata") as info:
+            parse_input(doc(5 * (MAX_STRATA + 1), MAX_STRATA + 1))
+        assert info.value.path == "$.complex.strata"
+
     def test_not_json(self):
         with pytest.raises(InputError, match="not valid JSON"):
             parse_input("{")

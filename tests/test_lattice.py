@@ -217,7 +217,7 @@ class TestExtendsToBasis:
 # ---------------------------------------------------------------------------
 # Reference eliminations: the Bareiss determinant and rank loops and the
 # Fraction Gauss-Jordan inverse that ``IntMatrix.det``, ``IntMatrix.rank``
-# and ``_inverse_unimodular`` ran before they shared ``_gauss_jordan``.
+# and ``_inverse_unimodular`` ran before they shared one integer kernel.
 # ---------------------------------------------------------------------------
 
 
@@ -348,8 +348,9 @@ def unimodular_matrices(draw):
 
 
 class TestGaussJordanMatchesReference:
-    """det, rank and the unimodular inverse share ``_gauss_jordan``; each
-    must agree with its old elimination loop and, where installed, sympy."""
+    """det and rank share the echelon driver ``_echelon`` and the unimodular
+    inverse is read off the Smith transforms; each must agree with its old
+    elimination loop and, where installed, sympy."""
 
     @settings(max_examples=300, deadline=None)
     @given(matrices())
@@ -370,15 +371,17 @@ class TestGaussJordanMatchesReference:
 
     @settings(max_examples=150, deadline=None)
     @given(matrices(min_rows=1, min_cols=1))
-    def test_driver_reaches_reduced_row_echelon_form(self, rows):
-        if sympy is None:
-            pytest.skip("sympy is not installed")
-        nc = len(rows[0])
-        out, d, _, rank = lattice._gauss_jordan([list(row) for row in rows], nc)
-        rref, pivots = sympy.Matrix(rows).rref()
-        assert d > 0 and rank == len(pivots)
-        assert [[Fraction(x, d) for x in row] for row in out] == \
-            [[Fraction(int(x.p), int(x.q)) for x in rref.row(i)] for i in range(len(rows))]
+    def test_echelon_stops_below_each_pivot(self, rows):
+        out = [list(row) for row in rows]
+        d, _, rank = lattice._echelon(out, len(rows[0]))
+        leads = [next(j for j, x in enumerate(row) if x) for row in out[:rank]]
+        assert leads == sorted(set(leads)) and not any(map(any, out[rank:]))
+        if rank:
+            # The first pivot row is an input row up to sign: no later pivot
+            # eliminates above itself.  The denominator is the last pivot.
+            first = next(row for row in rows if row[leads[0]])
+            assert out[0] in (first, [-x for x in first])
+            assert d == out[rank - 1][leads[-1]] > 0
 
     def test_swaps_negative_pivots_and_empty_shapes(self):
         cases = [
