@@ -32,6 +32,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
+from weakref import ref
 
 from ._exact import cleared, fraction, ints
 
@@ -340,10 +341,11 @@ class Constraint:
 class RationalPolyhedron:
     """Finite conjunction of closed/strict rational half-spaces.
 
-    ``_relint_memo`` maps the ``id`` of another polyhedron to it and its
-    ``relint_intersection_nonempty`` result (held, so the id is not reused);
-    it lives and dies with the object and takes no part in equality,
-    hashing or repr.
+    ``_relint_memo`` maps the ``id`` of another polyhedron to a weak
+    reference to it and its ``relint_intersection_nonempty`` result; a
+    dead reference (whose id may since have been reused) is a miss, and no
+    polyhedron keeps another alive.  The memo lives and dies with the
+    object and takes no part in equality, hashing or repr.
     """
 
     ambient_dim: int
@@ -672,10 +674,11 @@ def relint_intersection_nonempty(p: RationalPolyhedron, q: RationalPolyhedron):
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("polyhedra live in different ambient dimensions")
     entry = p._relint_memo.get(id(q))
-    if entry is None:
-        merged = sorted(set(p.constraints) | set(q.constraints), key=Constraint.sort_key)
-        value, point = _max_min_slack(merged, p.ambient_dim)
-        result = (False, None) if value is None or value <= 0 else (True, point)
-        entry = p._relint_memo[id(q)] = (q, result)
-        q._relint_memo[id(p)] = (p, result)
-    return entry[1]
+    if entry is not None and entry[0]() is q:
+        return entry[1]
+    merged = sorted(set(p.constraints) | set(q.constraints), key=Constraint.sort_key)
+    value, point = _max_min_slack(merged, p.ambient_dim)
+    result = (False, None) if value is None or value <= 0 else (True, point)
+    p._relint_memo[id(q)] = (ref(q), result)
+    q._relint_memo[id(p)] = (ref(p), result)
+    return result

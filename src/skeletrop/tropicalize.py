@@ -18,25 +18,28 @@ The exact route decides emptiness of the intersection of the two image
 polytopes outright, by coordinate-interval separation when a single
 coordinate suffices and by exact rational LP feasibility otherwise.
 
-Both routes reduce to per-stratum data, so ``check_faithful`` builds three
-tables once per call: each stratum's face ids, its candidate and blocked
-rows for the certificate route, and, coordinate by coordinate, a bitmask
-of the strata whose image projection lies above its own.  Each of the
-O(S^2) pairs is then settled by set and bit lookups, and only pairs that
-no coordinate separates reach the LP, which solves each distinct system
-once per call.  Pairs are checked serially, in
-sorted order; ``jobs`` is accepted only for compatibility and never
-changes the output.
+Both routes reduce to per-stratum data, so ``check_faithful`` turns it into
+bitsets over the sorted stratum order once per call: per stratum, the
+strata face-related to it (noting which side is ambient) and the strata
+some coordinate's image projection separates from its own; per candidate
+row of the certificate route, the strata that do not block it.  The
+O(S^2) pairs are then settled a row at a time, stratum ``a`` against all
+later strata at once, with whole-row mask operations: the pairs that share
+one record shape are built together, and the rest are patched in by
+position.  Only independent pairs that no coordinate separates reach the
+LP; on a validated input they have equal vertex images (anything else
+raises ``ArithmeticError``), and each distinct system is solved once per
+call.  Pairs are reported in sorted order; ``jobs`` is accepted only for
+compatibility and never changes the output.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import combinations
-from operator import mul, or_
+from functools import partial
+from itertools import compress
+from operator import eq, gt, mul, or_, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from ._exact import cleared
@@ -88,13 +91,12 @@ class PiecewiseAffineMap:
         return tuple(row[slot] for row in self.piece(s))
 
     def vertex_images(self, s: "Stratum | str") -> tuple[tuple[int, ...], ...]:
-        rows = self.piece(s)
-        arity = len(self.complex.stratum(s).vertices)
-        return tuple(tuple(row[a] for row in rows) for a in range(arity))
+        # A vertex's image is its column of the piece.
+        return tuple(zip(*self.piece(s)))
 
     def edge_vectors(self, s: "Stratum | str") -> tuple[tuple[int, ...], ...]:
         imgs = self.vertex_images(s)
-        return tuple(tuple(b - a for a, b in zip(imgs[0], img)) for img in imgs[1:])
+        return tuple(tuple(map(sub, img, imgs[0])) for img in imgs[1:])
 
     def apply(self, p: SimplexPoint) -> tuple[Fraction, ...]:
         rows = self.piece(p.stratum)
@@ -195,16 +197,34 @@ def separation_certificate(f: PiecewiseAffineMap, m: OrderMatrix,
         raise ValueError("separation requires two distinct strata")
     if c.face_related(st, tt):
         raise ValueError("face pairs are discharged by injectivity, not separation")
-    return _separating_row(_candidate_rows(m, st),
+    return _separating_row(_candidate_rows(_reaches(m, st.vertices), st),
                            _blocked_rows(tt, _low_rows(m, tt.vertices)))
 
 
-def _candidate_rows(m: OrderMatrix, s: Stratum) -> tuple[int, ...]:
+def _reaches(m: OrderMatrix, rows: Iterable[int]) -> dict[int, frozenset[int]]:
+    """For each row ``j``, the components a stratum's vertices must lie in
+    for ``j`` to be one of its candidate rows: when row ``j`` is flagged and
+    has order 0 along ``j``, ``j`` itself and every component along which
+    its order is exactly 1; otherwise none."""
+    ell = m.ell
+    components = range(1, ell + 1)
+    out = {}
+    for j in rows:
+        if not 1 <= j <= ell:
+            raise ValueError(f"component index {j} out of range 1..{ell}")
+        row = m.orders[j]
+        if m.horizontal_effective[j] and row[j - 1] == 0:
+            out[j] = frozenset(compress(components, map(partial(eq, 1), row))).union((j,))
+        else:
+            out[j] = frozenset()
+    return out
+
+
+def _candidate_rows(reaches: dict[int, frozenset[int]], s: Stratum) -> tuple[int, ...]:
     """Rows whose coordinate maps the open simplex of ``s`` into [0, 1), in
-    vertex order: flagged, order 0 at their own vertex and 1 at the rest."""
-    return tuple(j for j in s.vertices
-                 if m.horizontal_effective[j] and m.order(j, j) == 0
-                 and all(m.order(j, v) == 1 for v in s.vertices if v != j))
+    vertex order: flagged, order 0 at their own vertex and 1 at the rest,
+    read from ``_reaches``."""
+    return tuple(j for j in s.vertices if s.vertex_set <= reaches[j])
 
 
 def _low_rows(m: OrderMatrix, components: Iterable[int]) -> dict[int, frozenset[int]]:
@@ -299,16 +319,19 @@ def _piece_memo(f: PiecewiseAffineMap):
     results that ``relint_intersection_nonempty`` keeps on it.  The memo
     belongs to one call of ``check_faithful`` and dies with it.
     """
+    by_sid: dict[str, RationalPolyhedron] = {}
     by_images: dict[tuple[tuple[int, ...], ...], RationalPolyhedron] = {}
     interned: dict[RationalPolyhedron, RationalPolyhedron] = {}
 
-    @cache
     def memo(sid: str) -> RationalPolyhedron:
-        images = f.vertex_images(sid)
-        poly = by_images.get(images)
+        poly = by_sid.get(sid)
         if poly is None:
-            poly = simplex_image_polyhedron(images, relative_interior=True)
-            poly = by_images[images] = interned.setdefault(poly, poly)
+            images = f.vertex_images(sid)
+            poly = by_images.get(images)
+            if poly is None:
+                poly = simplex_image_polyhedron(images, relative_interior=True)
+                poly = by_images[images] = interned.setdefault(poly, poly)
+            by_sid[sid] = poly
         return poly
 
     return memo
@@ -348,28 +371,69 @@ def _intervals_separate(ta, tb) -> bool:
     return any(ra < lb or rb < la for (la, ra), (lb, rb) in zip(ta, tb))
 
 
-def _above_masks(ends: Sequence[tuple[int, int]]) -> list[int]:
-    """For one coordinate: per stratum ``a``, the bitmask of the strata ``b``
-    (bit ``b`` for position ``b`` in ``ends``) with right_a < left_b."""
-    by_left: dict[int, int] = {}
-    for b, (left, _) in enumerate(ends):
-        by_left[left] = by_left.get(left, 0) | (1 << b)
-    lefts = sorted(by_left)
-    suffix = [0] * (len(lefts) + 1)
-    for k in range(len(lefts) - 1, -1, -1):
-        suffix[k] = suffix[k + 1] | by_left[lefts[k]]
-    return [suffix[bisect_right(lefts, right)] for _, right in ends]
+def _separation_masks(pieces: Sequence[Sequence[Sequence[int]]]) -> list[int]:
+    """Per stratum ``a``, the bitmask of the strata ``b`` (bit ``b`` for
+    position ``b`` in ``pieces``) whose image projection lies wholly above
+    or wholly below ``a``'s on some coordinate: right_a < left_b or
+    right_b < left_a on the doubled endpoints of ``_interval_table``, the
+    rule of ``_intervals_separate``.  Per coordinate, strata with equal
+    vertex values share one row and strata with equal endpoints one mask,
+    so endpoints and the rule are computed for distinct values only."""
+    out = [0] * len(pieces)
+    for rows in zip(*pieces):
+        by_row: dict[tuple[int, ...], int] = {}
+        bit = 1
+        for row in rows:
+            by_row[row] = by_row.get(row, 0) | bit
+            bit <<= 1
+        ends = _interval_table(by_row)
+        groups: dict[tuple[int, int], int] = {}
+        for end, members in zip(ends, by_row.values()):
+            groups[end] = groups.get(end, 0) | members
+        items = groups.items()
+        masks = {}
+        for end in groups:
+            left, right = end
+            mask = 0
+            for (other_left, other_right), members in items:
+                if right < other_left or other_right < left:
+                    mask |= members
+            masks[end] = mask
+        row_masks = dict(zip(by_row, map(masks.__getitem__, ends)))
+        out = list(map(or_, out, map(row_masks.__getitem__, rows)))
+    return out
 
 
-def _image_verdict(memo, sid: str, tid: str, separated: bool) -> ExactVerdict:
-    """The exact oracle on the two images of an independent pair or a face
-    pair with a degenerate ambient piece; ``separated`` says whether one
-    coordinate separates them, and ``memo(sid)`` gives a stratum's
-    relative-interior image polyhedron."""
-    if separated:
-        return _INTERVAL
+def _members(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _lp_verdict(memo, sid: str, tid: str) -> ExactVerdict:
+    """The exact LP oracle on two strata's relative-interior image
+    polyhedra, ``memo(sid)`` and ``memo(tid)``."""
     hit, witness = relint_intersection_nonempty(memo(sid), memo(tid))
     return ExactVerdict(not hit, witness, "lp")
+
+
+def _unseparated_verdict(memo, images, sid: str, tid: str) -> ExactVerdict:
+    """The exact verdict on an independent pair that no coordinate separates.
+
+    On a validated input two strata with different vertex sets are always
+    separated by a coordinate, so such a pair has equal sorted vertex
+    images (``images(sid)``) and the LP only confirms a collision known in
+    advance.  A pair whose images differ raises ``ArithmeticError`` rather
+    than reach the LP.
+    """
+    if images(sid) != images(tid):
+        raise ArithmeticError(f"pair {sid}/{tid}: no coordinate separates the images "
+                              f"of two strata with different vertex images")
+    return _lp_verdict(memo, sid, tid)
 
 
 def images_relint_disjoint_exact(f: PiecewiseAffineMap,
@@ -390,10 +454,9 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
     ambient = _ambient(f.complex, sid, tid)
     if ambient is not None and piece_injective(f, ambient):
         return _FACE_INJECTIVE
-    separated = _intervals_separate(_interval_table(f.piece(sid)),
-                                    _interval_table(f.piece(tid)))
-    return _image_verdict(lambda x: simplex_image_polyhedron(f.vertex_images(x)),
-                          sid, tid, separated)
+    if _intervals_separate(_interval_table(f.piece(sid)), _interval_table(f.piece(tid))):
+        return _INTERVAL
+    return _lp_verdict(lambda x: simplex_image_polyhedron(f.vertex_images(x)), sid, tid)
 
 
 @dataclass(frozen=True)
@@ -420,18 +483,28 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     examined pairs.
 
     The per-pair rules are those of ``separation_certificate`` and
-    ``images_relint_disjoint_exact``, read from tables built once per call:
-    each stratum's face ids (from ``c.face_map``; on a validated complex the
-    same relation as ``is_face``), its candidate rows (``_candidate_rows``)
-    and blocked rows (``_blocked_rows``), so that a pair's separating row is
-    the first candidate of one stratum the other does not block, and per
-    coordinate a bitmask of the strata whose image projection lies above
-    each stratum's (``_interval_table``, ``_above_masks``).  A face pair's
-    ambient injectivity is read off the Smith diagonal of its unimodularity
+    ``images_relint_disjoint_exact``, read from per-stratum bitsets over the
+    sorted stratum order, built once per call: the strata face-related to
+    each stratum and those it is ambient to (from ``c.face_map``; on a
+    validated complex the same relation as ``is_face``); for the exact
+    route, the strata some coordinate separates from it
+    (``_separation_masks`` on the pieces); for the certificate
+    route, per candidate row ``j`` (``_candidate_rows``) the strata that do
+    not block ``j`` (``_blocked_rows``).  Each row of pairs ``(a, b)``,
+    ``b`` after ``a`` (and wanted by ``pair_filter``), is then settled with
+    whole-row mask operations: ``a``'s candidate rows in turn take the later
+    strata they separate from ``a``, and the largest group of independent,
+    separated pairs fills the row with one shared record shape.  Face
+    pairs, the other groups and the pairs no coordinate separates are
+    patched in by position; only the pairs ``a`` cannot separate try the
+    reverse direction (``_separating_row``).  A face pair's ambient
+    injectivity is read off the Smith diagonal of its unimodularity
     certificate (``_injective``), the rank ``piece_injective`` computes.
-    The LP runs only for pairs that no coordinate separates, on polyhedra
-    shared by strata with equal images (``_piece_memo``), so each distinct
-    system is solved once per call.
+    The LP runs only for independent pairs that no coordinate separates,
+    which on a validated input have equal vertex images
+    (``_unseparated_verdict`` raises ``ArithmeticError`` otherwise), on
+    polyhedra shared by strata with equal images (``_piece_memo``), so
+    each distinct system is solved once per call.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -440,86 +513,171 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     f = build_map(c, m, check=True)
 
     order = c.stratum_ids()
+    count = len(order)
+    index = {sid: k for k, sid in enumerate(order)}
     certificates = tuple(check_unimodular(f, sid) for sid in order)
     # One discharge per stratum, shared by every face pair it is ambient to.
-    discharges = {cert.stratum: FaceDischarge(cert.stratum, _injective(cert))
-                  for cert in certificates}
+    discharges = [FaceDischarge(cert.stratum, _injective(cert)) for cert in certificates]
 
-    wanted = None
-    if pair_filter is not None:
-        wanted = set()
+    # The rows: each stratum ``a`` with the later strata it is paired with,
+    # as their ids in order, as a bitmask, and as ``where[b]``, the place of
+    # ``b`` in the row (a shifted range when the row is complete).
+    if pair_filter is None:
+        rows = ((a, order[a + 1:], (1 << count) - (2 << a), range(-a - 1, count))
+                for a in range(count - 1))
+    else:
+        wanted: dict[int, set[int]] = {}
         for p in pair_filter:
             p = tuple(p)
             if len(p) != 2 or p[0] == p[1]:
                 raise ValueError(f"pair filter entry {p!r} is not two distinct stratum ids")
             for sid in p:
                 c.stratum(sid)  # raises on unknown ids
-            wanted.add(frozenset(p))
+            a, b = sorted(index[sid] for sid in p)
+            wanted.setdefault(a, set()).add(b)
+        rows = []
+        for a, later in sorted(wanted.items()):
+            cols = sorted(later)
+            rows.append((a, [order[b] for b in cols], sum(1 << b for b in cols),
+                         {b: k for k, b in enumerate(cols)}))
 
-    # The per-stratum tables: face ids, the certificate route's candidate
-    # and blocked rows, and per coordinate the strata lying above each one.
-    faces: dict[str, set[str]] = {sid: set() for sid in order}
+    # The face relation as per-stratum bitsets: ``down[a]`` holds the faces
+    # of ``a`` (``a`` is ambient), ``up[a]`` the strata ``a`` is a face of.
+    down = [0] * count
+    up = [0] * count
     for (owner, _), fid in c.face_map.items():
-        faces[owner].add(fid)
+        o, x = index[owner], index[fid]
+        down[o] |= 1 << x
+        up[x] |= 1 << o
+    exact_route = mode != "certificate"
+    if exact_route:
+        separated = _separation_masks([f.pieces[sid] for sid in order])
     if mode != "exact":
-        low = _low_rows(m, range(1, m.ell + 1))
-        candidates = {s.id: _candidate_rows(m, s) for s in c.strata}
-        blocked = {s.id: _blocked_rows(s, low) for s in c.strata}
-    if mode != "certificate":
-        above = [0] * len(order)
-        for ends in zip(*(_interval_table(f.pieces[sid]) for sid in order)):
-            above = list(map(or_, above, _above_masks(ends)))
+        strata = list(map(c.stratum, order))
+        reaches = _reaches(m, range(1, m.ell + 1))
+        candidates = [_candidate_rows(reaches, s) for s in strata]
+        # contains[w]: the strata with vertex w.
+        contains = [0] * (m.ell + 1)
+        for b, s in enumerate(strata):
+            for v in s.vertices:
+                contains[v] |= 1 << b
+        # unblocked[j]: the strata t with j outside ``_blocked_rows(t, ...)``,
+        # so that no vertex of t is j or has an order below 1 on row j.
+        components = range(1, m.ell + 1)
+        unblocked = {}
+        for j in set().union(*candidates):
+            blocking = contains[j]
+            for w in compress(components, map(partial(gt, 1), m.orders[j])):
+                blocking |= contains[w]
+            unblocked[j] = ~blocking
+        # The reverse direction's certificates, one per (interior, row).
+        reverse: dict[tuple[int, int], SeparationCertificate] = {}
 
-    # Lexicographic index pairs are the sorted ids' pairs in report order.
-    if wanted is None:
-        pairs = combinations(range(len(order)), 2)
-    else:
-        index = {sid: k for k, sid in enumerate(order)}
-        pairs = sorted(tuple(sorted(index[sid] for sid in p)) for p in wanted)
     memo = _piece_memo(f)
-    certs: dict[tuple[str, int], SeparationCertificate] = {}
+    # The LP guard's key per stratum: its sorted vertex images.
+    keys: dict[str, list[tuple[int, ...]]] = {}
+
+    def images(sid: str) -> list[tuple[int, ...]]:
+        key = keys.get(sid)
+        if key is None:
+            key = keys[sid] = sorted(f.vertex_images(sid))
+        return key
+
+    new = tuple.__new__
+    # The exact verdict of the common records: a coordinate separates them.
+    interval = _INTERVAL if exact_route else None
     evidence = []
     defects = []
     collision = unknown = False
-    for a, b in pairs:
-        sid, tid = order[a], order[b]
-        ambient = sid if tid in faces[sid] else tid if sid in faces[tid] else None
-        separated = mode != "certificate" and bool(above[a] >> b & 1 or above[b] >> a & 1)
-        if ambient is not None:
-            discharge = discharges[ambient]
-            ok = discharge.injective
-            exact = (None if ok or mode == "certificate"
-                     else _image_verdict(memo, sid, tid, separated))
-            disjoint = True if ok else (exact.disjoint if exact is not None else None)
-            evidence.append(PairEvidence(sid, tid, "face", discharge, None, exact, disjoint))
+    for a, ids, want, where in rows:
+        sid = order[a]
+        faces = want & (down[a] | up[a])
+        independent = want ^ faces
+        sep_a = separated[a] if exact_route else -1
+        # Groups of independent pairs that share a separation: a's candidate
+        # rows in turn take the later strata they separate from a, and
+        # ``rest`` keeps those a cannot separate.  ``common`` narrows each
+        # group to the pairs that need no LP: the row's common records.
+        if mode == "exact":
+            groups = common = [(None, independent & sep_a)]
+            rest = 0
         else:
-            separation = None
-            if mode != "exact":
-                for interior, other in ((sid, tid), (tid, sid)):
-                    j = _separating_row(candidates[interior], blocked[other])
-                    if j is not None:
-                        separation = certs.get((interior, j))
-                        if separation is None:
-                            separation = certs[interior, j] = SeparationCertificate(interior, j)
-                        break
-            exact = None if mode == "certificate" else _image_verdict(memo, sid, tid, separated)
-            disjoint = (exact.disjoint if exact is not None
-                        else True if separation is not None else None)
-            evidence.append(PairEvidence(sid, tid, "independent", None, separation, exact,
-                                         disjoint))
-            if exact is not None and not exact.disjoint:
-                if separation is not None:
-                    defects.append(f"pair {sid}/{tid}: separation certificate "
-                                   f"contradicts the exact oracle")
-                elif mode == "both":
-                    # Only both-mode actually consulted the certificate route,
-                    # so only there can its silence be reported as a gap.
-                    defects.append(f"pair {sid}/{tid}: no separating vertex exists "
-                                   f"and the exact oracle reports a collision")
-        if disjoint is None:
-            unknown = True
-        elif not disjoint:
-            collision = True
+            groups = []
+            rest = independent
+            for j in candidates[a]:
+                got = rest & unblocked[j]
+                if got:
+                    groups.append((SeparationCertificate(sid, j), got))
+                    rest ^= got
+            common = [(sep, got & sep_a) for sep, got in groups] if exact_route else groups
+        # The largest group fills the row; everything else is patched in.
+        fill = (common[0] if len(common) == 1
+                else max(common, key=lambda group: group[1].bit_count(), default=(None, 0)))
+        if fill[1]:
+            row = [new(PairEvidence, (sid, tid, "independent", None, fill[0], interval, True))
+                   for tid in ids]
+        else:
+            row = [None] * len(ids)
+        settled = 0
+        for group in common:
+            sep, got = group
+            settled |= got
+            if group is not fill:
+                for b in _members(got):
+                    row[where[b]] = new(PairEvidence, (sid, order[b], "independent", None,
+                                                       sep, interval, True))
+        for b in _members(faces):
+            tid = order[b]
+            discharge = discharges[a if down[a] >> b & 1 else b]
+            if discharge.injective:
+                row[where[b]] = new(PairEvidence, (sid, tid, "face", discharge, None, None,
+                                                   True))
+                continue
+            if exact_route:
+                exact = _INTERVAL if sep_a >> b & 1 else _lp_verdict(memo, sid, tid)
+                disjoint = exact.disjoint
+                collision = collision or not disjoint
+            else:
+                exact = disjoint = None
+                unknown = True
+            row[where[b]] = new(PairEvidence, (sid, tid, "face", discharge, None, exact,
+                                               disjoint))
+        blocked = None
+        for b in _members(independent & ~settled):
+            tid = order[b]
+            if rest >> b & 1:
+                # a separates nothing from b: try b's candidate rows against a.
+                if blocked is None:
+                    blocked = _blocked_rows(strata[a], _low_rows(m, strata[a].vertices))
+                j = _separating_row(candidates[b], blocked)
+                separation = None
+                if j is not None:
+                    separation = reverse.get((b, j))
+                    if separation is None:
+                        separation = reverse[b, j] = SeparationCertificate(tid, j)
+            else:
+                separation = next((sep for sep, got in groups if got >> b & 1), None)
+            if exact_route:
+                exact = (_INTERVAL if sep_a >> b & 1
+                         else _unseparated_verdict(memo, images, sid, tid))
+                disjoint = exact.disjoint
+                if not disjoint:
+                    collision = True
+                    if separation is not None:
+                        defects.append(f"pair {sid}/{tid}: separation certificate "
+                                       f"contradicts the exact oracle")
+                    elif mode == "both":
+                        # Only both-mode actually consulted the certificate route,
+                        # so only there can its silence be reported as a gap.
+                        defects.append(f"pair {sid}/{tid}: no separating vertex exists "
+                                       f"and the exact oracle reports a collision")
+            else:
+                exact = None
+                disjoint = True if separation is not None else None
+                unknown = unknown or disjoint is None
+            row[where[b]] = new(PairEvidence, (sid, tid, "independent", None, separation,
+                                               exact, disjoint))
+        evidence += row
 
     if not all(cert.verdict for cert in certificates) or collision:
         overall = "not_faithful"

@@ -1,5 +1,6 @@
 """Piecewise map assembly, unimodularity, separation, and faithfulness."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -18,9 +19,9 @@ from skeletrop.lattice import relint_intersection_nonempty, simplex_image_polyhe
 from skeletrop.sections import OrderMatrix, canonical_order_matrix
 from skeletrop.tropical import trop_eq
 from skeletrop.tropicalize import (ExactVerdict, FaceDischarge, PairEvidence,
-                                   PiecewiseAffineMap, SeparationCertificate, _above_masks,
-                                   _injective, _interval_table, _intervals_separate, build_map,
-                                   check_faithful, check_unimodular,
+                                   PiecewiseAffineMap, SeparationCertificate, _injective,
+                                   _interval_table, _intervals_separate, _separation_masks,
+                                   build_map, check_faithful, check_unimodular,
                                    images_relint_disjoint_exact, piece_injective,
                                    separation_certificate)
 
@@ -555,15 +556,17 @@ class TestTableDrivenPairLoop:
     def test_bulk_masks_match_pairwise_interval_rule(self, raw):
         # Each stratum: per coordinate a vertex-value range [lo, hi], a point
         # when lo == hi; small values make touching endpoints common.
+        # As pieces, each coordinate's row holds the two vertex values, in
+        # the order drawn; equal rows in either order share endpoints.
+        pieces = raw
         raw = [[(min(x, y), max(x, y)) for x, y in coords] for coords in raw]
-        tables = [_interval_table([(lo, hi) for lo, hi in coords]) for coords in raw]
-        above = [0] * len(tables)
-        for ends in zip(*tables):
-            above = [x | y for x, y in zip(above, _above_masks(ends))]
-        for a, b in itertools.permutations(range(len(tables)), 2):
-            bulk = bool(above[a] >> b & 1 or above[b] >> a & 1)
+        tables = [_interval_table(piece) for piece in pieces]
+        separated = _separation_masks(pieces)
+        for a, b in itertools.product(range(len(tables)), repeat=2):
+            bulk = bool(separated[a] >> b & 1)
             assert bulk == _intervals_separate(tables[a], tables[b])
             assert bulk == raw_intervals_separate(raw[a], raw[b]), (raw[a], raw[b])
+        assert all(mask >> len(tables) == 0 for mask in separated)
 
     def test_touching_endpoints(self):
         point = _interval_table([(1, 1)])
@@ -646,6 +649,28 @@ class TestSharedExactWork:
         assert check_faithful(c, m, mode="both") == report
         assert len(solves) == 2 * len(merged)
         assert len(builds) == 2 * len(distinct_images)
+
+    def test_no_polyhedron_outlives_the_call(self):
+        # The LP memo holds the other polyhedron by a weak reference, so
+        # with the cyclic collector off nothing of the exact route survives.
+        rng = random.Random(5)
+        c = banana_ring(rng)
+        m = random_valid_orders(rng, c, cleared=0.0)
+
+        def alive():
+            return sum(isinstance(x, lattice.RationalPolyhedron) for x in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = alive()
+            report = check_faithful(c, m, mode="both")
+            after = alive()
+        finally:
+            gc.enable()
+        assert report.overall == "not_faithful"
+        assert any(e.exact is not None and e.exact.method == "lp" for e in report.pairs)
+        assert after == before
 
     def test_public_oracle_builds_fresh_polyhedra(self, monkeypatch):
         c = generate_fixture("cycle", n=2).complex
@@ -738,13 +763,63 @@ class TestSinglePassVerdict:
             assert (report.defects, report.overall) == ref_verdict(report), mode
 
     def test_contradiction_defects_keep_pair_order(self, monkeypatch):
-        # An oracle that reports every pair as colliding contradicts every
-        # separation certificate, one defect per independent pair.
+        # With no coordinate separating anything, every independent pair
+        # reaches the exact oracle for unseparated pairs; one that reports a
+        # collision contradicts every separation certificate, one defect per
+        # independent pair, in pair order.
         c = cycle(4)
         colliding = ExactVerdict(False, None, "lp")
-        monkeypatch.setattr(tropicalize, "_image_verdict", lambda *args: colliding)
+        monkeypatch.setattr(tropicalize, "_separation_masks", lambda pieces: [0] * len(pieces))
+        monkeypatch.setattr(tropicalize, "_unseparated_verdict", lambda *args: colliding)
         report = check_faithful(c, canonical_order_matrix(c), mode="both")
-        assert report.defects and (report.defects, report.overall) == ref_verdict(report)
+        independent = [e for e in report.pairs if e.relation == "independent"]
+        assert independent and all(e.separation is not None for e in independent)
+        assert len(report.defects) == len(independent)
+        assert (report.defects, report.overall) == ref_verdict(report)
+
+
+class TestLpGuard:
+    """The LP runs only for independent pairs with equal vertex images."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_lp_only_confirms_equal_vertex_images(self, data):
+        rng, c = random_simplicial_or_delta(data)
+        m = random_valid_orders(rng, c, cleared=data.draw(st.sampled_from((0.0, 0.25, 0.6))))
+        f = build_map(c, m)
+        calls = []
+        lp = tropicalize._lp_verdict
+
+        def recording(memo, sid, tid):
+            calls.append((sid, tid))
+            return lp(memo, sid, tid)
+
+        tropicalize._lp_verdict = recording
+        try:
+            # Raises ArithmeticError if the guard fires.
+            reports = [check_faithful(c, m, mode=mode) for mode in ("exact", "both")]
+        finally:
+            tropicalize._lp_verdict = lp
+        assert calls == [(e.left, e.right) for report in reports for e in report.pairs
+                         if e.exact is not None and e.exact.method == "lp"]
+        for sid, tid in calls:
+            assert not c.face_related(sid, tid)
+            assert sorted(f.vertex_images(sid)) == sorted(f.vertex_images(tid)), (sid, tid)
+
+    def test_guard_fires_when_no_coordinate_separates(self, monkeypatch):
+        c = cycle(4)
+        m = canonical_order_matrix(c)
+
+        def no_lp(p, q):
+            raise AssertionError("the LP ran before the guard")
+
+        monkeypatch.setattr(tropicalize, "_separation_masks", lambda pieces: [0] * len(pieces))
+        monkeypatch.setattr(tropicalize, "relint_intersection_nonempty", no_lp)
+        for mode in ("exact", "both"):
+            with pytest.raises(ArithmeticError, match="different vertex images"):
+                check_faithful(c, m, mode=mode)
+        # The certificate route never asks the exact oracle.
+        assert check_faithful(c, m, mode="certificate").overall == "faithful"
 
 
 class TestWhichRuleSettlesEachPair:
