@@ -1,11 +1,14 @@
-"""Unimodularity of the skeleton coordinates, certified by Smith normal form.
+"""Unimodularity of the skeleton coordinates, and the Smith normal form behind it.
 
 A piece of the tropicalization is unimodular when its image edge vectors
 extend to a basis of the integer lattice: full rank and every elementary
 divisor equal to 1.  The canonical construction always produces vertex
 images following the 1 - e_a pattern, whose differences are the vectors
 e_1 - e_a; doubling the orders breaks saturation and the certificate
-catches it.
+catches it.  ``check_unimodular`` proves the canonical pieces unimodular
+from the signed vertex selector, an integer right inverse of the edge
+matrix, and runs the Smith elimination only for pieces that fail that
+test, such as the doubled ones.
 """
 
 from skeletrop import (IntMatrix, OrderMatrix, build_from_facets, build_map,

@@ -3,9 +3,10 @@
 Documents are UTF-8 JSON.  Vertices are 1-indexed, rationals travel as
 strings like ``"3/4"`` (plain integers allowed), and both input and
 certificate serializations are canonical: the same content always produces
-byte-identical text.  Input documents are written with ``json.dumps``;
-certificates, which grow with the square of the stratum count, are written
-record by record from fixed templates with the same layout.
+byte-identical text.  Both are written from fixed templates with the
+layout of ``json.dumps(sort_keys=True, indent=2)``: input documents field
+by field, and certificates, which grow with the square of the stratum
+count, record by record.
 """
 
 from __future__ import annotations
@@ -334,9 +335,80 @@ def parse_input(text: str) -> InputDocument:
                          pair_filter, canonical)
 
 
+# ---------------------------------------------------------------------------
+# Canonical text
+# ---------------------------------------------------------------------------
+
+
+# Inputs and certificates are written from fixed templates rather than
+# through ``json.dumps(indent=2)``, whose indenting encoder is pure Python:
+# it was the slowest stage of a large check, and the input digest every
+# check computes cost more than the emit on small documents.  The templates
+# keep its bytes: keys in sorted order, strings through the encoder's own
+# ASCII escaping, integers and literals spelled as ``json`` spells them.
+
+
+def _literal(x) -> str:
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    raise TypeError(f"expected a bool or None, got {x!r}")
+
+
+def _items(texts, indent: str) -> str:
+    """A JSON list of already-encoded items, one per line at ``indent``."""
+    if not texts:
+        return "[]"
+    return f"[\n{indent}" + f",\n{indent}".join(texts) + f"\n{indent[:-2]}]"
+
+
+def _ints(values, indent: str) -> str:
+    return _items([str(x) for x in values], indent)
+
+
 def input_text(doc: InputDocument) -> str:
-    """Canonical serialization of an input document."""
-    return json.dumps(doc.canonical, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization of an input document: exactly
+    ``json.dumps(doc.canonical, sort_keys=True, indent=2)`` plus a newline,
+    written field by field from templates."""
+    canon = doc.canonical
+    cx = canon["complex"]
+    out = ["{\n"]
+    check = canon.get("check")
+    if check:
+        fields = []
+        if "jobs" in check:
+            fields.append(f'    "jobs": {check["jobs"]:d}')
+        if "mode" in check:
+            fields.append(f'    "mode": {_encode(check["mode"])}')
+        if "pairs" in check:
+            pairs = [_items([_encode(x) for x in p], " " * 8) for p in check["pairs"]]
+            fields.append(f'    "pairs": {_items(pairs, " " * 6)}')
+        out.append('  "check": {\n' + ",\n".join(fields) + "\n  },\n")
+    out.append(f'  "complex": {{\n    "d": {cx["d"]:d},\n    "ell": {cx["ell"]:d},\n')
+    if cx["mode"] == "simplicial":
+        facets = _items([_ints(f, " " * 8) for f in cx["facets"]], " " * 6)
+        out.append(f'    "facets": {facets},\n    "mode": "simplicial"\n  }}')
+    else:
+        faces = _items([f'{{\n        "face": {_encode(e["face"])},\n'
+                        f'        "stratum": {_encode(e["stratum"])},\n'
+                        f'        "subset": {_ints(e["subset"], " " * 10)}\n      }}'
+                        for e in cx["face_map"]], " " * 6)
+        strata = _items([f'{{\n        "id": {_encode(e["id"])},\n'
+                         f'        "vertices": {_ints(e["vertices"], " " * 10)}\n      }}'
+                         for e in cx["strata"]], " " * 6)
+        out.append(f'    "face_map": {faces},\n    "mode": "delta",\n'
+                   f'    "strata": {strata}\n  }}')
+    orders = canon.get("order_matrix")
+    if orders is not None:
+        flags = _items([_literal(x) for x in orders["horizontal_effective"]], " " * 6)
+        rows = _items([_ints(r, " " * 8) for r in orders["orders"]], " " * 6)
+        out.append(f',\n  "order_matrix": {{\n    "horizontal_effective": {flags},\n'
+                   f'    "orders": {rows}\n  }}')
+    out.append(f',\n  "schema_version": {canon["schema_version"]:d}\n}}\n')
+    return "".join(out)
 
 
 def input_digest(doc: InputDocument) -> str:
@@ -429,34 +501,10 @@ def generate_fixture(kind: str, n: int | None = None, dim: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-# Certificates are written from fixed templates rather than through
-# ``json.dumps(indent=2)``, whose indenting encoder is pure Python and was
-# the slowest stage of a large check.  The templates keep its bytes: keys in
-# sorted order, strings through the encoder's own ASCII escaping, integers
-# and literals spelled as ``json`` spells them.
-
-
-def _literal(x) -> str:
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if x is None:
-        return "null"
-    raise TypeError(f"expected a bool or None, got {x!r}")
-
-
-def _items(texts, indent: str) -> str:
-    """A JSON list of already-encoded items, one per line at ``indent``."""
-    if not texts:
-        return "[]"
-    return f"[\n{indent}" + f",\n{indent}".join(texts) + f"\n{indent[:-2]}]"
-
-
 def _stratum_record(cert) -> str:
     rows = cert.edge_matrix.entries
-    matrix = _items([_items([str(x) for x in row], " " * 10) for row in rows], " " * 8)
-    divisors = _items([str(x) for x in cert.elementary_divisors], " " * 8)
+    matrix = _items([_ints(row, " " * 10) for row in rows], " " * 8)
+    divisors = _ints(cert.elementary_divisors, " " * 8)
     return (",\n    {\n"
             f'      "edge_matrix": {matrix},\n'
             f'      "elementary_divisors": {divisors},\n'

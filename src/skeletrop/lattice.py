@@ -4,18 +4,20 @@ Smith normal form, lattice saturation tests, and rational feasibility
 queries for relative interiors of polyhedra.  No floating point ever enters
 a code path, so every verdict and witness is exact.  One elimination routine
 computes the Smith form: ``smith_normal_form`` runs it with its transform
-matrices, while ``elementary_divisors``, ``extends_to_basis`` and the
-unimodularity check run it on the matrix alone, because the diagonal is
-unique and needs no transforms; it is also the only full reduction, and
-the inverse of a unimodular matrix is read off its transforms.  The
-determinant, rank, Fourier-Motzkin and simplex kernels run on Python ints:
-rows are cleared of denominators once and kept integer by fraction-free
-(Bareiss) updates and gcd reduction.  The determinant and the rank stop at
-an echelon form built with the simplex's pivot.  ``fractions.Fraction``
-appears only at the API boundary: constraint bounds, the points
-``RationalPolyhedron.contains`` tests, and LP values and witnesses.  Vertex
-images are used as given and their denominators cleared one coordinate at a
-time; conversion and clearing both go through ``_exact``.
+matrices, while ``elementary_divisors`` and ``extends_to_basis`` run it on
+the matrix alone, because the diagonal is unique and needs no transforms
+(the unimodularity check reaches it only for a piece whose signed vertex
+selector is not a right inverse, which no validated map has); it is also
+the only full reduction, and the inverse of a unimodular matrix is read off
+its transforms.  The determinant, rank, Fourier-Motzkin and simplex kernels
+run on Python ints: rows are cleared of denominators once and kept integer
+by fraction-free (Bareiss) updates and gcd reduction.  The determinant and
+the rank stop at an echelon form built with the simplex's pivot.
+``fractions.Fraction`` appears only at the API boundary: constraint bounds,
+the points ``RationalPolyhedron.contains`` tests, and LP values and
+witnesses.  Vertex images are used as given and their denominators cleared
+one coordinate at a time; conversion and clearing both go through
+``_exact``.
 
 Everything in this module is a pure function on immutable values and is
 safe to call concurrently.  The one piece of state is the LP result that

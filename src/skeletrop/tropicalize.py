@@ -5,8 +5,11 @@ affine map into R^ell whose i-th coordinate is the affine restriction of
 ``-log|s_i/s_0|``.  This module certifies two things about the resulting
 piecewise map:
 
-* unimodularity of every piece, via Smith normal form of the image
-  edge-difference vectors (all elementary divisors 1 and full rank); and
+* unimodularity of every piece: the image edge-difference vectors have
+  full rank and all elementary divisors 1.  A signed selector of the
+  stratum's own coordinates that is an integer right inverse of the edge
+  matrix proves it outright, which the order axioms guarantee on every
+  validated piece; any other piece gets the Smith normal form; and
 * global injectivity, by showing the images of the open simplices of any
   two distinct strata are disjoint.
 
@@ -150,6 +153,18 @@ class UnimodularityCertificate:
     verdict: bool
 
 
+def _selector_inverts(vectors: Sequence[Sequence[int]], vertices: Sequence[int]) -> bool:
+    """Whether the signed selector X = -(e_{v_1} ... e_{v_k}) is an integer
+    right inverse of the edge matrix E of a stratum with vertices
+    v_0..v_k: E[a][v_c - 1] == -(a == c) for all a, c in 1..k, which is
+    E @ X == I_k."""
+    for a, vec in enumerate(vectors, 1):
+        for c, v in enumerate(vertices[1:], 1):
+            if vec[v - 1] != -(a == c):
+                return False
+    return True
+
+
 def check_unimodular(f: PiecewiseAffineMap, s: "Stratum | str") -> UnimodularityCertificate:
     """Unimodularity of one piece.
 
@@ -157,12 +172,23 @@ def check_unimodular(f: PiecewiseAffineMap, s: "Stratum | str") -> Unimodularity
     edge-difference vectors extend to a lattice basis: full rank with every
     elementary divisor equal to 1.  A true verdict implies the piece is
     injective on its simplex.  Vertex strata pass vacuously.
+
+    The signed selector is tried first (``_selector_inverts``).  When it is
+    an integer right inverse of the k x ell edge matrix E, E has rank k and,
+    by Cauchy-Binet on det(E @ X) = 1, its k x k minors have gcd 1, so every
+    elementary divisor is 1.  The order axioms make this hold on every
+    piece of a validated map: along a stratum's own vertices, row v_c has
+    order 0 at v_c and exactly 1 at the other vertices.  Only pieces the
+    test rejects (an unvalidated map, ``build_map(check=False)``) run the
+    Smith elimination, so a non-unimodular piece is reported exactly.
     """
     st = f.complex.stratum(s)
     vectors = f.edge_vectors(st)
     matrix = IntMatrix.from_rows(vectors, cols=f.n)
     if not vectors:
         return UnimodularityCertificate(st.id, matrix, (), True)
+    if _selector_inverts(vectors, st.vertices):
+        return UnimodularityCertificate(st.id, matrix, (1,) * len(vectors), True)
     divisors = elementary_divisors(matrix)
     verdict = len(divisors) == len(vectors) and all(x == 1 for x in divisors)
     return UnimodularityCertificate(st.id, matrix, divisors, verdict)
@@ -338,9 +364,9 @@ def _piece_memo(f: PiecewiseAffineMap):
 
 
 def _injective(cert: UnimodularityCertificate) -> bool:
-    """Piece injectivity read off the Smith diagonal: the rank is the number
-    of elementary divisors, and the piece is injective when that is the
-    number of edge vectors."""
+    """Piece injectivity read off the unimodularity certificate: the rank is
+    the number of elementary divisors, and the piece is injective when that
+    is the number of edge vectors."""
     return len(cert.elementary_divisors) == cert.edge_matrix.rows
 
 
@@ -498,7 +524,7 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     pairs, the other groups and the pairs no coordinate separates are
     patched in by position; only the pairs ``a`` cannot separate try the
     reverse direction (``_separating_row``).  A face pair's ambient
-    injectivity is read off the Smith diagonal of its unimodularity
+    injectivity is read off the elementary divisors of its unimodularity
     certificate (``_injective``), the rank ``piece_injective`` computes.
     The LP runs only for independent pairs that no coordinate separates,
     which on a validated input have equal vertex images

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeletrop._version import __version__
+from skeletrop.cli import main
 from skeletrop.documents import (MAX_FACE_MAP_ENTRIES, MAX_STRATA, SCHEMA_VERSION, InputError,
                                  emit_certificate,
                                  format_rational, generate_fixture, input_digest,
@@ -509,3 +510,123 @@ class TestCertificateBytes:
             tuple(data.draw(st.lists(text, max_size=3))))
         digest = data.draw(st.one_of(st.just("sha256:" + "0" * 64), text))
         assert emit_certificate(report, digest) == reference_emit_certificate(report, digest)
+
+
+def reference_input_text(doc) -> str:
+    """The canonical input through ``json.dumps``: the layout that
+    ``input_text`` writes from per-field templates."""
+    return json.dumps(doc.canonical, sort_keys=True, indent=2) + "\n"
+
+
+# Stratum ids that exercise the writer's escaping: quotes, backslashes,
+# control characters, non-ASCII text and astral characters.
+ODD_IDS = ['"', "\\", 'a"b\\c', "été", "\n\t", "\x00\x1f\x7f", " ",
+           "\U0001f600", "1-2", "é"]
+
+
+def random_input_document(data) -> dict:
+    """A document that parses: a simplicial or Delta complex, with or
+    without an order matrix (any nonnegative orders: parse does not check
+    the axioms), and any subset of the check options."""
+    ell = data.draw(st.integers(1, 4), label="ell")
+    subsets = st.lists(st.integers(1, ell), min_size=1, max_size=ell, unique=True)
+    extra = data.draw(st.lists(subsets, max_size=3), label="extra strata")
+    # Each vertex listed alone covers the vertex-count rule.
+    vertex_lists = [[v] for v in range(1, ell + 1)] + extra
+    if data.draw(st.booleans(), label="delta"):
+        ids = st.one_of(st.text(min_size=1, max_size=5), st.sampled_from(ODD_IDS))
+        sids = data.draw(st.lists(ids, min_size=len(vertex_lists), max_size=len(vertex_lists),
+                                  unique=True), label="ids")
+        faces = {}
+        for _ in range(data.draw(st.integers(0, 4), label="face entries")):
+            owner, face = data.draw(st.sampled_from(sids)), data.draw(st.sampled_from(sids))
+            subset = data.draw(subsets)
+            faces[owner, frozenset(subset)] = {"stratum": owner, "subset": subset, "face": face}
+        complex_ = {"ell": ell, "d": data.draw(st.integers(0, 3)), "mode": "delta",
+                    "strata": [{"id": sid, "vertices": vs}
+                               for sid, vs in zip(sids, vertex_lists)],
+                    "face_map": list(faces.values())}
+    else:
+        complex_ = {"ell": ell, "d": max(map(len, vertex_lists)) - 1 + data.draw(st.integers(0, 1)),
+                    "facets": vertex_lists}
+        if data.draw(st.booleans(), label="explicit mode"):
+            complex_["mode"] = "simplicial"
+    doc = {"schema_version": SCHEMA_VERSION, "complex": complex_}
+    if data.draw(st.booleans(), label="orders"):
+        orders = {"orders": [[data.draw(st.integers(0, 10 ** 20)) for _ in range(ell)]
+                             for _ in range(ell + 1)]}
+        if data.draw(st.booleans(), label="flags"):
+            orders["horizontal_effective"] = [data.draw(st.booleans()) for _ in range(ell + 1)]
+        doc["order_matrix"] = orders
+    if data.draw(st.booleans(), label="check"):
+        check = {}
+        if data.draw(st.booleans(), label="mode"):
+            check["mode"] = data.draw(st.sampled_from(MODES))
+        if data.draw(st.booleans(), label="jobs"):
+            check["jobs"] = data.draw(st.integers(1, 10 ** 6))
+        if data.draw(st.booleans(), label="pairs"):
+            ids = parse_input(json.dumps(doc)).complex.stratum_ids()
+            pair = st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)
+            check["pairs"] = data.draw(st.lists(pair, max_size=3) if len(ids) > 1
+                                       else st.just([]))
+        doc["check"] = check
+    return doc
+
+
+class TestInputText:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference_writer_on_random_documents(self, data):
+        doc = parse_input(json.dumps(random_input_document(data)))
+        text = input_text(doc)
+        assert text == reference_input_text(doc)
+        assert input_text(parse_input(text)) == text
+
+    @pytest.mark.parametrize("document", [
+        # A Delta complex of vertices alone, with an empty face map.
+        {"schema_version": 1, "complex": {"ell": 2, "d": 0, "mode": "delta",
+                                          "strata": [{"id": "a", "vertices": [1]},
+                                                     {"id": "b", "vertices": [2]}],
+                                          "face_map": []}},
+        # Delta ids that need escaping, in strata, face map and pairs.
+        {"schema_version": 1, "complex": {
+            "ell": 2, "d": 1, "mode": "delta",
+            "strata": [{"id": '"', "vertices": [1]}, {"id": "\\é", "vertices": [2]},
+                       {"id": "\x01\n\U0001f600", "vertices": [2, 1]}],
+            "face_map": [{"stratum": "\x01\n\U0001f600", "subset": [2], "face": "\\é"},
+                         {"stratum": "\x01\n\U0001f600", "subset": [1], "face": '"'}]},
+         "check": {"pairs": [['"', "\x01\n\U0001f600"]]}},
+        # Every subset of the check options, an empty pair list and an empty check.
+        *({"schema_version": 1, "complex": {"ell": 2, "d": 1, "facets": [[1, 2]]},
+           "check": dict(options)}
+          for r in range(4)
+          for options in itertools.combinations(
+              (("mode", "exact"), ("jobs", 3), ("pairs", [])), r)),
+        {"schema_version": 1, "complex": {"ell": 2, "d": 1, "facets": [[1, 2]]},
+         "order_matrix": {"orders": [[0, 0], [0, 1], [1, 0]],
+                          "horizontal_effective": [True, False, True]},
+         "check": {"mode": "both", "jobs": 8, "pairs": [["1", "1-2"], ["2", "1"]]}},
+    ])
+    def test_matches_reference_writer_on_edge_cases(self, document):
+        doc = parse_input(json.dumps(document))
+        assert input_text(doc) == reference_input_text(doc)
+
+    # sha256 of ``skeletrop fixtures gen`` output per kind, taken from the
+    # ``json.dumps`` writer that the templates replaced.
+    @pytest.mark.parametrize("args,sha", [
+        (["cycle", "--n", "2"],
+         "77cc62ecacf213b3ab9aec3e87e7bea21213faf595b0c04c6a1204e8efa5182f"),
+        (["cycle", "--n", "6"],
+         "be0e1bdd6efc5749124523a268cf420300b0354078c3729a3b035260e389f3fd"),
+        (["path", "--n", "4"],
+         "ce8b200848954e7d624428fde50a77b0d5c648f7cccdbc9702da7b6a0e3bd87b"),
+        (["simplex_boundary", "--dim", "3"],
+         "8c1b1954b5d0e44ae9035e1e6ea64371ff8355a56584aadcda29cd8baa03e674"),
+        (["random", "--ell", "6", "--dim", "3", "--seed", "11"],
+         "ee95412a7432f218d1a659af533f3c621b99fcb3b6f146e7a6c2b0bd27ee2198"),
+    ])
+    def test_fixtures_gen_output_is_pinned(self, args, sha, capsys):
+        assert main(["fixtures", "gen", *args]) == 0
+        out = capsys.readouterr().out
+        assert out == reference_input_text(parse_input(out))
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha

@@ -150,8 +150,9 @@ class TestSmithNormalForm:
 
 
 class TestSmithDiagonal:
-    """The transform-free elimination behind ``elementary_divisors``,
-    ``extends_to_basis`` and ``check_unimodular``."""
+    """The transform-free elimination behind ``elementary_divisors`` and
+    ``extends_to_basis``, and behind ``check_unimodular`` for a piece that
+    fails the signed-selector test."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 5), st.integers(1, 6), st.data())

@@ -15,12 +15,13 @@ from skeletrop import lattice, tropicalize
 from skeletrop.complexes import (DualComplex, SimplexPoint, Stratum, build_delta_complex,
                                  build_from_facets)
 from skeletrop.documents import emit_certificate, generate_fixture, input_digest, parse_input
-from skeletrop.lattice import relint_intersection_nonempty, simplex_image_polyhedron
+from skeletrop.lattice import IntMatrix, relint_intersection_nonempty, simplex_image_polyhedron
 from skeletrop.sections import OrderMatrix, canonical_order_matrix
 from skeletrop.tropical import trop_eq
 from skeletrop.tropicalize import (ExactVerdict, FaceDischarge, PairEvidence,
-                                   PiecewiseAffineMap, SeparationCertificate, _injective,
-                                   _interval_table, _intervals_separate, _separation_masks,
+                                   PiecewiseAffineMap, SeparationCertificate,
+                                   UnimodularityCertificate, _injective, _interval_table,
+                                   _intervals_separate, _selector_inverts, _separation_masks,
                                    build_map, check_faithful, check_unimodular,
                                    images_relint_disjoint_exact, piece_injective,
                                    separation_certificate)
@@ -841,3 +842,76 @@ class TestWhichRuleSettlesEachPair:
                 assert e.exact == ExactVerdict(True, None, "interval") and e.disjoint
                 if all_flags:
                     assert e.separation is not None
+
+
+# ---------------------------------------------------------------------------
+# Unimodularity from the signed selector, the Smith diagonal as reference
+# ---------------------------------------------------------------------------
+
+
+def reference_unimodularity(f, sid) -> UnimodularityCertificate:
+    """The certificate from the Smith diagonal of the edge matrix alone."""
+    vectors = f.edge_vectors(sid)
+    matrix = IntMatrix.from_rows(vectors, cols=f.n)
+    divisors = lattice.elementary_divisors(matrix)
+    verdict = len(divisors) == len(vectors) and all(x == 1 for x in divisors)
+    return UnimodularityCertificate(sid, matrix, divisors, verdict)
+
+
+class TestUnimodularityFromSelector:
+    def test_matches_smith_certificate_on_arbitrary_orders(self):
+        # Valid orders with a drawn share of entries redrawn from 0..3, so
+        # that pieces both pass and fail the selector test.
+        selector = set()
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.data())
+        def run(data):
+            rng, c = random_simplicial_or_delta(data)
+            noise = data.draw(st.sampled_from((0.0, 0.1, 0.4, 1.0)))
+            rows = [[rng.randint(0, 3) if rng.random() < noise else x for x in row]
+                    for row in random_valid_orders(rng, c).orders]
+            f = build_map(c, OrderMatrix(tuple(map(tuple, rows)), (True,) * (c.ell + 1)),
+                          check=False)
+            for sid in c.stratum_ids():
+                assert check_unimodular(f, sid) == reference_unimodularity(f, sid), sid
+                vectors = f.edge_vectors(sid)
+                if vectors:
+                    selector.add(_selector_inverts(vectors, c.stratum(sid).vertices))
+
+        run()
+        assert selector == {True, False}
+
+    def test_validated_documents_run_no_smith_elimination(self, monkeypatch):
+        calls = []
+        diagonal = lattice._smith_diagonal
+
+        def counting(m):
+            calls.append(m)
+            return diagonal(m)
+
+        monkeypatch.setattr(lattice, "_smith_diagonal", counting)
+        rng = random.Random(14)
+        # The shapes of the acceptance battery, with canonical and random
+        # valid orders, then banana rings and triangle stacks.
+        docs = [generate_fixture("random", ell=2 + k % 5, dim=1 + k % 3, seed=k)
+                for k in range(200)]
+        docs += [generate_fixture("cycle", n=n) for n in range(2, 9)]
+        docs += [generate_fixture("path", n=n) for n in range(2, 9)]
+        docs += [generate_fixture("simplex_boundary", dim=k) for k in range(1, 5)]
+        cases = [(doc.complex, orders) for doc in docs
+                 for orders in (doc.effective_orders(), random_valid_orders(rng, doc.complex))]
+        for _ in range(20):
+            for make in (banana_ring, triangle_stack):
+                c = make(rng)
+                cases.append((c, random_valid_orders(rng, c)))
+        for c, m in cases:
+            # "both" runs every route, face discharges included.
+            report = check_faithful(c, m, mode="both")
+            assert all(cert.verdict for cert in report.certificates)
+        assert calls == []
+        # The counter sees the elimination when a piece fails the selector.
+        c = build_from_facets(2, 1, [[1, 2]])
+        doubled = OrderMatrix(((0, 0), (0, 2), (2, 0)), (True,) * 3)
+        assert not check_unimodular(build_map(c, doubled, check=False), "1-2").verdict
+        assert len(calls) == 1
