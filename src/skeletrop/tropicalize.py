@@ -21,28 +21,27 @@ The exact route decides emptiness of the intersection of the two image
 polytopes outright, by coordinate-interval separation when a single
 coordinate suffices and by exact rational LP feasibility otherwise.
 
-Both routes reduce to per-stratum data, so ``check_faithful`` turns it into
-bitsets over the sorted stratum order once per call: per stratum, the
-strata face-related to it (noting which side is ambient) and the strata
-some coordinate's image projection separates from its own; per candidate
-row of the certificate route, the strata that do not block it.  The
-O(S^2) pairs are then settled a row at a time, stratum ``a`` against all
-later strata at once, with whole-row mask operations: the pairs that share
-one record shape are built together, and the rest are patched in by
-position.  Only independent pairs that no coordinate separates reach the
-LP; on a validated input they have equal vertex images (anything else
-raises ``ArithmeticError``), and each distinct system is solved once per
-call.  Pairs are reported in sorted order; ``jobs`` is accepted only for
-compatibility and never changes the output.
+``check_faithful`` turns both routes into bitsets over the sorted stratum
+order once per call: per stratum, the strata face-related to it (noting
+which side is ambient) and the strata some coordinate's image projection
+separates from its own.  On a validated input the order axioms settle the
+vertex-value table in advance, so the certificate route needs only each
+stratum's flagged vertices and, per vertex ``j``, the strata without
+``j``.  The O(S^2) pairs are then settled a row at a time, stratum ``a``
+against all later strata at once, with whole-row mask operations: the
+pairs that share one record shape are built together, and the rest are
+patched in by position.  Only independent pairs that no coordinate
+separates reach the LP; on a validated input they have equal vertex images
+(anything else raises ``ArithmeticError``), and each distinct system is
+solved once per call.  Pairs are reported in sorted order; ``jobs`` is
+accepted only for compatibility and never changes the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import compress
-from operator import eq, gt, mul, or_, sub
+from operator import mul, or_, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from ._exact import cleared
@@ -212,9 +211,13 @@ def separation_certificate(f: PiecewiseAffineMap, m: OrderMatrix,
     vertices of ``s`` (so the open simplex maps into [0, 1), and into (0, 1)
     when ``s`` has an edge), while every vertex value on ``t`` is at least 1
     and row ``j`` carries the horizontal-effectivity flag (so the whole
-    simplex of ``t`` maps into [1, oo)).  Returns the component index ``j``,
-    or None when no vertex qualifies; with a validated order matrix the
-    first vertex of ``s`` outside ``t`` always does.
+    simplex of ``t`` maps into [1, oo)).  Returns the first such component
+    index in the vertex order of ``s``, or None when no vertex qualifies.
+
+    The rule is checked in full, so it holds for any order matrix of the
+    map's size, including one that breaks the order axioms.  With a
+    validated matrix every flagged vertex of ``s`` outside ``t`` qualifies,
+    which is the table ``check_faithful`` reads instead.
     """
     c = f.complex
     st = c.stratum(s)
@@ -223,55 +226,16 @@ def separation_certificate(f: PiecewiseAffineMap, m: OrderMatrix,
         raise ValueError("separation requires two distinct strata")
     if c.face_related(st, tt):
         raise ValueError("face pairs are discharged by injectivity, not separation")
-    return _separating_row(_candidate_rows(_reaches(m, st.vertices), st),
-                           _blocked_rows(tt, _low_rows(m, tt.vertices)))
-
-
-def _reaches(m: OrderMatrix, rows: Iterable[int]) -> dict[int, frozenset[int]]:
-    """For each row ``j``, the components a stratum's vertices must lie in
-    for ``j`` to be one of its candidate rows: when row ``j`` is flagged and
-    has order 0 along ``j``, ``j`` itself and every component along which
-    its order is exactly 1; otherwise none."""
-    ell = m.ell
-    components = range(1, ell + 1)
-    out = {}
-    for j in rows:
-        if not 1 <= j <= ell:
-            raise ValueError(f"component index {j} out of range 1..{ell}")
+    if m.ell != f.n:
+        raise ValueError("order matrix size does not match the complex")
+    for v in st.vertices + tt.vertices:
+        if not 1 <= v <= m.ell:
+            raise ValueError(f"component index {v} out of range 1..{m.ell}")
+    for j in st.vertices:
         row = m.orders[j]
-        if m.horizontal_effective[j] and row[j - 1] == 0:
-            out[j] = frozenset(compress(components, map(partial(eq, 1), row))).union((j,))
-        else:
-            out[j] = frozenset()
-    return out
-
-
-def _candidate_rows(reaches: dict[int, frozenset[int]], s: Stratum) -> tuple[int, ...]:
-    """Rows whose coordinate maps the open simplex of ``s`` into [0, 1), in
-    vertex order: flagged, order 0 at their own vertex and 1 at the rest,
-    read from ``_reaches``."""
-    return tuple(j for j in s.vertices if s.vertex_set <= reaches[j])
-
-
-def _low_rows(m: OrderMatrix, components: Iterable[int]) -> dict[int, frozenset[int]]:
-    """For each component ``w``, the rows ``j >= 1`` with an order below 1 along ``w``."""
-    out = {}
-    for w in components:
-        if not 1 <= w <= m.ell:
-            raise ValueError(f"component index {w} out of range 1..{m.ell}")
-        out[w] = frozenset(j for j, row in enumerate(m.orders[1:], start=1) if row[w - 1] < 1)
-    return out
-
-
-def _blocked_rows(t: Stratum, low: dict[int, frozenset[int]]) -> frozenset[int]:
-    """Rows that cannot bound all of ``t`` from below by 1: its own vertices
-    and every row with an order below 1 on one of them."""
-    return t.vertex_set.union(*(low[w] for w in t.vertices))
-
-
-def _separating_row(candidates: tuple[int, ...], blocked: frozenset[int]) -> int | None:
-    for j in candidates:
-        if j not in blocked:
+        if (m.horizontal_effective[j] and j not in tt.vertex_set and row[j - 1] == 0
+                and all(row[v - 1] == 1 for v in st.vertices if v != j)
+                and all(row[w - 1] >= 1 for w in tt.vertices)):
             return j
     return None
 
@@ -342,22 +306,20 @@ def _piece_memo(f: PiecewiseAffineMap):
     list the same vertices in another order, and Fourier-Motzkin's
     redundant rows depend on that order), and interned by value, so strata
     with equal constraint systems share one object and with it the LP
-    results that ``relint_intersection_nonempty`` keeps on it.  The memo
+    results that ``relint_intersection_nonempty`` keeps on it.  Only LP
+    pairs ask, so each call reads the images again: a transpose of one
+    small piece, against the Fourier-Motzkin run it may save.  The memo
     belongs to one call of ``check_faithful`` and dies with it.
     """
-    by_sid: dict[str, RationalPolyhedron] = {}
     by_images: dict[tuple[tuple[int, ...], ...], RationalPolyhedron] = {}
     interned: dict[RationalPolyhedron, RationalPolyhedron] = {}
 
     def memo(sid: str) -> RationalPolyhedron:
-        poly = by_sid.get(sid)
+        images = f.vertex_images(sid)
+        poly = by_images.get(images)
         if poly is None:
-            images = f.vertex_images(sid)
-            poly = by_images.get(images)
-            if poly is None:
-                poly = simplex_image_polyhedron(images, relative_interior=True)
-                poly = by_images[images] = interned.setdefault(poly, poly)
-            by_sid[sid] = poly
+            poly = simplex_image_polyhedron(images, relative_interior=True)
+            poly = by_images[images] = interned.setdefault(poly, poly)
         return poly
 
     return memo
@@ -447,16 +409,17 @@ def _lp_verdict(memo, sid: str, tid: str) -> ExactVerdict:
     return ExactVerdict(not hit, witness, "lp")
 
 
-def _unseparated_verdict(memo, images, sid: str, tid: str) -> ExactVerdict:
+def _unseparated_verdict(memo, f: PiecewiseAffineMap, sid: str, tid: str) -> ExactVerdict:
     """The exact verdict on an independent pair that no coordinate separates.
 
     On a validated input two strata with different vertex sets are always
     separated by a coordinate, so such a pair has equal sorted vertex
-    images (``images(sid)``) and the LP only confirms a collision known in
-    advance.  A pair whose images differ raises ``ArithmeticError`` rather
-    than reach the LP.
+    images and the LP only confirms a collision known in advance.  The
+    guard compares the images of ``f`` itself, not the order axioms the
+    certificate route reads, and a pair whose images differ raises
+    ``ArithmeticError`` rather than reach the LP.
     """
-    if images(sid) != images(tid):
+    if sorted(f.vertex_images(sid)) != sorted(f.vertex_images(tid)):
         raise ArithmeticError(f"pair {sid}/{tid}: no coordinate separates the images "
                               f"of two strata with different vertex images")
     return _lp_verdict(memo, sid, tid)
@@ -508,28 +471,36 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     two distinct stratum ids; the overall verdict then only speaks for the
     examined pairs.
 
-    The per-pair rules are those of ``separation_certificate`` and
-    ``images_relint_disjoint_exact``, read from per-stratum bitsets over the
-    sorted stratum order, built once per call: the strata face-related to
-    each stratum and those it is ambient to (from ``c.face_map``; on a
-    validated complex the same relation as ``is_face``); for the exact
-    route, the strata some coordinate separates from it
-    (``_separation_masks`` on the pieces); for the certificate
-    route, per candidate row ``j`` (``_candidate_rows``) the strata that do
-    not block ``j`` (``_blocked_rows``).  Each row of pairs ``(a, b)``,
-    ``b`` after ``a`` (and wanted by ``pair_filter``), is then settled with
-    whole-row mask operations: ``a``'s candidate rows in turn take the later
-    strata they separate from ``a``, and the largest group of independent,
-    separated pairs fills the row with one shared record shape.  Face
-    pairs, the other groups and the pairs no coordinate separates are
-    patched in by position; only the pairs ``a`` cannot separate try the
-    reverse direction (``_separating_row``).  A face pair's ambient
-    injectivity is read off the elementary divisors of its unimodularity
-    certificate (``_injective``), the rank ``piece_injective`` computes.
-    The LP runs only for independent pairs that no coordinate separates,
-    which on a validated input have equal vertex images
-    (``_unseparated_verdict`` raises ``ArithmeticError`` otherwise), on
-    polyhedra shared by strata with equal images (``_piece_memo``), so
+    The input is validated first (``build_map(check=True)``), so the order
+    axioms of ``validate_orders`` hold and the certificate route reads its
+    rule off them.  Row ``j`` is 0 at vertex ``j`` (diagonal), exactly 1 at
+    every vertex that shares a stratum with ``j`` (edge-order) and at least
+    1 at every other vertex (zero-extension).  So ``separation_certificate``
+    accepts ``j`` for the interior ``s`` against ``t`` exactly when ``j`` is
+    a flagged vertex of ``s`` and not a vertex of ``t``.
+
+    The pairs are settled from tables over the sorted stratum order, built
+    once per call: the strata face-related to each stratum and those it is
+    ambient to (from ``c.face_map``; on a validated complex the same
+    relation as ``is_face``); for the exact route, the strata some
+    coordinate separates from it (``_separation_masks`` on the pieces); for
+    the certificate route, ``candidates[a]``, the flagged vertices of
+    stratum ``a`` in vertex order, and ``lacking[j]``, the strata without
+    vertex ``j``.  Each row of pairs ``(a, b)``, ``b`` after ``a`` (and
+    wanted by ``pair_filter``), is then settled with whole-row mask
+    operations: ``a``'s candidates ``j`` in turn take the later strata in
+    ``lacking[j]``, and the largest group of independent, separated pairs
+    fills the row with one shared record shape.  Face pairs, the other
+    groups and the pairs no coordinate separates are patched in by
+    position; only the pairs ``a`` cannot separate try the reverse
+    direction, the first of ``candidates[b]`` that ``a`` lacks.  A face
+    pair's ambient injectivity is read off the elementary divisors of its
+    unimodularity certificate (``_injective``), the rank
+    ``piece_injective`` computes.  The exact route reads only the pieces,
+    never the axioms.  The LP runs only for independent pairs that no
+    coordinate separates, which on a validated input have equal vertex
+    images (``_unseparated_verdict`` raises ``ArithmeticError`` otherwise),
+    on polyhedra shared by strata with equal images (``_piece_memo``), so
     each distinct system is solved once per call.
     """
     if mode not in MODES:
@@ -579,35 +550,16 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     if exact_route:
         separated = _separation_masks([f.pieces[sid] for sid in order])
     if mode != "exact":
-        strata = list(map(c.stratum, order))
-        reaches = _reaches(m, range(1, m.ell + 1))
-        candidates = [_candidate_rows(reaches, s) for s in strata]
-        # contains[w]: the strata with vertex w.
-        contains = [0] * (m.ell + 1)
-        for b, s in enumerate(strata):
-            for v in s.vertices:
-                contains[v] |= 1 << b
-        # unblocked[j]: the strata t with j outside ``_blocked_rows(t, ...)``,
-        # so that no vertex of t is j or has an order below 1 on row j.
-        components = range(1, m.ell + 1)
-        unblocked = {}
-        for j in set().union(*candidates):
-            blocking = contains[j]
-            for w in compress(components, map(partial(gt, 1), m.orders[j])):
-                blocking |= contains[w]
-            unblocked[j] = ~blocking
-        # The reverse direction's certificates, one per (interior, row).
-        reverse: dict[tuple[int, int], SeparationCertificate] = {}
-
+        # The certificate route's tables, from the order axioms (see above).
+        flags = m.horizontal_effective
+        candidates = []
+        lacking = [(1 << count) - 1] * (m.ell + 1)
+        for b, sid in enumerate(order):
+            vertices = c.stratum(sid).vertices
+            candidates.append([j for j in vertices if flags[j]])
+            for v in vertices:
+                lacking[v] ^= 1 << b
     memo = _piece_memo(f)
-    # The LP guard's key per stratum: its sorted vertex images.
-    keys: dict[str, list[tuple[int, ...]]] = {}
-
-    def images(sid: str) -> list[tuple[int, ...]]:
-        key = keys.get(sid)
-        if key is None:
-            key = keys[sid] = sorted(f.vertex_images(sid))
-        return key
 
     new = tuple.__new__
     # The exact verdict of the common records: a coordinate separates them.
@@ -620,8 +572,8 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
         faces = want & (down[a] | up[a])
         independent = want ^ faces
         sep_a = separated[a] if exact_route else -1
-        # Groups of independent pairs that share a separation: a's candidate
-        # rows in turn take the later strata they separate from a, and
+        # Groups of independent pairs that share a separation: a's candidates
+        # j in turn take the later strata in ``lacking[j]``, and
         # ``rest`` keeps those a cannot separate.  ``common`` narrows each
         # group to the pairs that need no LP: the row's common records.
         if mode == "exact":
@@ -631,7 +583,7 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
             groups = []
             rest = independent
             for j in candidates[a]:
-                got = rest & unblocked[j]
+                got = rest & lacking[j]
                 if got:
                     groups.append((SeparationCertificate(sid, j), got))
                     rest ^= got
@@ -668,24 +620,17 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
                 unknown = True
             row[where[b]] = new(PairEvidence, (sid, tid, "face", discharge, None, exact,
                                                disjoint))
-        blocked = None
         for b in _members(independent & ~settled):
             tid = order[b]
             if rest >> b & 1:
-                # a separates nothing from b: try b's candidate rows against a.
-                if blocked is None:
-                    blocked = _blocked_rows(strata[a], _low_rows(m, strata[a].vertices))
-                j = _separating_row(candidates[b], blocked)
-                separation = None
-                if j is not None:
-                    separation = reverse.get((b, j))
-                    if separation is None:
-                        separation = reverse[b, j] = SeparationCertificate(tid, j)
+                # a separates nothing from b: try b's candidates against a.
+                j = next((j for j in candidates[b] if lacking[j] >> a & 1), None)
+                separation = None if j is None else SeparationCertificate(tid, j)
             else:
                 separation = next((sep for sep, got in groups if got >> b & 1), None)
             if exact_route:
                 exact = (_INTERVAL if sep_a >> b & 1
-                         else _unseparated_verdict(memo, images, sid, tid))
+                         else _unseparated_verdict(memo, f, sid, tid))
                 disjoint = exact.disjoint
                 if not disjoint:
                     collision = True

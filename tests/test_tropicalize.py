@@ -189,6 +189,53 @@ class TestSeparation:
         # swapping orientation still works through vertex 3
         assert separation_certificate(f, unflagged, "2-3", "1-2") == 3
 
+    def test_matrix_for_another_size_raises(self):
+        c = cycle(4)
+        f = canonical_map(c)
+        with pytest.raises(ValueError, match="order matrix size does not match"):
+            separation_certificate(f, canonical_order_matrix(cycle(5)), "1-2", "3-4")
+        with pytest.raises(ValueError, match="order matrix size does not match"):
+            separation_certificate(f, canonical_order_matrix(cycle(3)), "1-2", "3-4")
+
+    def test_vertex_out_of_range_raises(self):
+        # A map over cycle(4) that claims three components: vertex 4 has no row.
+        c = cycle(4)
+        f = PiecewiseAffineMap(c, 3, {})
+        m = canonical_order_matrix(cycle(3))
+        with pytest.raises(ValueError, match="component index 4 out of range 1..3"):
+            separation_certificate(f, m, "1-2", "3-4")
+        with pytest.raises(ValueError, match="component index 4 out of range 1..3"):
+            separation_certificate(f, m, "3-4", "1-2")
+
+    # Each entry breaks one condition of the rule for row j of the interior
+    # "1-2" against "3-4" on cycle(4), where both 1 and 2 are candidates.
+    BROKEN = {
+        "own vertex not 0": lambda j: {j: 1},
+        "other interior vertex 0": lambda j: {3 - j: 0},
+        "other interior vertex 2": lambda j: {3 - j: 2},
+        "below 1 on the other stratum": lambda j: {3: 0},
+    }
+
+    @pytest.mark.parametrize("broken", sorted(BROKEN))
+    def test_full_rule_on_orders_that_break_the_axioms(self, broken):
+        c = cycle(4)
+        base = canonical_order_matrix(c)
+
+        def with_broken(rows):
+            orders = [list(row) for row in base.orders]
+            for j in rows:
+                for w, x in self.BROKEN[broken](j).items():
+                    orders[j][w - 1] = x
+            return OrderMatrix(tuple(map(tuple, orders)), base.horizontal_effective)
+
+        assert separation_certificate(canonical_map(c), base, "1-2", "3-4") == 1
+        m = with_broken([1])
+        f = build_map(c, m, check=False)
+        assert separation_certificate(f, m, "1-2", "3-4") == 2
+        m = with_broken([1, 2])
+        f = build_map(c, m, check=False)
+        assert separation_certificate(f, m, "1-2", "3-4") is None
+
 
 class TestExactOracle:
     def test_three_cycle_edges_disjoint_with_grid_confirmation(self):
