@@ -24,7 +24,7 @@ from .sections import (AffineFunctional, OrderMatrix, canonical_order_matrix,
 from .tropical import (INFINITY, MonomialSupport, TropicalProjectivePoint,
                        eval_min_plus, trop_eq, trop_normalize)
 from .tropicalize import (ExactVerdict, FaceDischarge, FaithfulnessReport,
-                          PairEvidence, PiecewiseAffineMap, SeparationCertificate,
+                          PairEvidence, PairRow, PiecewiseAffineMap, SeparationCertificate,
                           UnimodularityCertificate, build_map, check_faithful,
                           check_unimodular, images_relint_disjoint_exact,
                           piece_injective, separation_certificate)
@@ -46,7 +46,7 @@ __all__ = [
     "INFINITY", "MonomialSupport", "TropicalProjectivePoint", "eval_min_plus",
     "trop_eq", "trop_normalize",
     "ExactVerdict", "FaceDischarge", "FaithfulnessReport", "PairEvidence",
-    "PiecewiseAffineMap", "SeparationCertificate", "UnimodularityCertificate",
+    "PairRow", "PiecewiseAffineMap", "SeparationCertificate", "UnimodularityCertificate",
     "build_map", "check_faithful", "check_unimodular",
     "images_relint_disjoint_exact", "piece_injective", "separation_certificate",
 ]

@@ -6,7 +6,8 @@ certificate serializations are canonical: the same content always produces
 byte-identical text.  Both are written from fixed templates with the
 layout of ``json.dumps(sort_keys=True, indent=2)``: input documents field
 by field, and certificates, which grow with the square of the stratum
-count, record by record.
+count, a row of pair records at a time from the rows ``check_faithful``
+keeps.
 """
 
 from __future__ import annotations
@@ -519,7 +520,9 @@ class _Rendered(dict):
     A certificate repeats few distinct values across its O(S^2) pair
     records: S stratum ids, a handful of exact verdicts, one face discharge
     per ambient stratum and one separation per (stratum, coordinate).
-    Looking each up by value renders it once per certificate.
+    Looking each up by value renders it once per certificate; the pair
+    writer looks up the fields of each group of records once, and each
+    right-hand stratum id once per record.
     """
 
     def __init__(self, render, known=()):
@@ -555,40 +558,67 @@ def _separation_field(sep) -> str:
             "      }")
 
 
-def _pair_records(pairs):
-    """The pair records in report order, each led by a comma and a newline.
+def _pair_records(rows):
+    """The texts of the pair records of ``FaithfulnessReport.rows`` in
+    report order, one list per row, each record led by a comma and a
+    newline.
 
-    An absent optional field renders as nothing; its key is None.  The
-    exact verdict, face discharge and separation are dataclasses, whose
-    hash is computed in Python on every lookup, and consecutive pairs
-    mostly hold the very same objects, so each is looked up only when it
-    is not the object of the pair before.
+    A record's keys sort as disjoint, exact, face, left, relation, right,
+    separation, so it is a head that its shape and the row's stratum fix,
+    the right-hand stratum's id, and a tail that only the separation fixes.
+    Each group of a row renders its head and tail once; the row is then a
+    list of (head, id, tail) triples, its fill's everywhere and each
+    group's at the group's positions.  The lists hold shared strings, so
+    the certificate's one join is the only copy of the records' text.  An
+    absent optional field renders as nothing; its key is None.  Each
+    stratum id, exact verdict, face discharge and separation is encoded
+    once per call.
     """
     name = _Rendered(_encode)
     literal = _Rendered(_literal)
     exact = _Rendered(_exact_field, {None: ""})
     face = _Rendered(_face_field, {None: ""})
     separation = _Rendered(_separation_field, {None: ""})
+    # Groups in a row and across rows mostly hold the very same verdict,
+    # discharge and separation objects, whose dataclass hash runs in Python,
+    # so each is looked up only when it is not the object looked up before.
     last_ex = last_fc = last_sep = None
     ex_text = fc_text = sep_text = ""
-    for left, right, relation, fc, sep, ex, disjoint in pairs:
+
+    def head_and_tail(shape, left_text):
+        nonlocal last_ex, last_fc, last_sep, ex_text, fc_text, sep_text
+        relation, fc, sep, ex, disjoint = shape
         if ex is not last_ex:
             last_ex, ex_text = ex, exact[ex]
         if fc is not last_fc:
             last_fc, fc_text = fc, face[fc]
         if sep is not last_sep:
             last_sep, sep_text = sep, separation[sep]
-        yield (f',\n    {{\n      "disjoint": {literal[disjoint]}{ex_text}{fc_text},\n'
-               f'      "left": {name[left]},\n'
-               f'      "relation": {name[relation]},\n'
-               f'      "right": {name[right]}{sep_text}\n'
-               "    }")
+        return (f',\n    {{\n      "disjoint": {literal[disjoint]}{ex_text}{fc_text}'
+                f'{left_text}{name[relation]},\n      "right": ', f"{sep_text}\n    }}")
+
+    for left, rights, fill, groups in rows:
+        count = len(rights)
+        left_text = f',\n      "left": {name[left]},\n      "relation": '
+        if fill is None:
+            texts = [""] * (3 * count)
+        else:
+            head, tail = head_and_tail(fill, left_text)
+            texts = [head, "", tail] * count
+        texts[1::3] = map(name.__getitem__, rights)
+        for shape, positions in groups:
+            head, tail = head_and_tail(shape, left_text)
+            for k in positions:
+                texts[3 * k] = head
+                texts[3 * k + 2] = tail
+        yield texts
 
 
 def _records(out: list, records) -> None:
-    """Append a JSON list of records at indent 2 to ``out``.  Each record
-    is led by the comma and newline that separate it from the one before;
-    the first record's comma is dropped."""
+    """Append a JSON list of records at indent 2 to ``out``.  ``records``
+    yields the texts of the records in order, each record led by the comma
+    and newline that separate it from the one before; the first record's
+    comma is dropped."""
     out.append("[")
     start = len(out)
     out.extend(records)
@@ -606,11 +636,16 @@ def emit_certificate(report: FaithfulnessReport, digest: str) -> str:
     rationals appear as ``p/q`` strings, and identical inputs produce
     byte-identical text regardless of how many jobs computed the report.
     The text is exactly ``json.dumps(certificate, sort_keys=True, indent=2)``
-    plus a newline; it is assembled from one string per stratum and per
-    pair record and joined once.  A pair record is a template filled with
-    texts looked up by value: each distinct stratum id, exact verdict, face
+    plus a newline; it is assembled from one string per stratum and a few
+    shared strings per pair record, and joined once.  The pair records are rendered from
+    ``report.rows``, never from ``report.pairs``, so no ``PairEvidence`` is
+    built: each group of records sharing a shape has one head and one tail,
+    and only the right-hand stratum id changes from record to record
+    (``_pair_records``).  Each distinct stratum id, exact verdict, face
     discharge and separation is rendered once per certificate
-    (``_Rendered``), whatever the number of pairs that carry it.
+    (``_Rendered``), whatever the number of pairs that carry it.  A report
+    built from a tuple of ``PairEvidence`` goes through the same template,
+    each record a row of its own.
     """
     out = ["{\n"
            f'  "defects": {_items([_encode(d) for d in report.defects], "    ")},\n'
@@ -618,7 +653,7 @@ def emit_certificate(report: FaithfulnessReport, digest: str) -> str:
            f'  "mode": {_encode(report.mode)},\n'
            f'  "overall": {_encode(report.overall)},\n'
            '  "pairs": ']
-    _records(out, _pair_records(report.pairs))
+    _records(out, itertools.chain.from_iterable(_pair_records(report.rows)))
     out.append(f',\n  "schema_version": {SCHEMA_VERSION:d},\n  "strata": ')
     _records(out, map(_stratum_record, report.certificates))
     out.append(',\n  "tool": {\n'

@@ -8,10 +8,11 @@ matrices, while ``elementary_divisors`` and ``extends_to_basis`` run it on
 the matrix alone, because the diagonal is unique and needs no transforms
 (the unimodularity check reaches it only for a piece whose signed vertex
 selector is not a right inverse, which no validated map has); it is also
-the only full reduction, and the inverse of a unimodular matrix is read off
-its transforms.  The determinant, rank, Fourier-Motzkin and simplex kernels
-run on Python ints: rows are cleared of denominators once and kept integer
-by fraction-free (Bareiss) updates and gcd reduction.  The determinant and
+the only full reduction: ``complete_to_basis`` keeps the inverse of the
+column transform up to date while it runs, so one pass completes a basis.
+The determinant, rank, Fourier-Motzkin and simplex kernels run on Python
+ints: rows are cleared of denominators once and kept integer by
+fraction-free (Bareiss) updates and gcd reduction.  The determinant and
 the rank stop at an echelon form built with the simplex's pivot.
 ``fractions.Fraction`` appears only at the API boundary: constraint bounds,
 the points ``RationalPolyhedron.contains`` tests, and LP values and
@@ -125,16 +126,20 @@ class SmithDecomposition:
 
 def _smith_eliminate(a: list[list[int]], nc: int,
                      u: list[list[int]] | None = None,
-                     v: list[list[int]] | None = None) -> None:
+                     v: list[list[int]] | None = None,
+                     v_inv: list[list[int]] | None = None) -> None:
     """Reduce the rows ``a`` (``nc`` columns) in place to Smith normal form.
 
     Pivots are chosen as the smallest nonzero entry in absolute value (the
     first one in row-major order), which keeps coefficient growth tame at
     the sizes handled here.  When ``u`` and ``v`` are given (square, starting
     as identities) every row operation is repeated on ``u`` and every column
-    operation on ``v``, so that afterwards ``u @ m @ v == a``.  Without them
-    the work is confined to ``a``: the diagonal is unique, so it needs no
-    transforms.
+    operation on ``v``, so that afterwards ``u @ m @ v == a``.  When
+    ``v_inv`` is given (an identity too) each column operation on ``v`` is
+    undone on its rows, so that it stays the inverse of ``v``: the swap of
+    columns k and j is the swap of rows k and j, and col_j += q * col_k is
+    row_k -= q * row_j.  Without them the work is confined to ``a``: the
+    diagonal is unique, so it needs no transforms.
     """
     nr = len(a)
 
@@ -167,6 +172,8 @@ def _smith_eliminate(a: list[list[int]], nc: int,
                 if v is not None:
                     for row in v:
                         row[k], row[j] = row[j], row[k]
+                if v_inv is not None:
+                    v_inv[k], v_inv[j] = v_inv[j], v_inv[k]
             prow = a[k]
             if prow[k] < 0:
                 a[k] = prow = [-x for x in prow]
@@ -194,6 +201,10 @@ def _smith_eliminate(a: list[list[int]], nc: int,
                     if v is not None:
                         for row in v:
                             row[j] += q * row[k]
+                    if v_inv is not None:
+                        vrow, vsrc = v_inv[k], v_inv[j]
+                        for c in range(nc):
+                            vrow[c] -= q * vsrc[c]
                     if prow[j]:
                         dirty = True
             if dirty:
@@ -271,34 +282,22 @@ def extends_to_basis(vectors: Sequence[Sequence[int]]) -> bool:
     return all(x == 1 for x in _smith_diagonal(mat))
 
 
-def _inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1.
-
-    The Smith form ``u @ m @ v`` of such a matrix is the identity, so its
-    inverse is ``v @ u``.
-    """
-    snf = smith_normal_form(m)
-    if any(x != 1 for x in snf.diagonal):
-        raise ValueError("matrix is singular" if 0 in snf.diagonal else "matrix is not unimodular")
-    return snf.v @ snf.u
-
-
 def complete_to_basis(vectors: Sequence[Sequence[int]]) -> IntMatrix:
     """Complete lattice vectors to a square matrix of determinant +-1.
 
     The input vectors become the first rows of the result.  Raises if they
     do not extend to a basis.  The completion is read off the Smith factors:
     if ``u @ m @ v`` has unit diagonal, the missing rows are the last rows
-    of ``v`` inverse.
+    of ``v`` inverse, which one elimination keeps as it goes.
     """
     mat = _vectors_matrix(vectors)
     k, n = mat.rows, mat.cols
-    snf = smith_normal_form(mat)
-    if k > n or any(x != 1 for x in snf.diagonal):
+    a = [list(row) for row in mat.entries]
+    v_inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    _smith_eliminate(a, n, v_inv=v_inv)
+    if k > n or any(a[i][i] != 1 for i in range(k)):
         raise ValueError("vectors do not extend to a lattice basis")
-    v_inv = _inverse_unimodular(snf.v)
-    rows = list(mat.entries) + [v_inv.entries[i] for i in range(k, n)]
-    return IntMatrix.from_rows(rows, cols=n)
+    return IntMatrix.from_rows(list(mat.entries) + v_inv[k:], cols=n)
 
 
 # ---------------------------------------------------------------------------

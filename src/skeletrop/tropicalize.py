@@ -28,13 +28,15 @@ separates from its own.  On a validated input the order axioms settle the
 vertex-value table in advance, so the certificate route needs only each
 stratum's flagged vertices and, per vertex ``j``, the strata without
 ``j``.  The O(S^2) pairs are then settled a row at a time, stratum ``a``
-against all later strata at once, with whole-row mask operations: the
-pairs that share one record shape are built together, and the rest are
-patched in by position.  Only independent pairs that no coordinate
-separates reach the LP; on a validated input they have equal vertex images
-(anything else raises ``ArithmeticError``), and each distinct system is
-solved once per call.  Pairs are reported in sorted order; ``jobs`` is
-accepted only for compatibility and never changes the output.
+against all later strata at once, with whole-row mask operations, and
+each row is kept as it was decided (``PairRow``): the one shape most of
+its pairs share, and the positions of the few pairs of other shapes.  No
+per-pair record is built unless ``FaithfulnessReport.pairs`` is read.
+Only independent pairs that no coordinate separates reach the LP; on a
+validated input they have equal vertex images (anything else raises
+``ArithmeticError``), and each distinct system is solved once per call.
+Pairs are reported in sorted order; ``jobs`` is accepted only for
+compatibility and never changes the output.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ __all__ = [
     "ExactVerdict",
     "FaceDischarge",
     "PairEvidence",
+    "PairRow",
     "FaithfulnessReport",
     "build_map",
     "check_unimodular",
@@ -264,10 +267,12 @@ class FaceDischarge:
 class PairEvidence(NamedTuple):
     """The evidence for one unordered pair of distinct strata.
 
-    A ``NamedTuple`` rather than a dataclass: a report holds one per pair,
-    O(S^2) of them, and a tuple is built several times faster.  Instances
-    are immutable, hashable and equal by value.  The fields, in the order
-    of the v1 certificate record:
+    A ``NamedTuple`` rather than a dataclass: ``FaithfulnessReport.pairs``
+    builds one per pair, O(S^2) of them, and a tuple is built several times
+    faster.  ``check_faithful`` itself keeps rows (``PairRow``) and builds
+    these only when ``pairs`` is first read.  Instances are immutable,
+    hashable and equal by value.  The fields, in the order of the v1
+    certificate record:
 
     * ``left``, ``right``: the two stratum ids, ``left`` first in the
       report's sorted order;
@@ -291,6 +296,23 @@ class PairEvidence(NamedTuple):
     separation: SeparationCertificate | None
     exact: ExactVerdict | None
     disjoint: bool | None
+
+
+class PairRow(NamedTuple):
+    """The pairs of one stratum ``left`` with the strata ``rights``, in order.
+
+    A pair's evidence without its two ids is its shape, the tuple
+    ``(relation, face, separation, exact, disjoint)`` of ``PairEvidence``'s
+    other fields.  Records share few shapes, so a row holds each shape once:
+    ``fill`` is the shape of every pair that no group names (None when the
+    groups name them all), and ``groups`` pairs a shape with the positions
+    in ``rights`` that carry it.  The groups' positions are disjoint.
+    """
+
+    left: str
+    rights: Sequence[str]
+    fill: tuple | None
+    groups: Sequence[tuple[tuple, Sequence[int]]]
 
 
 _FACE_INJECTIVE = ExactVerdict(True, None, "face-injectivity")
@@ -448,13 +470,77 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
     return _lp_verdict(lambda x: simplex_image_polyhedron(f.vertex_images(x)), sid, tid)
 
 
-@dataclass(frozen=True)
 class FaithfulnessReport:
-    mode: str
-    certificates: tuple[UnimodularityCertificate, ...]
-    pairs: tuple[PairEvidence, ...]
-    overall: str  # "faithful" | "not_faithful" | "certificate_incomplete"
-    defects: tuple[str, ...]
+    """The outcome of ``check_faithful``: immutable, and equal by value.
+
+    ``overall`` is "faithful", "not_faithful" or "certificate_incomplete".
+    The pair evidence is kept as ``rows``, one ``PairRow`` per stratum and
+    its later partners, which is how ``check_faithful`` decides it and how
+    the certificate writer renders it; ``pairs`` is the same evidence as
+    one ``PairEvidence`` per pair in report order, built on first use and
+    then kept.  A report constructed from ``pairs`` holds each record as a
+    row of its own.  Equality and the hash read ``pairs``, so two reports
+    with the same evidence are equal however their rows group it.
+    """
+
+    __slots__ = ("mode", "certificates", "rows", "overall", "defects", "_pairs")
+
+    def __init__(self, mode: str, certificates: Sequence[UnimodularityCertificate],
+                 pairs: Iterable[PairEvidence], overall: str, defects: Sequence[str]):
+        pairs = tuple(pairs)
+        self._set(mode, certificates, tuple(PairRow(e[0], (e[1],), e[2:], ()) for e in pairs),
+                  overall, defects, pairs)
+
+    @classmethod
+    def from_rows(cls, mode: str, certificates: Sequence[UnimodularityCertificate],
+                  rows: Sequence[PairRow], overall: str,
+                  defects: Sequence[str]) -> "FaithfulnessReport":
+        """A report whose evidence is ``rows``, as ``check_faithful`` keeps it."""
+        report = object.__new__(cls)
+        report._set(mode, certificates, tuple(rows), overall, defects, None)
+        return report
+
+    def _set(self, mode, certificates, rows, overall, defects, pairs) -> None:
+        for name, value in (("mode", mode), ("certificates", tuple(certificates)),
+                            ("rows", rows), ("overall", overall),
+                            ("defects", tuple(defects)), ("_pairs", pairs)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a FaithfulnessReport")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a FaithfulnessReport")
+
+    @property
+    def pairs(self) -> tuple[PairEvidence, ...]:
+        if self._pairs is None:
+            new = tuple.__new__
+            evidence = []
+            for left, rights, fill, groups in self.rows:
+                shapes = [fill] * len(rights)
+                for shape, positions in groups:
+                    for k in positions:
+                        shapes[k] = shape
+                evidence += [new(PairEvidence, (left, right, *shape))
+                             for right, shape in zip(rights, shapes)]
+            object.__setattr__(self, "_pairs", tuple(evidence))
+        return self._pairs
+
+    def _key(self):
+        return self.mode, self.certificates, self.pairs, self.overall, self.defects
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("FaithfulnessReport(mode={!r}, certificates={!r}, pairs={!r}, overall={!r}, "
+                "defects={!r})".format(*self._key()))
 
 
 def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
@@ -490,10 +576,15 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     wanted by ``pair_filter``), is then settled with whole-row mask
     operations: ``a``'s candidates ``j`` in turn take the later strata in
     ``lacking[j]``, and the largest group of independent, separated pairs
-    fills the row with one shared record shape.  Face pairs, the other
-    groups and the pairs no coordinate separates are patched in by
-    position; only the pairs ``a`` cannot separate try the reverse
-    direction, the first of ``candidates[b]`` that ``a`` lacks.  A face
+    is the row's fill, the one evidence shape most of its pairs share.  The
+    report keeps rows, not records (``PairRow``, one per stratum ``a``):
+    the row's ids, its fill, and its other groups by position in the row:
+    the other separation groups, the face pairs, and one group each for
+    the pairs no coordinate separates, the LP pairs and the reverse-
+    direction separations.  Only the pairs ``a`` cannot separate try the
+    reverse direction, the first of ``candidates[b]`` that ``a`` lacks.
+    ``FaithfulnessReport.pairs`` expands the rows into records on first
+    use, and the certificate writer renders straight from them.  A face
     pair's ambient injectivity is read off the elementary divisors of its
     unimodularity certificate (``_injective``), the rank
     ``piece_injective`` computes.  The exact route reads only the pieces,
@@ -564,7 +655,9 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     new = tuple.__new__
     # The exact verdict of the common records: a coordinate separates them.
     interval = _INTERVAL if exact_route else None
-    evidence = []
+    # The shape of a face pair whose ambient piece is injective, per ambient.
+    face_shapes = [("face", d, None, None, True) for d in discharges]
+    decided = []
     defects = []
     collision = unknown = False
     for a, ids, want, where in rows:
@@ -588,38 +681,32 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
                     groups.append((SeparationCertificate(sid, j), got))
                     rest ^= got
             common = [(sep, got & sep_a) for sep, got in groups] if exact_route else groups
-        # The largest group fills the row; everything else is patched in.
+        # The largest group is the row's fill; every other record joins a
+        # group of its own shape, held by positions in the row.
         fill = (common[0] if len(common) == 1
                 else max(common, key=lambda group: group[1].bit_count(), default=(None, 0)))
-        if fill[1]:
-            row = [new(PairEvidence, (sid, tid, "independent", None, fill[0], interval, True))
-                   for tid in ids]
-        else:
-            row = [None] * len(ids)
+        others = []
         settled = 0
         for group in common:
             sep, got = group
             settled |= got
-            if group is not fill:
-                for b in _members(got):
-                    row[where[b]] = new(PairEvidence, (sid, order[b], "independent", None,
-                                                       sep, interval, True))
+            if group is not fill and got:
+                others.append((("independent", None, sep, interval, True),
+                               [where[b] for b in _members(got)]))
         for b in _members(faces):
-            tid = order[b]
-            discharge = discharges[a if down[a] >> b & 1 else b]
+            ambient = a if down[a] >> b & 1 else b
+            discharge = discharges[ambient]
             if discharge.injective:
-                row[where[b]] = new(PairEvidence, (sid, tid, "face", discharge, None, None,
-                                                   True))
+                others.append((face_shapes[ambient], (where[b],)))
                 continue
             if exact_route:
-                exact = _INTERVAL if sep_a >> b & 1 else _lp_verdict(memo, sid, tid)
+                exact = _INTERVAL if sep_a >> b & 1 else _lp_verdict(memo, sid, order[b])
                 disjoint = exact.disjoint
                 collision = collision or not disjoint
             else:
                 exact = disjoint = None
                 unknown = True
-            row[where[b]] = new(PairEvidence, (sid, tid, "face", discharge, None, exact,
-                                               disjoint))
+            others.append((("face", discharge, None, exact, disjoint), (where[b],)))
         for b in _members(independent & ~settled):
             tid = order[b]
             if rest >> b & 1:
@@ -646,9 +733,9 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
                 exact = None
                 disjoint = True if separation is not None else None
                 unknown = unknown or disjoint is None
-            row[where[b]] = new(PairEvidence, (sid, tid, "independent", None, separation,
-                                               exact, disjoint))
-        evidence += row
+            others.append((("independent", None, separation, exact, disjoint), (where[b],)))
+        decided.append(new(PairRow, (sid, ids, ("independent", None, fill[0], interval, True)
+                                         if fill[1] else None, others)))
 
     if not all(cert.verdict for cert in certificates) or collision:
         overall = "not_faithful"
@@ -656,4 +743,4 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
         overall = "certificate_incomplete"
     else:
         overall = "faithful"
-    return FaithfulnessReport(mode, certificates, tuple(evidence), overall, tuple(defects))
+    return FaithfulnessReport.from_rows(mode, certificates, decided, overall, defects)

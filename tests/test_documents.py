@@ -24,6 +24,8 @@ from skeletrop.tropicalize import (MODES, ExactVerdict, FaceDischarge, Faithfuln
                                    PairEvidence, SeparationCertificate,
                                    UnimodularityCertificate, check_faithful)
 
+from test_tropicalize import banana_ring, random_simplicial, random_valid_orders, triangle_stack
+
 MINIMAL = '{"schema_version": 1, "complex": {"ell": 2, "d": 1, "facets": [[1, 2]]}}'
 
 
@@ -437,7 +439,64 @@ DELTA_CERTIFICATE_SHA256 = [
 ]
 
 
+def row_pin_document(case: str, seed: int) -> str:
+    """Inputs whose certificates pin the decision on every pair: seeded
+    random valid orders with about half the horizontal flags cleared, so
+    that reverse separations, unseparated pairs and incomplete verdicts
+    occur.  ``cycle`` is the 40-cycle, ``filtered`` the same with 300
+    seeded pairs in either orientation named in ``check.pairs``, and
+    ``ring`` the Delta banana ring of 8 components with 3 parallel edges."""
+    rng = random.Random(seed)
+    if case == "ring":
+        data = json.loads(delta_document("ring", 8, 3, seed))
+    else:
+        base = generate_fixture("cycle", n=40)
+        c = base.complex
+        data = dict(base.canonical, order_matrix={"orders": [[0] * 40] + [
+            [0 if i == j else 1 if c.adjacent(i, j) else rng.randint(1, 4)
+             for j in range(1, 41)] for i in range(1, 41)]})
+    ell = data["complex"]["ell"]
+    data["order_matrix"]["horizontal_effective"] = [True] + [rng.random() >= 0.5
+                                                             for _ in range(ell)]
+    if case == "filtered":
+        ids = parse_input(json.dumps(data)).complex.stratum_ids()
+        data["check"] = {"pairs": [rng.sample(ids, 2) for _ in range(300)]}
+    return json.dumps(data)
+
+
+# sha256 of the certificates of ``row_pin_document`` for (case, mode),
+# taken while every pair record was still built as its own PairEvidence.
+ROW_PIN_SHA256 = [
+    (("cycle", 41), "both",
+     "30dffda322ae761c767df9f62f78423405dcce384bbd0df085affefb99ba6158"),
+    (("cycle", 41), "exact",
+     "c7ccac970143bd16f720fc8dd37f9695f64f0a256ee59290a1554408b22a5707"),
+    (("cycle", 41), "certificate",
+     "96e8f2e3ad1d3ce3ed5c00f9a147a34cc0f9de2e56a5b71bd3502a16326a8e45"),
+    (("filtered", 42), "both",
+     "a95c599258ac33227c113e802b0d2f2e4391e0d5777601864b43d618b6719b03"),
+    (("filtered", 42), "exact",
+     "bc869b58c783f42417680ab3f18e5a4c0832c34fbaf678ef924fe38ccc958658"),
+    (("filtered", 42), "certificate",
+     "8959edcdae1a5abf3e9616c5be0e4d294cc29799e60696a38b6bb8b001c7584a"),
+    (("ring", 43), "both",
+     "aec5810393d511110d9607463d296c78bf0bd0b1636ff9b9ac76b1437e861e5f"),
+    (("ring", 43), "exact",
+     "c785334e9fc1f519ae0cbfb7a465f6126e22c76808bd7d8009d9879f1c643254"),
+    (("ring", 43), "certificate",
+     "535f12116505f00439b17200d41258347ceee2beb6e5ed5f04bffb7f18fcd7c0"),
+]
+
+
 class TestCertificateBytes:
+    @pytest.mark.parametrize("case,mode,sha", ROW_PIN_SHA256)
+    def test_pair_decisions_are_pinned(self, case, mode, sha):
+        doc = parse_input(row_pin_document(*case))
+        report = check_faithful(doc.complex, doc.effective_orders(), mode=mode,
+                                pair_filter=doc.pair_filter)
+        text = emit_certificate(report, input_digest(doc))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha
+
     @pytest.mark.parametrize("fixture,mode,sha", CERTIFICATE_SHA256)
     def test_certificate_bytes_are_pinned(self, fixture, mode, sha):
         kind, params = fixture
@@ -510,6 +569,52 @@ class TestCertificateBytes:
             tuple(data.draw(st.lists(text, max_size=3))))
         digest = data.draw(st.one_of(st.just("sha256:" + "0" * 64), text))
         assert emit_certificate(report, digest) == reference_emit_certificate(report, digest)
+
+    def test_rows_render_as_the_reference_emitter(self):
+        # Reports straight from check_faithful, whose rows hold groups of
+        # records: random simplicial complexes, banana rings and triangle
+        # stacks, valid orders with some flags cleared, every mode, and
+        # sparse rows from a pair filter.
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.data())
+        def run(data):
+            rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+            make = data.draw(st.sampled_from((random_simplicial, banana_ring, triangle_stack)))
+            c = make(rng)
+            m = random_valid_orders(rng, c, cleared=data.draw(st.sampled_from((0.0, 0.25, 0.6))))
+            mode = data.draw(st.sampled_from(MODES))
+            pairs = list(itertools.combinations(c.stratum_ids(), 2))
+            pair_filter = None
+            if pairs and data.draw(st.booleans()):
+                chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=8))
+                pair_filter = [p if rng.random() < 0.5 else p[::-1] for p in chosen]
+                seen.add("filtered")
+            report = check_faithful(c, m, mode=mode, pair_filter=pair_filter)
+            digest = "sha256:" + "0" * 64
+            text = emit_certificate(report, digest)
+            assert report._pairs is None, "emitting built the PairEvidence tuple"
+            # The records read afterwards are the records emitted.
+            assert text == reference_emit_certificate(report, digest)
+            rebuilt = FaithfulnessReport(report.mode, report.certificates, report.pairs,
+                                         report.overall, report.defects)
+            assert emit_certificate(rebuilt, digest) == text
+            # Equality compares the pair records, however rows group them.
+            assert rebuilt == report == check_faithful(c, m, mode=mode,
+                                                       pair_filter=pair_filter)
+            if report.pairs:
+                assert FaithfulnessReport(report.mode, report.certificates, report.pairs[1:],
+                                          report.overall, report.defects) != report
+            seen.add(mode)
+            seen.add(report.overall)
+            if any(e.separation is not None and e.separation.interior == e.right
+                   for e in report.pairs):
+                seen.add("reverse")
+
+        run()
+        assert seen >= {*MODES, "filtered", "reverse", "faithful", "not_faithful",
+                        "certificate_incomplete"}
 
 
 def reference_input_text(doc) -> str:

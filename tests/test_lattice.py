@@ -218,7 +218,7 @@ class TestExtendsToBasis:
 # ---------------------------------------------------------------------------
 # Reference eliminations: the Bareiss determinant and rank loops and the
 # Fraction Gauss-Jordan inverse that ``IntMatrix.det``, ``IntMatrix.rank``
-# and ``_inverse_unimodular`` ran before they shared one integer kernel.
+# and ``complete_to_basis`` ran before they shared one integer kernel.
 # ---------------------------------------------------------------------------
 
 
@@ -401,34 +401,8 @@ class TestGaussJordanMatchesReference:
         assert (empty.det(), empty.rank()) == (1, 0)
         assert IntMatrix.from_rows([], cols=3).rank() == 0
         assert IntMatrix(3, 0, ((), (), ())).rank() == 0
-        assert lattice._inverse_unimodular(empty) == empty
         with pytest.raises(ValueError, match="non-square"):
             IntMatrix.from_rows([[1, 2]]).det()
-
-    @settings(max_examples=200, deadline=None)
-    @given(unimodular_matrices())
-    def test_inverse_of_unimodular_matches_reference(self, rows):
-        n = len(rows)
-        m = IntMatrix(n, n, tuple(map(tuple, rows)))
-        inv = lattice._inverse_unimodular(m)
-        assert inv.entries == ref_inverse_unimodular(rows)
-        assert m @ inv == inv @ m == IntMatrix.identity(n)
-
-    @settings(max_examples=200, deadline=None)
-    @given(matrices(min_rows=1, square=True))
-    def test_inverse_errors_match_reference(self, rows):
-        m = IntMatrix.from_rows(rows)
-        message = raised(ref_inverse_unimodular, rows)
-        assert raised(lattice._inverse_unimodular, m) == message
-        det = ref_det(rows)
-        assert message == ("matrix is singular" if det == 0
-                           else "matrix is not unimodular" if abs(det) != 1 else None)
-
-    def test_error_messages(self):
-        with pytest.raises(ValueError, match="^matrix is singular$"):
-            lattice._inverse_unimodular(IntMatrix.from_rows([[1, 2], [2, 4]]))
-        with pytest.raises(ValueError, match="^matrix is not unimodular$"):
-            lattice._inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.data())
@@ -450,6 +424,39 @@ class TestGaussJordanMatchesReference:
         ]
         for vecs, expected in pinned:
             assert complete_to_basis(vecs).entries == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(matrices(), unimodular_matrices()))
+    def test_elimination_keeps_the_inverse_of_v(self, rows):
+        nr, nc = len(rows), len(rows[0]) if rows else 0
+        a = [list(row) for row in rows]
+        u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+        v, v_inv = ([[int(i == j) for j in range(nc)] for i in range(nc)] for _ in range(2))
+        lattice._smith_eliminate(a, nc, u, v, v_inv)
+        v, v_inv = (IntMatrix(nc, nc, tuple(map(tuple, x))) for x in (v, v_inv))
+        assert v_inv.entries == ref_inverse_unimodular(v.entries)
+        assert v @ v_inv == v_inv @ v == IntMatrix.identity(nc)
+        m = IntMatrix(nr, nc, tuple(map(tuple, rows)))
+        assert IntMatrix(nr, nr, tuple(map(tuple, u))) @ m @ v == \
+            IntMatrix(nr, nc, tuple(map(tuple, a)))
+
+    def test_complete_to_basis_eliminates_once(self, monkeypatch):
+        calls = []
+        eliminate = lattice._smith_eliminate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "_smith_eliminate", counting)
+        for vecs in ([[1, -1, 0], [1, 0, -1]], [[2, 3]], [[3, 5, 0, 1], [0, 1, 1, 1]]):
+            calls.clear()
+            complete_to_basis(vecs)
+            assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(ValueError, match="do not extend"):
+            complete_to_basis([[2, 0]])
+        assert len(calls) == 1
 
 
 class TestConstraints:
