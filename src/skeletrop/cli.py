@@ -89,9 +89,11 @@ def _cmd_check(args) -> int:
             print(line, file=sys.stderr)
         return EXIT_ERROR
     mode = args.mode or doc.check_mode or "both"
-    jobs = args.jobs if args.jobs is not None else (doc.jobs or 1)
-    report = check_faithful(doc.complex, m, mode=mode,
-                            jobs=jobs, pair_filter=doc.pair_filter)
+    # --jobs and check.jobs are accepted for compatibility and never change
+    # the work done; parse_input already refuses a check.jobs below 1.
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    report = check_faithful(doc.complex, m, mode=mode, pair_filter=doc.pair_filter)
     _write_output(emit_certificate(report, input_digest(doc)), args.out)
     if report.overall == "faithful":
         return EXIT_OK

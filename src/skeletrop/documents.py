@@ -634,18 +634,17 @@ def emit_certificate(report: FaithfulnessReport, digest: str) -> str:
 
     Records are sorted (strata by dimension, vertices, id; pairs likewise),
     rationals appear as ``p/q`` strings, and identical inputs produce
-    byte-identical text regardless of how many jobs computed the report.
-    The text is exactly ``json.dumps(certificate, sort_keys=True, indent=2)``
-    plus a newline; it is assembled from one string per stratum and a few
-    shared strings per pair record, and joined once.  The pair records are rendered from
-    ``report.rows``, never from ``report.pairs``, so no ``PairEvidence`` is
-    built: each group of records sharing a shape has one head and one tail,
-    and only the right-hand stratum id changes from record to record
-    (``_pair_records``).  Each distinct stratum id, exact verdict, face
-    discharge and separation is rendered once per certificate
-    (``_Rendered``), whatever the number of pairs that carry it.  A report
-    built from a tuple of ``PairEvidence`` goes through the same template,
-    each record a row of its own.
+    byte-identical text: exactly ``json.dumps(certificate, sort_keys=True,
+    indent=2)`` plus a newline.  It is assembled from one string per stratum
+    and a few shared strings per pair record, and joined once.  The pair
+    records are rendered from ``report.rows``, never from ``report.pairs``,
+    so no ``PairEvidence`` is built: each group of records sharing a shape
+    has one head and one tail, and only the right-hand stratum id changes
+    from record to record (``_pair_records``).  Each distinct stratum id,
+    exact verdict, face discharge and separation is rendered once per
+    certificate (``_Rendered``), whatever the number of pairs that carry
+    it.  A report built from a tuple of ``PairEvidence`` goes through the
+    same template, each record a row of its own.
     """
     out = ["{\n"
            f'  "defects": {_items([_encode(d) for d in report.defects], "    ")},\n'

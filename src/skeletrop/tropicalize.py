@@ -32,11 +32,12 @@ against all later strata at once, with whole-row mask operations, and
 each row is kept as it was decided (``PairRow``): the one shape most of
 its pairs share, and the positions of the few pairs of other shapes.  No
 per-pair record is built unless ``FaithfulnessReport.pairs`` is read.
-Only independent pairs that no coordinate separates reach the LP; on a
-validated input they have equal vertex images (anything else raises
-``ArithmeticError``), and each distinct system is solved once per call.
-Pairs are reported in sorted order; ``jobs`` is accepted only for
-compatibility and never changes the output.
+Only independent pairs that no coordinate separates reach the LP, and
+each distinct system is solved once per call.  Pairs are reported in
+sorted order.  The order axioms, validated first, make every piece
+unimodular, so injective, every separation certificate sound and every LP
+pair's vertex images equal: each is a guard that raises
+``ArithmeticError``, never a defect.
 """
 
 from __future__ import annotations
@@ -279,11 +280,12 @@ class PairEvidence(NamedTuple):
     * ``relation``: ``"face"`` when one stratum is a face of the other,
       else ``"independent"``;
     * ``face``: for a face pair, the ambient (larger) stratum and whether
-      its piece is injective; None for independent pairs;
+      its piece is injective (always true in a ``check_faithful`` report);
+      None for independent pairs;
     * ``separation``: for an independent pair, the certificate route's
       separating coordinate and the stratum mapped below it; None when
       that route was not run or found none;
-    * ``exact``: the exact route's verdict; None when it was not run, or
+    * ``exact``: the exact route's verdict; None when it was not run, and
       for a face pair whose ambient piece is injective;
     * ``disjoint``: whether the two open images are disjoint; None when
       the routes that ran could not tell.
@@ -345,13 +347,6 @@ def _piece_memo(f: PiecewiseAffineMap):
         return poly
 
     return memo
-
-
-def _injective(cert: UnimodularityCertificate) -> bool:
-    """Piece injectivity read off the unimodularity certificate: the rank is
-    the number of elementary divisors, and the piece is injective when that
-    is the number of edge vectors."""
-    return len(cert.elementary_divisors) == cert.edge_matrix.rows
 
 
 def _ambient(c: DualComplex, sid: str, tid: str) -> str | None:
@@ -544,17 +539,16 @@ class FaithfulnessReport:
 
 
 def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
-                   jobs: int = 1,
                    pair_filter: "Iterable[Sequence[str]] | None" = None) -> FaithfulnessReport:
     """Full faithfulness check: per-stratum unimodularity plus pairwise disjointness.
 
-    ``mode`` selects the evidence route per pair: "certificate" (separating
-    coordinate), "exact" (polytope oracle), or "both", in which case any
-    disagreement between the routes is recorded as a defect.  Pairs are
-    checked serially, in sorted order; ``jobs`` (at least 1) is accepted for
-    compatibility and never changes the work done or the report.
-    ``pair_filter`` restricts which unordered pairs are examined, each entry
-    two distinct stratum ids; the overall verdict then only speaks for the
+    ``mode`` selects the evidence route per independent pair: "certificate"
+    (separating coordinate), "exact" (polytope oracle), or "both".  The one
+    defect a report can carry is a "both"-mode pair that no vertex
+    separates and that the exact oracle finds colliding.  Pairs are
+    checked serially, in sorted order.  ``pair_filter`` restricts which
+    unordered pairs are examined, each entry two distinct strata (a
+    ``Stratum`` or its id); the overall verdict then only speaks for the
     examined pairs.
 
     The input is validated first (``build_map(check=True)``), so the order
@@ -563,7 +557,13 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     every vertex that shares a stratum with ``j`` (edge-order) and at least
     1 at every other vertex (zero-extension).  So ``separation_certificate``
     accepts ``j`` for the interior ``s`` against ``t`` exactly when ``j`` is
-    a flagged vertex of ``s`` and not a vertex of ``t``.
+    a flagged vertex of ``s`` and not a vertex of ``t``.  The axioms also
+    make every piece unimodular (``check_unimodular``'s selector rule) and
+    every separation sound, so a certificate with a false verdict, or a
+    separated pair the exact oracle finds colliding, raises
+    ``ArithmeticError``: each is checked once, as a guard.  Every face pair
+    is therefore discharged by its ambient piece, injective because
+    unimodular, and needs no route at all.
 
     The pairs are settled from tables over the sorted stratum order, built
     once per call: the strata face-related to each stratum and those it is
@@ -584,28 +584,25 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     direction separations.  Only the pairs ``a`` cannot separate try the
     reverse direction, the first of ``candidates[b]`` that ``a`` lacks.
     ``FaithfulnessReport.pairs`` expands the rows into records on first
-    use, and the certificate writer renders straight from them.  A face
-    pair's ambient injectivity is read off the elementary divisors of its
-    unimodularity certificate (``_injective``), the rank
-    ``piece_injective`` computes.  The exact route reads only the pieces,
-    never the axioms.  The LP runs only for independent pairs that no
-    coordinate separates, which on a validated input have equal vertex
-    images (``_unseparated_verdict`` raises ``ArithmeticError`` otherwise),
-    on polyhedra shared by strata with equal images (``_piece_memo``), so
-    each distinct system is solved once per call.
+    use, and the certificate writer renders straight from them.  The exact
+    route reads only the pieces, never the axioms.  The LP runs only for
+    independent pairs that no coordinate separates, which on a validated
+    input have equal vertex images (``_unseparated_verdict`` raises
+    ``ArithmeticError`` otherwise), on polyhedra shared by strata with
+    equal images (``_piece_memo``), so each distinct system is solved once
+    per call.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     f = build_map(c, m, check=True)
 
     order = c.stratum_ids()
     count = len(order)
     index = {sid: k for k, sid in enumerate(order)}
     certificates = tuple(check_unimodular(f, sid) for sid in order)
-    # One discharge per stratum, shared by every face pair it is ambient to.
-    discharges = [FaceDischarge(cert.stratum, _injective(cert)) for cert in certificates]
+    for cert in certificates:
+        if not cert.verdict:
+            raise ArithmeticError(f"stratum {cert.stratum}: validated piece is not unimodular")
 
     # The rows: each stratum ``a`` with the later strata it is paired with,
     # as their ids in order, as a bitmask, and as ``where[b]``, the place of
@@ -617,11 +614,10 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
         wanted: dict[int, set[int]] = {}
         for p in pair_filter:
             p = tuple(p)
-            if len(p) != 2 or p[0] == p[1]:
+            ids = {c.stratum(x).id for x in p}  # a Stratum stands for its id
+            if len(p) != 2 or len(ids) != 2 or not ids <= index.keys():
                 raise ValueError(f"pair filter entry {p!r} is not two distinct stratum ids")
-            for sid in p:
-                c.stratum(sid)  # raises on unknown ids
-            a, b = sorted(index[sid] for sid in p)
+            a, b = sorted(map(index.__getitem__, ids))
             wanted.setdefault(a, set()).add(b)
         rows = []
         for a, later in sorted(wanted.items()):
@@ -655,8 +651,10 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     new = tuple.__new__
     # The exact verdict of the common records: a coordinate separates them.
     interval = _INTERVAL if exact_route else None
-    # The shape of a face pair whose ambient piece is injective, per ambient.
-    face_shapes = [("face", d, None, None, True) for d in discharges]
+    # The shape of a face pair, per ambient stratum: its piece is unimodular,
+    # so injective, and the discharge is shared by every face pair it is ambient to.
+    face_shapes = [("face", FaceDischarge(cert.stratum, True), None, None, True)
+                   for cert in certificates]
     decided = []
     defects = []
     collision = unknown = False
@@ -693,20 +691,8 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
             if group is not fill and got:
                 others.append((("independent", None, sep, interval, True),
                                [where[b] for b in _members(got)]))
-        for b in _members(faces):
-            ambient = a if down[a] >> b & 1 else b
-            discharge = discharges[ambient]
-            if discharge.injective:
-                others.append((face_shapes[ambient], (where[b],)))
-                continue
-            if exact_route:
-                exact = _INTERVAL if sep_a >> b & 1 else _lp_verdict(memo, sid, order[b])
-                disjoint = exact.disjoint
-                collision = collision or not disjoint
-            else:
-                exact = disjoint = None
-                unknown = True
-            others.append((("face", discharge, None, exact, disjoint), (where[b],)))
+        others += [(face_shapes[a if down[a] >> b & 1 else b], (where[b],))
+                   for b in _members(faces)]
         for b in _members(independent & ~settled):
             tid = order[b]
             if rest >> b & 1:
@@ -720,11 +706,11 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
                          else _unseparated_verdict(memo, f, sid, tid))
                 disjoint = exact.disjoint
                 if not disjoint:
-                    collision = True
                     if separation is not None:
-                        defects.append(f"pair {sid}/{tid}: separation certificate "
-                                       f"contradicts the exact oracle")
-                    elif mode == "both":
+                        raise ArithmeticError(f"pair {sid}/{tid}: separation certificate "
+                                              f"contradicts the exact oracle")
+                    collision = True
+                    if mode == "both":
                         # Only both-mode actually consulted the certificate route,
                         # so only there can its silence be reported as a gap.
                         defects.append(f"pair {sid}/{tid}: no separating vertex exists "
@@ -737,7 +723,7 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
         decided.append(new(PairRow, (sid, ids, ("independent", None, fill[0], interval, True)
                                          if fill[1] else None, others)))
 
-    if not all(cert.verdict for cert in certificates) or collision:
+    if collision:
         overall = "not_faithful"
     elif unknown:
         overall = "certificate_incomplete"

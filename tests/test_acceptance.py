@@ -50,7 +50,7 @@ def battery():
 def both_reports(battery):
     start = time.monotonic()
     reports = {name: check_faithful(doc.complex, canonical_order_matrix(doc.complex),
-                                    mode="both", jobs=1)
+                                    mode="both")
                for name, doc in battery}
     elapsed = time.monotonic() - start
     return reports, elapsed

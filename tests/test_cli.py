@@ -291,6 +291,17 @@ def test_jobs_produce_identical_certificates(tmp_path):
     assert one.read_bytes() == eight.read_bytes()
 
 
+def test_jobs_below_one_exit_1(tmp_path, capsys):
+    # --jobs never changes the work done, but a value below 1 is still refused.
+    src = tmp_path / "fixture.json"
+    src.write_text(input_text(generate_fixture("simplex_boundary", dim=3)), encoding="utf-8")
+    out = tmp_path / "out.json"
+    for jobs in ("0", "-3"):
+        assert main(["check", str(src), "--jobs", jobs, "--out", str(out)]) == 1
+        assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stdin_input(monkeypatch, capsys):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(input_text(generate_fixture("path", n=2))))

@@ -296,7 +296,7 @@ class TestCanonicalSerialization:
         doc = generate_fixture("simplex_boundary", dim=3)
         m = canonical_order_matrix(doc.complex)
         digest = input_digest(doc)
-        texts = {emit_certificate(check_faithful(doc.complex, m, jobs=j), digest)
+        texts = {emit_certificate(check_faithful(doc.complex, m), digest)
                  for j in (1, 1, 4, 8)}
         assert len(texts) == 1
 

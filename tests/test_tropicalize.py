@@ -20,7 +20,7 @@ from skeletrop.sections import OrderMatrix, canonical_order_matrix
 from skeletrop.tropical import trop_eq
 from skeletrop.tropicalize import (ExactVerdict, FaceDischarge, PairEvidence,
                                    PiecewiseAffineMap, SeparationCertificate,
-                                   UnimodularityCertificate, _injective, _interval_table,
+                                   UnimodularityCertificate, _interval_table,
                                    _intervals_separate, _selector_inverts, _separation_masks,
                                    build_map, check_faithful, check_unimodular,
                                    images_relint_disjoint_exact, piece_injective,
@@ -139,7 +139,7 @@ class TestUnimodularity:
         cert = check_unimodular(f, "1-2-3")
         assert lattice._smith_diagonal(cert.edge_matrix) == (0, 0)
         assert cert.elementary_divisors == () == lattice.elementary_divisors(cert.edge_matrix)
-        assert not cert.verdict and not _injective(cert)
+        assert not cert.verdict and not smith_injective(cert)
 
     def test_unimodular_implies_injective_on_rational_points(self):
         # exhaustive over barycentric points with denominators up to 8
@@ -416,11 +416,6 @@ class TestCheckFaithful:
         assert check_faithful(c, unflagged, mode="exact").overall == "faithful"
         assert check_faithful(c, unflagged, mode="both").overall == "faithful"
 
-    def test_jobs_do_not_change_the_report(self):
-        c = generate_fixture("simplex_boundary", dim=3).complex
-        m = canonical_order_matrix(c)
-        assert check_faithful(c, m, jobs=1) == check_faithful(c, m, jobs=8)
-
     def test_pair_filter_restricts_scope(self):
         c = cycle(4)
         m = canonical_order_matrix(c)
@@ -431,12 +426,21 @@ class TestCheckFaithful:
             with pytest.raises(ValueError):
                 check_faithful(c, m, pair_filter=bad)
 
+    def test_pair_filter_takes_strata_as_their_ids(self):
+        c = cycle(4)
+        m = canonical_order_matrix(c)
+        by_id = check_faithful(c, m, pair_filter=[("1-2", "3-4"), ("2", "2-3")])
+        by_stratum = check_faithful(c, m, pair_filter=[(c.stratum("1-2"), "3-4"),
+                                                       (c.stratum("2"), c.stratum("2-3"))])
+        assert by_stratum == by_id and len(by_id.pairs) == 2
+        for bad in [(c.stratum("1-2"), "1-2")], [(Stratum("7-9", (7, 9)), "1-2")]:
+            with pytest.raises(ValueError, match="not two distinct stratum ids"):
+                check_faithful(c, m, pair_filter=bad)
+
     def test_mode_validation(self):
         c = cycle(3)
         with pytest.raises(ValueError):
             check_faithful(c, canonical_order_matrix(c), mode="fast")
-        with pytest.raises(ValueError):
-            check_faithful(c, canonical_order_matrix(c), jobs=0)
 
     def test_pair_evidence_contract(self):
         # The v1 record's fields, in order; immutable; equal and hashed by value.
@@ -737,6 +741,13 @@ class TestSharedExactWork:
         assert len(solves) == 2
 
 
+def smith_injective(cert):
+    """Piece injectivity read off a unimodularity certificate: the rank is
+    the number of elementary divisors, and the piece is injective when that
+    is the number of edge vectors."""
+    return len(cert.elementary_divisors) == cert.edge_matrix.rows
+
+
 class TestInjectivityFromSmithDiagonal:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -749,7 +760,7 @@ class TestInjectivityFromSmithDiagonal:
         f = build_map(c, OrderMatrix(tuple(map(tuple, rows)), (True,) * (c.ell + 1)),
                       check=False)
         for sid in c.stratum_ids():
-            assert _injective(check_unimodular(f, sid)) == piece_injective(f, sid), sid
+            assert smith_injective(check_unimodular(f, sid)) == piece_injective(f, sid), sid
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -762,7 +773,7 @@ class TestInjectivityFromSmithDiagonal:
         for sid in c.stratum_ids():
             edges = f.edge_vectors(sid)
             expected = not edges or sympy.Matrix(edges).rank() == len(edges)
-            assert _injective(check_unimodular(f, sid)) == expected, sid
+            assert smith_injective(check_unimodular(f, sid)) == expected, sid
 
     def test_rank_deficient_and_non_unimodular_pieces(self):
         c = build_from_facets(3, 2, [[1, 2, 3]])
@@ -773,7 +784,7 @@ class TestInjectivityFromSmithDiagonal:
             for s in c.strata:
                 cert = check_unimodular(f, s)
                 expected = edge_ok or len(s.vertices) == 1
-                assert _injective(cert) == piece_injective(f, s) == expected, s.id
+                assert smith_injective(cert) == piece_injective(f, s) == expected, s.id
         # Doubled orders: injective everywhere, unimodular only on vertices.
         assert not check_unimodular(build_map(c, doubled, check=False), "1-2").verdict
 
@@ -810,20 +821,32 @@ class TestSinglePassVerdict:
             report = check_faithful(c, m, mode=mode)
             assert (report.defects, report.overall) == ref_verdict(report), mode
 
-    def test_contradiction_defects_keep_pair_order(self, monkeypatch):
+    def test_contradicted_separation_raises(self, monkeypatch):
         # With no coordinate separating anything, every independent pair
-        # reaches the exact oracle for unseparated pairs; one that reports a
-        # collision contradicts every separation certificate, one defect per
-        # independent pair, in pair order.
+        # reaches the exact oracle for unseparated pairs; a collision there
+        # contradicts the pair's separation certificate, which the order
+        # axioms make sound, so the check raises instead of reporting.
         c = cycle(4)
         colliding = ExactVerdict(False, None, "lp")
         monkeypatch.setattr(tropicalize, "_separation_masks", lambda pieces: [0] * len(pieces))
         monkeypatch.setattr(tropicalize, "_unseparated_verdict", lambda *args: colliding)
-        report = check_faithful(c, canonical_order_matrix(c), mode="both")
-        independent = [e for e in report.pairs if e.relation == "independent"]
-        assert independent and all(e.separation is not None for e in independent)
-        assert len(report.defects) == len(independent)
-        assert (report.defects, report.overall) == ref_verdict(report)
+        with pytest.raises(ArithmeticError, match="contradicts the exact oracle"):
+            check_faithful(c, canonical_order_matrix(c), mode="both")
+
+    def test_non_unimodular_certificate_raises_in_every_mode(self, monkeypatch):
+        # The order axioms make every validated piece unimodular; a false
+        # verdict is a broken invariant, not a verdict to report.
+        c = cycle(4)
+        check = tropicalize.check_unimodular
+
+        def failing(f, s):
+            cert = check(f, s)
+            return UnimodularityCertificate(cert.stratum, cert.edge_matrix, (2,), False)
+
+        monkeypatch.setattr(tropicalize, "check_unimodular", failing)
+        for mode in ("certificate", "exact", "both"):
+            with pytest.raises(ArithmeticError, match="not unimodular"):
+                check_faithful(c, canonical_order_matrix(c), mode=mode)
 
 
 class TestLpGuard:
