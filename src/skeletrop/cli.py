@@ -11,6 +11,7 @@ faithful or invariant violations, 3 certificate incomplete.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -29,6 +30,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FAILED = 2
 EXIT_INCOMPLETE = 3
+# Output is written this many characters at a time, at most 4 MiB once
+# encoded, so writing never holds a second copy of the whole text.
+WRITE_SLICE = 1 << 20
 
 
 def _read_document(path: str) -> InputDocument:
@@ -40,10 +44,10 @@ def _read_document(path: str) -> InputDocument:
 
 
 def _write_output(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    with (contextlib.nullcontext(sys.stdout) if out in (None, "-")
+          else open(out, "w", encoding="utf-8")) as fh:
+        for start in range(0, len(text), WRITE_SLICE):
+            fh.write(text[start:start + WRITE_SLICE])
 
 
 def _collect_problems(c: DualComplex, m: OrderMatrix) -> list[str]:

@@ -570,7 +570,8 @@ def _pair_records(rows):
     list of (head, id, tail) triples, its fill's everywhere and each
     group's at the group's positions.  The lists hold shared strings, so
     the certificate's one join is the only copy of the records' text.  An
-    absent optional field renders as nothing; its key is None.  Each
+    absent optional field renders as nothing; its key is None.  Each field
+    is looked up by value in one ``_Rendered`` memo per kind, so each
     stratum id, exact verdict, face discharge and separation is encoded
     once per call.
     """
@@ -579,23 +580,11 @@ def _pair_records(rows):
     exact = _Rendered(_exact_field, {None: ""})
     face = _Rendered(_face_field, {None: ""})
     separation = _Rendered(_separation_field, {None: ""})
-    # Groups in a row and across rows mostly hold the very same verdict,
-    # discharge and separation objects, whose dataclass hash runs in Python,
-    # so each is looked up only when it is not the object looked up before.
-    last_ex = last_fc = last_sep = None
-    ex_text = fc_text = sep_text = ""
 
     def head_and_tail(shape, left_text):
-        nonlocal last_ex, last_fc, last_sep, ex_text, fc_text, sep_text
         relation, fc, sep, ex, disjoint = shape
-        if ex is not last_ex:
-            last_ex, ex_text = ex, exact[ex]
-        if fc is not last_fc:
-            last_fc, fc_text = fc, face[fc]
-        if sep is not last_sep:
-            last_sep, sep_text = sep, separation[sep]
-        return (f',\n    {{\n      "disjoint": {literal[disjoint]}{ex_text}{fc_text}'
-                f'{left_text}{name[relation]},\n      "right": ', f"{sep_text}\n    }}")
+        return (f',\n    {{\n      "disjoint": {literal[disjoint]}{exact[ex]}{face[fc]}'
+                f'{left_text}{name[relation]},\n      "right": ', f"{separation[sep]}\n    }}")
 
     for left, rights, fill, groups in rows:
         count = len(rights)
@@ -643,8 +632,7 @@ def emit_certificate(report: FaithfulnessReport, digest: str) -> str:
     from record to record (``_pair_records``).  Each distinct stratum id,
     exact verdict, face discharge and separation is rendered once per
     certificate (``_Rendered``), whatever the number of pairs that carry
-    it.  A report built from a tuple of ``PairEvidence`` goes through the
-    same template, each record a row of its own.
+    it.
     """
     out = ["{\n"
            f'  "defects": {_items([_encode(d) for d in report.defects], "    ")},\n'

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul, or_, sub
 from typing import Iterable, NamedTuple, Sequence
 
@@ -349,15 +350,6 @@ def _piece_memo(f: PiecewiseAffineMap):
     return memo
 
 
-def _ambient(c: DualComplex, sid: str, tid: str) -> str | None:
-    """The larger stratum when one of the two is a face of the other, else None."""
-    if c.is_face(tid, sid):
-        return sid
-    if c.is_face(sid, tid):
-        return tid
-    return None
-
-
 def _interval_table(piece: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
     """Per coordinate, integer endpoints of a stratum's open image projection.
 
@@ -371,19 +363,17 @@ def _interval_table(piece: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ..
                  for lo, hi in zip(map(min, piece), map(max, piece)))
 
 
-def _intervals_separate(ta, tb) -> bool:
-    # One coordinate with disjoint projections proves the open images disjoint.
-    return any(ra < lb or rb < la for (la, ra), (lb, rb) in zip(ta, tb))
-
-
 def _separation_masks(pieces: Sequence[Sequence[Sequence[int]]]) -> list[int]:
     """Per stratum ``a``, the bitmask of the strata ``b`` (bit ``b`` for
     position ``b`` in ``pieces``) whose image projection lies wholly above
     or wholly below ``a``'s on some coordinate: right_a < left_b or
-    right_b < left_a on the doubled endpoints of ``_interval_table``, the
-    rule of ``_intervals_separate``.  Per coordinate, strata with equal
-    vertex values share one row and strata with equal endpoints one mask,
-    so endpoints and the rule are computed for distinct values only."""
+    right_b < left_a on the doubled endpoints of ``_interval_table``.  One
+    such coordinate proves the two open images disjoint; this is the
+    module's one interval rule, and a single pair reads it as
+    ``_separation_masks([piece_a, piece_b])[0]``.  Per coordinate, strata
+    with equal vertex values share one row and strata with equal endpoints
+    one mask, so endpoints and the rule are computed for distinct values
+    only."""
     out = [0] * len(pieces)
     for rows in zip(*pieces):
         by_row: dict[tuple[int, ...], int] = {}
@@ -453,18 +443,20 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
     to share, so the two polyhedra are built directly, without the memo
     ``check_faithful`` keeps.
     """
-    sid = f.complex.stratum(s).id
-    tid = f.complex.stratum(t).id
+    c = f.complex
+    sid = c.stratum(s).id
+    tid = c.stratum(t).id
     if sid == tid:
         raise ValueError("disjointness query requires two distinct strata")
-    ambient = _ambient(f.complex, sid, tid)
+    ambient = sid if c.is_face(tid, sid) else tid if c.is_face(sid, tid) else None
     if ambient is not None and piece_injective(f, ambient):
         return _FACE_INJECTIVE
-    if _intervals_separate(_interval_table(f.piece(sid)), _interval_table(f.piece(tid))):
+    if _separation_masks([f.piece(sid), f.piece(tid)])[0]:
         return _INTERVAL
     return _lp_verdict(lambda x: simplex_image_polyhedron(f.vertex_images(x)), sid, tid)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class FaithfulnessReport:
     """The outcome of ``check_faithful``: immutable, and equal by value.
 
@@ -473,54 +465,35 @@ class FaithfulnessReport:
     its later partners, which is how ``check_faithful`` decides it and how
     the certificate writer renders it; ``pairs`` is the same evidence as
     one ``PairEvidence`` per pair in report order, built on first use and
-    then kept.  A report constructed from ``pairs`` holds each record as a
-    row of its own.  Equality and the hash read ``pairs``, so two reports
-    with the same evidence are equal however their rows group it.
+    then kept.  The sequence fields are stored as tuples.  A report of
+    given records holds each record ``e`` as a row of its own,
+    ``PairRow(e.left, (e.right,), tuple(e[2:]), ())``.  Equality and the
+    hash read ``pairs``, so two reports with the same evidence are equal
+    however their rows group it.
     """
 
-    __slots__ = ("mode", "certificates", "rows", "overall", "defects", "_pairs")
+    mode: str
+    certificates: Sequence[UnimodularityCertificate]
+    rows: Sequence[PairRow]
+    overall: str
+    defects: Sequence[str]
 
-    def __init__(self, mode: str, certificates: Sequence[UnimodularityCertificate],
-                 pairs: Iterable[PairEvidence], overall: str, defects: Sequence[str]):
-        pairs = tuple(pairs)
-        self._set(mode, certificates, tuple(PairRow(e[0], (e[1],), e[2:], ()) for e in pairs),
-                  overall, defects, pairs)
+    def __post_init__(self):
+        for name in ("certificates", "rows", "defects"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
-    @classmethod
-    def from_rows(cls, mode: str, certificates: Sequence[UnimodularityCertificate],
-                  rows: Sequence[PairRow], overall: str,
-                  defects: Sequence[str]) -> "FaithfulnessReport":
-        """A report whose evidence is ``rows``, as ``check_faithful`` keeps it."""
-        report = object.__new__(cls)
-        report._set(mode, certificates, tuple(rows), overall, defects, None)
-        return report
-
-    def _set(self, mode, certificates, rows, overall, defects, pairs) -> None:
-        for name, value in (("mode", mode), ("certificates", tuple(certificates)),
-                            ("rows", rows), ("overall", overall),
-                            ("defects", tuple(defects)), ("_pairs", pairs)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a FaithfulnessReport")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a FaithfulnessReport")
-
-    @property
+    @cached_property
     def pairs(self) -> tuple[PairEvidence, ...]:
-        if self._pairs is None:
-            new = tuple.__new__
-            evidence = []
-            for left, rights, fill, groups in self.rows:
-                shapes = [fill] * len(rights)
-                for shape, positions in groups:
-                    for k in positions:
-                        shapes[k] = shape
-                evidence += [new(PairEvidence, (left, right, *shape))
-                             for right, shape in zip(rights, shapes)]
-            object.__setattr__(self, "_pairs", tuple(evidence))
-        return self._pairs
+        new = tuple.__new__
+        evidence = []
+        for left, rights, fill, groups in self.rows:
+            shapes = [fill] * len(rights)
+            for shape, positions in groups:
+                for k in positions:
+                    shapes[k] = shape
+            evidence += [new(PairEvidence, (left, right, *shape))
+                         for right, shape in zip(rights, shapes)]
+        return tuple(evidence)
 
     def _key(self):
         return self.mode, self.certificates, self.pairs, self.overall, self.defects
@@ -729,4 +702,4 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
         overall = "certificate_incomplete"
     else:
         overall = "faithful"
-    return FaithfulnessReport.from_rows(mode, certificates, decided, overall, defects)
+    return FaithfulnessReport(mode, certificates, decided, overall, defects)

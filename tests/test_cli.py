@@ -1,6 +1,7 @@
 """Command-line surface: verbs, exit codes, and output determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -300,6 +301,21 @@ def test_jobs_below_one_exit_1(tmp_path, capsys):
         assert main(["check", str(src), "--jobs", jobs, "--out", str(out)]) == 1
         assert "jobs must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_output_is_written_without_a_second_copy(tmp_path):
+    # 15 MiB of text whose last characters are not ASCII: encoded in one
+    # piece, its UTF-8 bytes alone would take more than 15 MiB.
+    text = "x" * (15 << 20) + "éß\n" * 3
+    out = tmp_path / "big.txt"
+    tracemalloc.start()
+    try:
+        cli._write_output(text, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text(encoding="utf-8") == text
+    assert peak < 4 << 20, peak
 
 
 def test_stdin_input(monkeypatch, capsys):

@@ -18,13 +18,18 @@ from skeletrop.documents import emit_certificate, generate_fixture, input_digest
 from skeletrop.lattice import IntMatrix, relint_intersection_nonempty, simplex_image_polyhedron
 from skeletrop.sections import OrderMatrix, canonical_order_matrix
 from skeletrop.tropical import trop_eq
-from skeletrop.tropicalize import (ExactVerdict, FaceDischarge, PairEvidence,
-                                   PiecewiseAffineMap, SeparationCertificate,
-                                   UnimodularityCertificate, _interval_table,
-                                   _intervals_separate, _selector_inverts, _separation_masks,
+from skeletrop.tropicalize import (ExactVerdict, FaceDischarge, FaithfulnessReport,
+                                   PairEvidence, PairRow, PiecewiseAffineMap,
+                                   SeparationCertificate, UnimodularityCertificate,
+                                   _interval_table, _selector_inverts, _separation_masks,
                                    build_map, check_faithful, check_unimodular,
                                    images_relint_disjoint_exact, piece_injective,
                                    separation_certificate)
+
+
+def one_record_rows(pairs):
+    """Rows that hold each ``PairEvidence`` record as a row of its own."""
+    return tuple(PairRow(e.left, (e.right,), tuple(e[2:]), ()) for e in pairs)
 
 
 def cycle(n):
@@ -459,6 +464,29 @@ class TestCheckFaithful:
         assert type(pairs) is tuple
         assert all(type(p) is PairEvidence for p in pairs)
 
+    def test_report_contract(self):
+        # A frozen record of its rows: sequences stored as tuples, hashable,
+        # and ``pairs`` built once and kept.
+        c = cycle(3)
+        report = check_faithful(c, canonical_order_matrix(c))
+        for name in ("mode", "certificates", "rows", "overall", "defects", "pairs"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, None)
+            with pytest.raises(AttributeError):
+                delattr(report, name)
+        made = FaithfulnessReport(report.mode, list(report.certificates), list(report.rows),
+                                  report.overall, ["a defect"])
+        assert type(made.certificates) is type(made.rows) is type(made.defects) is tuple
+        assert made.certificates == report.certificates and made.rows == report.rows
+        assert made.defects == ("a defect",)
+        assert hash(report) == hash(check_faithful(c, canonical_order_matrix(c)))
+        assert made != report
+        assert report.pairs is report.pairs
+        # One record per row holds the same evidence, so the reports are equal.
+        assert FaithfulnessReport(report.mode, report.certificates,
+                                  one_record_rows(report.pairs), report.overall,
+                                  report.defects) == report
+
 
 class TestProjectiveCoherence:
     def test_chart_embedding_preserves_equality(self):
@@ -612,21 +640,22 @@ class TestTableDrivenPairLoop:
         # the order drawn; equal rows in either order share endpoints.
         pieces = raw
         raw = [[(min(x, y), max(x, y)) for x, y in coords] for coords in raw]
-        tables = [_interval_table(piece) for piece in pieces]
         separated = _separation_masks(pieces)
-        for a, b in itertools.product(range(len(tables)), repeat=2):
+        for a, b in itertools.product(range(len(pieces)), repeat=2):
             bulk = bool(separated[a] >> b & 1)
-            assert bulk == _intervals_separate(tables[a], tables[b])
             assert bulk == raw_intervals_separate(raw[a], raw[b]), (raw[a], raw[b])
-        assert all(mask >> len(tables) == 0 for mask in separated)
+        assert all(mask >> len(pieces) == 0 for mask in separated)
 
     def test_touching_endpoints(self):
-        point = _interval_table([(1, 1)])
+        def separate(piece_a, piece_b):
+            return bool(_separation_masks([piece_a, piece_b])[0])
+
+        point = [(1, 1)]
         assert _interval_table([(1, 3)]) == ((3, 5),)
-        assert _intervals_separate(point, _interval_table([(1, 3)]))      # point at an end
-        assert _intervals_separate(_interval_table([(0, 1)]), _interval_table([(1, 2)]))
-        assert not _intervals_separate(_interval_table([(0, 2)]), point)  # point inside
-        assert not _intervals_separate(point, point)
+        assert separate(point, [(1, 3)])      # point at an end
+        assert separate([(0, 1)], [(1, 2)])
+        assert not separate([(0, 2)], point)  # point inside
+        assert not separate(point, point)
 
     # sha256 of the cycle n=40 certificate under seeded random orders with
     # some horizontal flags cleared, taken before the pair loop was built
