@@ -86,6 +86,26 @@ def test_validate_clean_and_defective(tmp_path, capsys):
     assert "face-missing" in capsys.readouterr().out
 
 
+def test_validate_vertex_out_of_range_exits_2(tmp_path, capsys):
+    # The component count skips vertex 3 instead of failing on it.
+    doc = tmp_path / "range.json"
+    doc.write_text(json.dumps({
+        "schema_version": 1,
+        "complex": {"ell": 2, "d": 1, "mode": "delta",
+                    "strata": [{"id": "v1", "vertices": [1]},
+                               {"id": "v2", "vertices": [2]},
+                               {"id": "e", "vertices": [1, 3]}],
+                    "face_map": [{"stratum": "e", "subset": [1], "face": "v1"}]},
+    }), encoding="utf-8")
+    assert main(["validate", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "complex: [face-missing] no face assigned along [3] (stratum e)",
+        "complex: [vertex-range] vertex 3 outside 1..2 (stratum e)",
+    ]
+    assert captured.err == "warning: complex is disconnected (2 components)\n"
+
+
 def test_check_validates_each_document_once(cycle3_file, tmp_path, capsys, monkeypatch):
     import skeletrop.complexes as complexes
     import skeletrop.sections as sections
