@@ -21,31 +21,34 @@ The exact route decides emptiness of the intersection of the two image
 polytopes outright, by coordinate-interval separation when a single
 coordinate suffices and by exact rational LP feasibility otherwise.
 
-``check_faithful`` turns both routes into bitsets over the sorted stratum
-order once per call: per stratum, the strata face-related to it (noting
-which side is ambient) and the strata some coordinate's image projection
-separates from its own.  On a validated input the order axioms settle the
+``check_faithful`` works on bitsets over the sorted stratum order.  Once
+per call it builds, per stratum, the strata face-related to it (noting
+which side is ambient).  On a validated input the order axioms settle the
 vertex-value table in advance, so the certificate route needs only each
 stratum's flagged vertices and, per vertex ``j``, the strata without
 ``j``.  The O(S^2) pairs are then settled a row at a time, stratum ``a``
-against all later strata at once, with whole-row mask operations, and
-each row is kept as it was decided (``PairRow``): the one shape most of
-its pairs share, and the positions of the few pairs of other shapes.  No
-per-pair record is built unless ``FaithfulnessReport.pairs`` is read.
-Only independent pairs that no coordinate separates reach the LP, and
-each distinct system is solved once per call.  Pairs are reported in
-sorted order.  The order axioms, validated first, make every piece
-unimodular, so injective, every separation certificate sound and every LP
-pair's vertex images equal: each is a guard that raises
-``ArithmeticError``, never a defect.
+against all later strata at once, with whole-row mask operations.  The
+exact route asks ``_IntervalRule`` per row which of ``a``'s independent
+partners some coordinate's image projection separates from ``a``'s,
+trying ``a``'s own coordinates first; it reads only the pieces, and only
+for the rows it settles.  Each row is kept as it was decided
+(``PairRow``): the one shape most of its pairs share, and the positions
+of the few pairs of other shapes.  No per-pair record is built unless
+``FaithfulnessReport.pairs`` is read.  Only independent pairs that no
+coordinate separates reach the LP, and each distinct system is solved
+once per call.  Pairs are reported in sorted order.  The order axioms,
+validated first, make every piece unimodular, so injective, every
+separation certificate sound and every LP pair's vertex images equal:
+each is a guard that raises ``ArithmeticError``, never a defect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import mul, or_, sub
+from functools import cached_property, reduce
+from itertools import compress, repeat
+from operator import and_, gt, itemgetter, lt, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from ._exact import cleared
@@ -83,8 +86,15 @@ class PiecewiseAffineMap:
     """For each stratum, an integer matrix sending barycentric weights to R^n.
 
     Row ``i-1`` of a piece holds the coefficients of coordinate ``i``
-    (section index) over the stratum's vertex slots.  Pieces automatically
-    agree on shared faces because entries depend only on vertex labels.
+    (section index) over the stratum's vertex slots.
+
+    Invariant, label consistency: a piece's entries depend only on vertex
+    labels, so every vertex has one image (its column in any piece that
+    holds it), pieces agree on shared faces, and strata with one vertex
+    set have one piece up to the order of its columns.  ``build_map``
+    reads pieces by label and so always meets it.  The exact route relies
+    on it: ``_IntervalRule`` reads each vertex's image from the first piece
+    that holds it and never tests two strata on one vertex set.
     """
 
     complex: DualComplex
@@ -350,53 +360,111 @@ def _piece_memo(f: PiecewiseAffineMap):
     return memo
 
 
-def _interval_table(piece: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
-    """Per coordinate, integer endpoints of a stratum's open image projection.
+class _IntervalRule:
+    """The exact route's interval rule, settled a row at a time.
 
-    A coordinate's vertex values span [lo, hi]; the open simplex projects
-    onto the point lo when lo == hi and onto the open interval (lo, hi)
-    otherwise.  Doubled, these become the integer ranges (2lo, 2lo) and
-    (2lo+1, 2hi-1), and since all endpoints are integers, projection a lies
-    wholly below projection b exactly when right_a < left_b.
+    Built on the strata ``order`` of a map whose pieces agree by label (see
+    ``PiecewiseAffineMap``); bit ``b`` of a mask stands for ``order[b]``.
+    ``separated(a, targets)`` returns the strata in ``targets`` whose image
+    projection lies wholly above or wholly below that of stratum ``a`` on
+    some coordinate.  One such coordinate proves the two open images
+    disjoint; this is the module's one interval rule.
+
+    A coordinate's vertex values on a stratum span [lo, hi]; the open
+    simplex projects onto the point lo when lo == hi and onto the open
+    interval (lo, hi) otherwise.  With GE(i, t) the strata whose vertex
+    values on coordinate ``i`` are all at least ``t`` (the AND of
+    ``lacking[v]`` over the vertices valued below ``t``) and LE(i, t) those
+    whose values are all at most ``t``, a point p separates exactly
+    GE(p) ^ LE(p), and an open (lo, hi) separates GE(hi) | LE(lo).  These
+    masks, per coordinate and threshold or interval, are computed on first
+    use and kept.
+
+    Built once, in O(S·k) steps plus one column of n entries per vertex:
+    ``lacking[v]``, the strata without vertex ``v``; ``same[a]``, the
+    strata with ``a``'s vertex set; and each vertex's image, its column in
+    the first piece that holds it.  Strata with one vertex set have one
+    piece up to the order of its columns, so no coordinate separates them
+    and they are never tested.  A row tries ``a``'s own coordinates first
+    (vertex ``v`` is coordinate ``v``), then those of the strata still
+    unseparated, then every other coordinate, and stops once every target
+    is separated.  The order only finds a witness sooner; the answer is the
+    union over all coordinates.  On a validated map the order axioms make
+    ``a``'s own coordinates separate it from every stratum that lacks one
+    of its vertices.
     """
-    return tuple((2 * lo, 2 * lo) if lo == hi else (2 * lo + 1, 2 * hi - 1)
-                 for lo, hi in zip(map(min, piece), map(max, piece)))
 
+    def __init__(self, f: PiecewiseAffineMap, order: Sequence[str]):
+        full = (1 << len(order)) - 1
+        strata = [f.complex.stratum(sid) for sid in order]
+        lacking: dict[int, int] = {}
+        images: dict[int, tuple[int, ...]] = {}
+        same: dict[frozenset[int], int] = {}
+        for b, st in enumerate(strata):
+            bit = 1 << b
+            same[st.vertex_set] = same.get(st.vertex_set, 0) | bit
+            for slot, v in enumerate(st.vertices):
+                lacking[v] = lacking.get(v, full) ^ bit
+                if v not in images:
+                    images[v] = tuple(map(itemgetter(slot), f.pieces[st.id]))
+        self._pieces = [f.pieces[sid] for sid in order]
+        self._same = [same[st.vertex_set] for st in strata]
+        n = f.n
+        self._own = [[v - 1 for v in st.vertices if 0 < v <= n] for st in strata]
+        self._coordinates = range(n)
+        self._lacking = list(lacking.values())
+        # Coordinate i's values on the vertices, in the order of ``_lacking``.
+        self._columns = list(zip(*[images[v] for v in lacking]))
+        self._full = full
+        self._bounds: dict[tuple[int, int, bool], int] = {}
+        self._masks: dict[tuple[int, int, int], int] = {}
 
-def _separation_masks(pieces: Sequence[Sequence[Sequence[int]]]) -> list[int]:
-    """Per stratum ``a``, the bitmask of the strata ``b`` (bit ``b`` for
-    position ``b`` in ``pieces``) whose image projection lies wholly above
-    or wholly below ``a``'s on some coordinate: right_a < left_b or
-    right_b < left_a on the doubled endpoints of ``_interval_table``.  One
-    such coordinate proves the two open images disjoint; this is the
-    module's one interval rule, and a single pair reads it as
-    ``_separation_masks([piece_a, piece_b])[0]``.  Per coordinate, strata
-    with equal vertex values share one row and strata with equal endpoints
-    one mask, so endpoints and the rule are computed for distinct values
-    only."""
-    out = [0] * len(pieces)
-    for rows in zip(*pieces):
-        by_row: dict[tuple[int, ...], int] = {}
-        bit = 1
-        for row in rows:
-            by_row[row] = by_row.get(row, 0) | bit
-            bit <<= 1
-        ends = _interval_table(by_row)
-        groups: dict[tuple[int, int], int] = {}
-        for end, members in zip(ends, by_row.values()):
-            groups[end] = groups.get(end, 0) | members
-        items = groups.items()
-        masks = {}
-        for end in groups:
-            left, right = end
-            mask = 0
-            for (other_left, other_right), members in items:
-                if right < other_left or other_right < left:
-                    mask |= members
-            masks[end] = mask
-        row_masks = dict(zip(by_row, map(masks.__getitem__, ends)))
-        out = list(map(or_, out, map(row_masks.__getitem__, rows)))
-    return out
+    def separated(self, a: int, targets: int) -> int:
+        """The strata in ``targets`` that some coordinate separates from ``a``."""
+        start = todo = targets & ~self._same[a]
+        test = self._test
+        own = self._own
+        for i in own[a]:
+            if not todo:
+                return start
+            todo &= ~test(a, i)
+        if todo:
+            tried = set(own[a])
+            for b in _members(todo):
+                for i in own[b]:
+                    if todo >> b & 1 and i not in tried:
+                        tried.add(i)
+                        todo &= ~test(a, i)
+            for i in self._coordinates:
+                if not todo:
+                    break
+                if i not in tried:
+                    todo &= ~test(a, i)
+        return start ^ todo
+
+    def _test(self, a: int, i: int) -> int:
+        """The strata that coordinate ``i`` separates from stratum ``a``."""
+        row = self._pieces[a][i]
+        key = i, min(row), max(row)
+        mask = self._masks.get(key)
+        if mask is None:
+            _, lo, hi = key
+            if lo == hi:
+                mask = self._bound(i, lo, True) ^ self._bound(i, lo, False)
+            else:
+                mask = self._bound(i, hi, True) | self._bound(i, lo, False)
+            self._masks[key] = mask
+        return mask
+
+    def _bound(self, i: int, t: int, above: bool) -> int:
+        """GE(i, t) when ``above``, else LE(i, t)."""
+        key = (i, t, above)
+        mask = self._bounds.get(key)
+        if mask is None:
+            # The vertices on the wrong side of t: below it for GE, above it for LE.
+            outside = map(lt if above else gt, self._columns[i], repeat(t))
+            mask = self._bounds[key] = reduce(and_, compress(self._lacking, outside), self._full)
+        return mask
 
 
 def _members(mask: int) -> list[int]:
@@ -451,7 +519,7 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
     ambient = sid if c.is_face(tid, sid) else tid if c.is_face(sid, tid) else None
     if ambient is not None and piece_injective(f, ambient):
         return _FACE_INJECTIVE
-    if _separation_masks([f.piece(sid), f.piece(tid)])[0]:
+    if _IntervalRule(f, (sid, tid)).separated(0, 2):
         return _INTERVAL
     return _lp_verdict(lambda x: simplex_image_polyhedron(f.vertex_images(x)), sid, tid)
 
@@ -541,10 +609,12 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     The pairs are settled from tables over the sorted stratum order, built
     once per call: the strata face-related to each stratum and those it is
     ambient to (from ``c.face_map``; on a validated complex the same
-    relation as ``is_face``); for the exact route, the strata some
-    coordinate separates from it (``_separation_masks`` on the pieces); for
-    the certificate route, ``candidates[a]``, the flagged vertices of
-    stratum ``a`` in vertex order, and ``lacking[j]``, the strata without
+    relation as ``is_face``); for the exact route, ``_IntervalRule`` on the
+    pieces, whose per-row answer is the independent partners some
+    coordinate separates from the row's stratum (its threshold masks are
+    built on first use, so a ``pair_filter`` computes only the rows it
+    names); for the certificate route, ``candidates[a]``, the flagged
+    vertices of stratum ``a`` in vertex order, and ``lacking[j]``, the strata without
     vertex ``j``.  Each row of pairs ``(a, b)``, ``b`` after ``a`` (and
     wanted by ``pair_filter``), is then settled with whole-row mask
     operations: ``a``'s candidates ``j`` in turn take the later strata in
@@ -608,7 +678,7 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
         up[x] |= 1 << o
     exact_route = mode != "certificate"
     if exact_route:
-        separated = _separation_masks([f.pieces[sid] for sid in order])
+        intervals = _IntervalRule(f, order)
     if mode != "exact":
         # The certificate route's tables, from the order axioms (see above).
         flags = m.horizontal_effective
@@ -635,7 +705,7 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
         sid = order[a]
         faces = want & (down[a] | up[a])
         independent = want ^ faces
-        sep_a = separated[a] if exact_route else -1
+        sep_a = intervals.separated(a, independent) if exact_route else -1
         # Groups of independent pairs that share a separation: a's candidates
         # j in turn take the later strata in ``lacking[j]``, and
         # ``rest`` keeps those a cannot separate.  ``common`` narrows each

@@ -6,6 +6,8 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from operator import or_
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from skeletrop.tropical import trop_eq
 from skeletrop.tropicalize import (ExactVerdict, FaceDischarge, FaithfulnessReport,
                                    PairEvidence, PairRow, PiecewiseAffineMap,
                                    SeparationCertificate, UnimodularityCertificate,
-                                   _interval_table, _selector_inverts, _separation_masks,
+                                   _IntervalRule, _selector_inverts,
                                    build_map, check_faithful, check_unimodular,
                                    images_relint_disjoint_exact, piece_injective,
                                    separation_certificate)
@@ -527,6 +529,73 @@ def raw_intervals_separate(ta, tb) -> bool:
     return False
 
 
+def ref_interval_table(piece: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
+    """Per coordinate, integer endpoints of a stratum's open image projection.
+
+    A coordinate's vertex values span [lo, hi]; the open simplex projects
+    onto the point lo when lo == hi and onto the open interval (lo, hi)
+    otherwise.  Doubled, these become the integer ranges (2lo, 2lo) and
+    (2lo+1, 2hi-1), and since all endpoints are integers, projection a lies
+    wholly below projection b exactly when right_a < left_b.
+    """
+    return tuple((2 * lo, 2 * lo) if lo == hi else (2 * lo + 1, 2 * hi - 1)
+                 for lo, hi in zip(map(min, piece), map(max, piece)))
+
+
+def ref_separation_masks(pieces: Sequence[Sequence[Sequence[int]]]) -> list[int]:
+    """Per stratum ``a``, the bitmask of the strata ``b`` (bit ``b`` for
+    position ``b`` in ``pieces``) whose image projection lies wholly above
+    or wholly below ``a``'s on some coordinate: right_a < left_b or
+    right_b < left_a on the doubled endpoints of ``_interval_table``.  One
+    such coordinate proves the two open images disjoint; this is the
+    module's one interval rule, and a single pair reads it as
+    ``_separation_masks([piece_a, piece_b])[0]``.  Per coordinate, strata
+    with equal vertex values share one row and strata with equal endpoints
+    one mask, so endpoints and the rule are computed for distinct values
+    only."""
+    out = [0] * len(pieces)
+    for rows in zip(*pieces):
+        by_row: dict[tuple[int, ...], int] = {}
+        bit = 1
+        for row in rows:
+            by_row[row] = by_row.get(row, 0) | bit
+            bit <<= 1
+        ends = ref_interval_table(by_row)
+        groups: dict[tuple[int, int], int] = {}
+        for end, members in zip(ends, by_row.values()):
+            groups[end] = groups.get(end, 0) | members
+        items = groups.items()
+        masks = {}
+        for end in groups:
+            left, right = end
+            mask = 0
+            for (other_left, other_right), members in items:
+                if right < other_left or other_right < left:
+                    mask |= members
+            masks[end] = mask
+        row_masks = dict(zip(by_row, map(masks.__getitem__, ends)))
+        out = list(map(or_, out, map(row_masks.__getitem__, rows)))
+    return out
+
+
+def label_map(c, matrix) -> PiecewiseAffineMap:
+    """The map whose coordinate ``i`` is row ``i-1`` of the integer matrix
+    ``matrix``, one column per vertex label, read by label as ``build_map``
+    reads an order matrix; any integers, so no order axiom need hold."""
+    pieces = {s.id: tuple(tuple(row[v - 1] for v in s.vertices) for row in matrix)
+              for s in c.strata}
+    return PiecewiseAffineMap(c, len(matrix), pieces)
+
+
+def disjoint_edges_map(pieces) -> PiecewiseAffineMap:
+    """Stratum ``s<a>`` on vertices 2a+1, 2a+2 with piece ``pieces[a]``: no
+    two strata share a vertex, so any pieces agree by label."""
+    c = build_delta_complex(2 * len(pieces), 1,
+                            [(f"s{a}", (2 * a + 1, 2 * a + 2)) for a in range(len(pieces))], [])
+    return PiecewiseAffineMap(c, len(pieces[0]), {f"s{a}": tuple(map(tuple, piece))
+                                                  for a, piece in enumerate(pieces)})
+
+
 def random_valid_orders(rng, c, cleared=0.25) -> OrderMatrix:
     rows = [[0] * c.ell]
     for i in range(1, c.ell + 1):
@@ -638,9 +707,12 @@ class TestTableDrivenPairLoop:
         # when lo == hi; small values make touching endpoints common.
         # As pieces, each coordinate's row holds the two vertex values, in
         # the order drawn; equal rows in either order share endpoints.
+        # Stratum a owns vertices 2a+1 and 2a+2, so the map is label-consistent.
         pieces = raw
         raw = [[(min(x, y), max(x, y)) for x, y in coords] for coords in raw]
-        separated = _separation_masks(pieces)
+        rule = _IntervalRule(disjoint_edges_map(pieces), [f"s{a}" for a in range(len(pieces))])
+        everything = (1 << len(pieces)) - 1
+        separated = [rule.separated(a, everything) for a in range(len(pieces))]
         for a, b in itertools.product(range(len(pieces)), repeat=2):
             bulk = bool(separated[a] >> b & 1)
             assert bulk == raw_intervals_separate(raw[a], raw[b]), (raw[a], raw[b])
@@ -648,10 +720,11 @@ class TestTableDrivenPairLoop:
 
     def test_touching_endpoints(self):
         def separate(piece_a, piece_b):
-            return bool(_separation_masks([piece_a, piece_b])[0])
+            return bool(_IntervalRule(disjoint_edges_map([piece_a, piece_b]),
+                                      ["s0", "s1"]).separated(0, 2))
 
         point = [(1, 1)]
-        assert _interval_table([(1, 3)]) == ((3, 5),)
+        assert ref_interval_table([(1, 3)]) == ((3, 5),)
         assert separate(point, [(1, 3)])      # point at an end
         assert separate([(0, 1)], [(1, 2)])
         assert not separate([(0, 2)], point)  # point inside
@@ -679,6 +752,94 @@ class TestTableDrivenPairLoop:
         report = check_faithful(doc.complex, doc.effective_orders(), mode=mode)
         text = emit_certificate(report, input_digest(doc))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CYCLE40_SHA256[mode]
+
+
+def count_coordinate_tests(monkeypatch) -> list[tuple[int, int]]:
+    """Patch ``_IntervalRule`` to record each (row, coordinate) it tests."""
+    tested = []
+    test = _IntervalRule._test
+
+    def counting(self, a, i):
+        tested.append((a, i))
+        return test(self, a, i)
+
+    monkeypatch.setattr(_IntervalRule, "_test", counting)
+    return tested
+
+
+class TestRowSeparation:
+    """``_IntervalRule`` settles the exact route's interval rule a row at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rows_match_bulk_reference(self, data):
+        # Any integers (negative too), strata in shuffled vertex orders, some
+        # on a vertex set drawn before, and a shuffled stratum order.
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        ell, n = rng.randint(1, 6), rng.randint(1, 6)
+        strata = []
+        for k in range(rng.randint(1, 10)):
+            if strata and rng.random() < 0.3:
+                verts = rng.choice(strata)[1]
+            else:
+                verts = rng.sample(range(1, ell + 1), rng.randint(1, ell))
+            strata.append((f"s{k}", _shuffled(rng, verts)))
+        c = build_delta_complex(ell, ell - 1, strata, [])
+        f = label_map(c, [[rng.randint(-3, 3) for _ in range(ell)] for _ in range(n)])
+        order = [sid for sid, _ in strata]
+        rng.shuffle(order)
+        ref = ref_separation_masks([f.pieces[sid] for sid in order])
+        rule = _IntervalRule(f, order)
+        everything = (1 << len(order)) - 1
+        for a in range(len(order)):
+            for targets in (everything, rng.getrandbits(len(order)), 0):
+                assert rule.separated(a, targets) == ref[a] & targets, (a, targets)
+
+    def test_cycle_rows_need_only_their_own_coordinates(self, monkeypatch):
+        c = cycle(100)
+        tested = count_coordinate_tests(monkeypatch)
+        report = check_faithful(c, canonical_order_matrix(c), mode="exact")
+        assert report.overall == "faithful"
+        assert 0 < len(tested) <= sum(len(s.vertices) for s in c.strata)
+        order = c.stratum_ids()
+        assert all(i + 1 in c.stratum(order[a]).vertex_set for a, i in tested)
+
+    def test_separation_outside_both_vertex_sets_takes_the_last_stage(self, monkeypatch):
+        # Coordinates 1 and 2 are 0 on every vertex; coordinate 3 puts
+        # vertex 1 at 0 and vertex 2 at 2.  No axiom holds, so build_map
+        # runs unchecked.
+        c = build_delta_complex(3, 0, [("a", (1,)), ("b", (2,))], [])
+        m = OrderMatrix(((0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 2, 0)), (True,) * 4)
+        f = build_map(c, m, check=False)
+
+        def no_lp(p, q):
+            raise AssertionError("an interval pair reached the LP")
+
+        tested = count_coordinate_tests(monkeypatch)
+        monkeypatch.setattr(tropicalize, "relint_intersection_nonempty", no_lp)
+        assert images_relint_disjoint_exact(f, "a", "b") == ExactVerdict(True, None, "interval")
+        # a's own coordinate, then b's, then the rest.
+        assert [i for _, i in tested] == [0, 1, 2]
+
+    def test_one_pair_filter_runs_one_row(self, monkeypatch):
+        base = generate_fixture("cycle", n=100)
+        doc = parse_input(json.dumps(dict(
+            base.canonical, check={"mode": "exact", "pairs": [["50", "3"]]})))
+        rows = []
+        separated = _IntervalRule.separated
+
+        def counting(self, a, targets):
+            rows.append(a)
+            return separated(self, a, targets)
+
+        monkeypatch.setattr(_IntervalRule, "separated", counting)
+        tested = count_coordinate_tests(monkeypatch)
+        report = check_faithful(doc.complex, doc.effective_orders(), mode="exact",
+                                pair_filter=doc.pair_filter)
+        assert [(e.left, e.right, e.exact) for e in report.pairs] == [
+            ("3", "50", ExactVerdict(True, None, "interval"))]
+        assert rows == [doc.complex.stratum_ids().index("3")]
+        assert len(tested) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +1018,7 @@ class TestSinglePassVerdict:
         # axioms make sound, so the check raises instead of reporting.
         c = cycle(4)
         colliding = ExactVerdict(False, None, "lp")
-        monkeypatch.setattr(tropicalize, "_separation_masks", lambda pieces: [0] * len(pieces))
+        monkeypatch.setattr(_IntervalRule, "separated", lambda self, a, targets: 0)
         monkeypatch.setattr(tropicalize, "_unseparated_verdict", lambda *args: colliding)
         with pytest.raises(ArithmeticError, match="contradicts the exact oracle"):
             check_faithful(c, canonical_order_matrix(c), mode="both")
@@ -913,7 +1074,7 @@ class TestLpGuard:
         def no_lp(p, q):
             raise AssertionError("the LP ran before the guard")
 
-        monkeypatch.setattr(tropicalize, "_separation_masks", lambda pieces: [0] * len(pieces))
+        monkeypatch.setattr(_IntervalRule, "separated", lambda self, a, targets: 0)
         monkeypatch.setattr(tropicalize, "relint_intersection_nonempty", no_lp)
         for mode in ("exact", "both"):
             with pytest.raises(ArithmeticError, match="different vertex images"):
