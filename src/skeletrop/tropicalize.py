@@ -94,7 +94,9 @@ class PiecewiseAffineMap:
     set have one piece up to the order of its columns.  ``build_map``
     reads pieces by label and so always meets it.  The exact route relies
     on it: ``_IntervalRule`` reads each vertex's image from the first piece
-    that holds it and never tests two strata on one vertex set.
+    that holds it and never tests two strata on one vertex set.  A map
+    built by hand need not meet it, so ``images_relint_disjoint_exact``
+    checks its two pieces before it asks the interval rule.
     """
 
     complex: DualComplex
@@ -364,7 +366,9 @@ class _IntervalRule:
     """The exact route's interval rule, settled a row at a time.
 
     Built on the strata ``order`` of a map whose pieces agree by label (see
-    ``PiecewiseAffineMap``); bit ``b`` of a mask stands for ``order[b]``.
+    ``PiecewiseAffineMap``): ``check_faithful`` builds its map with
+    ``build_map`` and ``images_relint_disjoint_exact`` compares its two
+    pieces first.  Bit ``b`` of a mask stands for ``order[b]``.
     ``separated(a, targets)`` returns the strata in ``targets`` whose image
     projection lies wholly above or wholly below that of stratum ``a`` on
     some coordinate.  One such coordinate proves the two open images
@@ -386,12 +390,11 @@ class _IntervalRule:
     the first piece that holds it.  Strata with one vertex set have one
     piece up to the order of its columns, so no coordinate separates them
     and they are never tested.  A row tries ``a``'s own coordinates first
-    (vertex ``v`` is coordinate ``v``), then those of the strata still
-    unseparated, then every other coordinate, and stops once every target
-    is separated.  The order only finds a witness sooner; the answer is the
-    union over all coordinates.  On a validated map the order axioms make
-    ``a``'s own coordinates separate it from every stratum that lacks one
-    of its vertices.
+    (vertex ``v`` is coordinate ``v``), then every other coordinate, and
+    stops once every target is separated.  The order only finds a witness
+    sooner; the answer is the union over all coordinates.  On a validated
+    map the order axioms make ``a``'s own coordinates separate it from
+    every stratum that lacks one of its vertices.
     """
 
     def __init__(self, f: PiecewiseAffineMap, order: Sequence[str]):
@@ -422,24 +425,16 @@ class _IntervalRule:
     def separated(self, a: int, targets: int) -> int:
         """The strata in ``targets`` that some coordinate separates from ``a``."""
         start = todo = targets & ~self._same[a]
-        test = self._test
-        own = self._own
-        for i in own[a]:
+        own = self._own[a]
+        for i in own:
             if not todo:
                 return start
-            todo &= ~test(a, i)
-        if todo:
-            tried = set(own[a])
-            for b in _members(todo):
-                for i in own[b]:
-                    if todo >> b & 1 and i not in tried:
-                        tried.add(i)
-                        todo &= ~test(a, i)
-            for i in self._coordinates:
-                if not todo:
-                    break
-                if i not in tried:
-                    todo &= ~test(a, i)
+            todo &= ~self._test(a, i)
+        for i in self._coordinates:
+            if not todo:
+                break
+            if i not in own:
+                todo &= ~self._test(a, i)
         return start ^ todo
 
     def _test(self, a: int, i: int) -> int:
@@ -500,6 +495,14 @@ def _unseparated_verdict(memo, f: PiecewiseAffineMap, sid: str, tid: str) -> Exa
     return _lp_verdict(memo, sid, tid)
 
 
+def _agree_by_label(f: PiecewiseAffineMap, sid: str, tid: str) -> bool:
+    """Whether the pieces of ``sid`` and ``tid`` give each shared vertex one image."""
+    c = f.complex
+    images = dict(zip(c.stratum(sid).vertices, f.vertex_images(sid)))
+    return all(images.get(v, image) == image
+               for v, image in zip(c.stratum(tid).vertices, f.vertex_images(tid)))
+
+
 def images_relint_disjoint_exact(f: PiecewiseAffineMap,
                                  s: "Stratum | str", t: "Stratum | str") -> ExactVerdict:
     """Exact verdict on disjointness of the two open-simplex images.
@@ -507,9 +510,12 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
     Face pairs reduce to injectivity of the ambient piece; other pairs are
     decided on the image polytopes, first by a one-coordinate interval
     separation and otherwise by the exact rational LP oracle, which returns
-    a collision witness when the images meet.  A single query has nothing
-    to share, so the two polyhedra are built directly, without the memo
-    ``check_faithful`` keeps.
+    a collision witness when the images meet.  ``f`` may be any map: the
+    interval rule reads a vertex's image by its label, so it runs only when
+    the two pieces agree on their shared vertices, and the LP decides
+    any other pair.  A single query has nothing to share, so the two
+    polyhedra are built directly, without the memo ``check_faithful``
+    keeps.
     """
     c = f.complex
     sid = c.stratum(s).id
@@ -519,7 +525,7 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
     ambient = sid if c.is_face(tid, sid) else tid if c.is_face(sid, tid) else None
     if ambient is not None and piece_injective(f, ambient):
         return _FACE_INJECTIVE
-    if _IntervalRule(f, (sid, tid)).separated(0, 2):
+    if _agree_by_label(f, sid, tid) and _IntervalRule(f, (sid, tid)).separated(0, 2):
         return _INTERVAL
     return _lp_verdict(lambda x: simplex_image_polyhedron(f.vertex_images(x)), sid, tid)
 

@@ -818,8 +818,40 @@ class TestRowSeparation:
         tested = count_coordinate_tests(monkeypatch)
         monkeypatch.setattr(tropicalize, "relint_intersection_nonempty", no_lp)
         assert images_relint_disjoint_exact(f, "a", "b") == ExactVerdict(True, None, "interval")
-        # a's own coordinate, then b's, then the rest.
+        # a's own coordinate, then the rest in order.
         assert [i for _, i in tested] == [0, 1, 2]
+
+    def test_pieces_that_disagree_by_label_go_to_the_lp(self, monkeypatch):
+        # Vertex 2 is 1 in a's piece and -1 in b's, so a's open image (0, 1)
+        # meets b's (-1, 2); read by label, b would lie in GE(1) and look
+        # separated.
+        c = build_delta_complex(3, 1, [("a", (1, 2)), ("b", (2, 3))], [])
+        f = PiecewiseAffineMap(c, 1, {"a": ((0, 1),), "b": ((-1, 2),)})
+        tested = count_coordinate_tests(monkeypatch)
+        verdict = images_relint_disjoint_exact(f, "a", "b")
+        assert not verdict.disjoint and verdict.method == "lp"
+        assert verdict.witness is not None and 0 < verdict.witness[0] < 1
+        assert tested == []
+        # Disjoint images that disagree by label are decided by the LP too.
+        f = PiecewiseAffineMap(c, 1, {"a": ((0, 1),), "b": ((5, 6),)})
+        assert images_relint_disjoint_exact(f, "a", "b") == ExactVerdict(True, None, "lp")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_public_verdict_matches_lp_on_any_pieces(self, data):
+        # Each stratum's piece drawn on its own, so shared vertices may have
+        # two images; the verdict must still be the LP's.
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        ell, n = rng.randint(2, 4), rng.randint(1, 3)
+        verts = [_shuffled(rng, rng.sample(range(1, ell + 1), rng.randint(1, ell)))
+                 for _ in range(2)]
+        c = build_delta_complex(ell, ell - 1, [("a", verts[0]), ("b", verts[1])], [])
+        f = PiecewiseAffineMap(c, n, {sid: tuple(tuple(rng.randint(-2, 2) for _ in vs)
+                                                 for _ in range(n))
+                                      for sid, vs in (("a", verts[0]), ("b", verts[1]))})
+        hit, _ = relint_intersection_nonempty(
+            *(simplex_image_polyhedron(f.vertex_images(sid)) for sid in ("a", "b")))
+        assert images_relint_disjoint_exact(f, "a", "b").disjoint == (not hit)
 
     def test_one_pair_filter_runs_one_row(self, monkeypatch):
         base = generate_fixture("cycle", n=100)
