@@ -497,10 +497,10 @@ def _unseparated_verdict(memo, f: PiecewiseAffineMap, sid: str, tid: str) -> Exa
 
 def _agree_by_label(f: PiecewiseAffineMap, sid: str, tid: str) -> bool:
     """Whether the pieces of ``sid`` and ``tid`` give each shared vertex one image."""
-    c = f.complex
-    images = dict(zip(c.stratum(sid).vertices, f.vertex_images(sid)))
-    return all(images.get(v, image) == image
-               for v, image in zip(c.stratum(tid).vertices, f.vertex_images(tid)))
+    s = f.complex.stratum(sid)
+    t = f.complex.stratum(tid)
+    return all(f.vertex_image(s, s.vertices.index(v)) == f.vertex_image(t, t.vertices.index(v))
+               for v in s.vertex_set & t.vertex_set)
 
 
 def images_relint_disjoint_exact(f: PiecewiseAffineMap,
