@@ -2,8 +2,12 @@
 
 From an order matrix the skeleton acquires, stratum by stratum, an integer
 affine map into R^ell whose i-th coordinate is the affine restriction of
-``-log|s_i/s_0|``.  This module certifies two things about the resulting
-piecewise map:
+``-log|s_i/s_0|``.  Vertex ``v`` maps to column ``v`` of the order matrix,
+its orders along component ``v``, and each stratum's piece is the affine
+map onto the simplex its vertices' images span.  So ``PiecewiseAffineMap``
+holds one image per vertex label, read once, and derives every piece from
+it: pieces agree by label by construction.  This module certifies two
+things about the resulting piecewise map:
 
 * unimodularity of every piece: the image edge-difference vectors have
   full rank and all elementary divisors 1.  A signed selector of the
@@ -30,8 +34,8 @@ stratum's flagged vertices and, per vertex ``j``, the strata without
 against all later strata at once, with whole-row mask operations.  The
 exact route asks ``_IntervalRule`` per row which of ``a``'s independent
 partners some coordinate's image projection separates from ``a``'s,
-trying ``a``'s own coordinates first; it reads only the pieces, and only
-for the rows it settles.  Each row is kept as it was decided
+trying ``a``'s own coordinates first; it reads only the vertex images, and
+only for the rows it settles.  Each row is kept as it was decided
 (``PairRow``): the one shape most of its pairs share, and the positions
 of the few pairs of other shapes.  No per-pair record is built unless
 ``FaithfulnessReport.pairs`` is read.  Only independent pairs that no
@@ -49,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress, repeat
 from operator import and_, gt, itemgetter, lt, mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._exact import cleared
 from .complexes import DualComplex, SimplexPoint, Stratum, validate_complex
@@ -83,47 +87,81 @@ MODES = ("certificate", "exact", "both")
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseAffineMap:
-    """For each stratum, an integer matrix sending barycentric weights to R^n.
+    """One integer image in Z^n per vertex label; each stratum's affine piece
+    sends its barycentric weights to the same combination of its vertices'
+    images.
 
-    Row ``i-1`` of a piece holds the coefficients of coordinate ``i``
-    (section index) over the stratum's vertex slots.
+    ``images[v]`` is the image of vertex ``v``, coordinate ``i`` (section
+    index) at position ``i-1``.  Everything per stratum is a view computed
+    from it and never stored: ``vertex_images``, ``vertex_image``,
+    ``edge_vectors``, and ``piece``, the n x k matrix whose row ``i-1``
+    holds coordinate ``i`` over the stratum's vertex slots.
 
-    Invariant, label consistency: a piece's entries depend only on vertex
-    labels, so every vertex has one image (its column in any piece that
-    holds it), pieces agree on shared faces, and strata with one vertex
-    set have one piece up to the order of its columns.  ``build_map``
-    reads pieces by label and so always meets it.  The exact route relies
-    on it: ``_IntervalRule`` reads each vertex's image from the first piece
-    that holds it and never tests two strata on one vertex set.  A map
-    built by hand need not meet it, so ``images_relint_disjoint_exact``
-    checks its two pieces before it asks the interval rule.
+    Label consistency holds by construction: a piece's entries depend only
+    on vertex labels, so pieces agree on shared faces, and strata with one
+    vertex set have one piece up to the order of its columns.  The exact
+    route relies on it: ``_IntervalRule`` never tests two strata on one
+    vertex set.  ``build_map`` reads the images off the order matrix;
+    ``from_pieces`` reads them off given pieces and refuses pieces that
+    give a vertex two images.
     """
 
     complex: DualComplex
     n: int
-    pieces: dict[str, tuple[tuple[int, ...], ...]]
+    images: Mapping[int, tuple[int, ...]]
 
-    def piece(self, s: "Stratum | str") -> tuple[tuple[int, ...], ...]:
-        return self.pieces[self.complex.stratum(s).id]
+    @classmethod
+    def from_pieces(cls, c: DualComplex, n: int,
+                    pieces: Mapping[str, Sequence[Sequence[int]]]) -> "PiecewiseAffineMap":
+        """The map whose stratum ``sid`` has the n x k piece ``pieces[sid]``.
 
-    def vertex_image(self, s: "Stratum | str", slot: int) -> tuple[int, ...]:
-        return tuple(row[slot] for row in self.piece(s))
+        Each vertex's image is its column in the pieces that hold it; a
+        ``ValueError`` names any vertex that two pieces give different
+        images, and any piece of the wrong shape.
+        """
+        images: dict[int, tuple[int, ...]] = {}
+        owner: dict[int, str] = {}
+        for sid, piece in pieces.items():
+            st = c.stratum(sid)
+            if len(piece) != n or any(len(row) != len(st.vertices) for row in piece):
+                raise ValueError(f"piece of stratum {st.id} is not {n} x {len(st.vertices)}")
+            for slot, v in enumerate(st.vertices):
+                image = tuple(row[slot] for row in piece)
+                known = images.get(v)
+                if known is None:
+                    images[v], owner[v] = image, st.id
+                elif known != image:
+                    raise ValueError(f"vertex {v} has image {known} in stratum {owner[v]} "
+                                     f"and {image} in stratum {st.id}")
+        return cls(c, n, images)
 
     def vertex_images(self, s: "Stratum | str") -> tuple[tuple[int, ...], ...]:
-        # A vertex's image is its column of the piece.
-        return tuple(zip(*self.piece(s)))
+        return tuple(map(self.images.__getitem__, self.complex.stratum(s).vertices))
+
+    def vertex_image(self, s: "Stratum | str", slot: int) -> tuple[int, ...]:
+        return self.images[self.complex.stratum(s).vertices[slot]]
 
     def edge_vectors(self, s: "Stratum | str") -> tuple[tuple[int, ...], ...]:
-        imgs = self.vertex_images(s)
-        return tuple(tuple(map(sub, img, imgs[0])) for img in imgs[1:])
+        """Row ``a-1`` is ``img(v_a) - img(v_0)``, for ``a`` in 1..k."""
+        base, *rest = self.vertex_images(s)
+        return tuple([tuple(map(sub, img, base)) for img in rest])
+
+    def piece(self, s: "Stratum | str") -> tuple[tuple[int, ...], ...]:
+        """The n x k matrix with the vertex images as its columns."""
+        return tuple(zip(*self.vertex_images(s)))
+
+    @property
+    def pieces(self) -> dict[str, tuple[tuple[int, ...], ...]]:
+        """Every stratum's piece, by stratum id, computed on each read."""
+        return {s.id: self.piece(s) for s in self.complex.strata}
 
     def apply(self, p: SimplexPoint) -> tuple[Fraction, ...]:
-        rows = self.piece(p.stratum)
-        if len(rows[0]) != len(p.u):
+        images = self.vertex_images(p.stratum)
+        if len(images) != len(p.u):
             raise ValueError("point arity does not match the piece")
         # Clear the weights once; each coordinate is then an integer dot product.
         nums, den = cleared(p.u)
-        return tuple(Fraction(sum(map(mul, row, nums)), den) for row in rows)
+        return tuple(Fraction(sum(map(mul, row, nums)), den) for row in zip(*images))
 
     def projective_image(self, p: SimplexPoint) -> TropicalProjectivePoint:
         """Image in tropical projective space, with the base chart coordinate 0."""
@@ -131,7 +169,8 @@ class PiecewiseAffineMap:
 
 
 def build_map(c: DualComplex, m: OrderMatrix, check: bool = True) -> PiecewiseAffineMap:
-    """Assemble the per-stratum affine pieces from an order matrix.
+    """The piecewise map of an order matrix: vertex ``v``'s image is column
+    ``v-1`` of the section rows, the orders along component ``v``.
 
     With ``check`` (the default) the complex and the order matrix are
     validated first and any violation raises.
@@ -146,16 +185,12 @@ def build_map(c: DualComplex, m: OrderMatrix, check: bool = True) -> PiecewiseAf
     elif m.ell != c.ell:
         raise ValueError("order matrix size does not match the complex")
     ell = m.ell
-    # Column v-1 of the section rows holds the orders along component v, so
-    # a piece is the stratum's columns read row by row.
-    columns = tuple(zip(*m.orders[1:]))
-    pieces = {}
+    components = frozenset(range(1, ell + 1))
     for s in c.strata:
-        for v in s.vertices:
-            if not 1 <= v <= ell:
-                raise ValueError(f"component index {v} out of range 1..{ell}")
-        pieces[s.id] = tuple(zip(*[columns[v - 1] for v in s.vertices]))
-    return PiecewiseAffineMap(c, ell, pieces)
+        if not s.vertex_set <= components:
+            v = next(v for v in s.vertices if v not in components)
+            raise ValueError(f"component index {v} out of range 1..{ell}")
+    return PiecewiseAffineMap(c, ell, dict(enumerate(zip(*m.orders[1:]), 1)))
 
 
 @dataclass(frozen=True)
@@ -200,7 +235,7 @@ def check_unimodular(f: PiecewiseAffineMap, s: "Stratum | str") -> Unimodularity
     """
     st = f.complex.stratum(s)
     vectors = f.edge_vectors(st)
-    matrix = IntMatrix.from_rows(vectors, cols=f.n)
+    matrix = IntMatrix(len(vectors), f.n, vectors)
     if not vectors:
         return UnimodularityCertificate(st.id, matrix, (), True)
     if _selector_inverts(vectors, st.vertices):
@@ -344,9 +379,9 @@ def _piece_memo(f: PiecewiseAffineMap):
     redundant rows depend on that order), and interned by value, so strata
     with equal constraint systems share one object and with it the LP
     results that ``relint_intersection_nonempty`` keeps on it.  Only LP
-    pairs ask, so each call reads the images again: a transpose of one
-    small piece, against the Fourier-Motzkin run it may save.  The memo
-    belongs to one call of ``check_faithful`` and dies with it.
+    pairs ask, so each call looks the images up again: one lookup per
+    vertex, against the Fourier-Motzkin run it may save.  The memo belongs
+    to one call of ``check_faithful`` and dies with it.
     """
     by_images: dict[tuple[tuple[int, ...], ...], RationalPolyhedron] = {}
     interned: dict[RationalPolyhedron, RationalPolyhedron] = {}
@@ -365,10 +400,8 @@ def _piece_memo(f: PiecewiseAffineMap):
 class _IntervalRule:
     """The exact route's interval rule, settled a row at a time.
 
-    Built on the strata ``order`` of a map whose pieces agree by label (see
-    ``PiecewiseAffineMap``): ``check_faithful`` builds its map with
-    ``build_map`` and ``images_relint_disjoint_exact`` compares its two
-    pieces first.  Bit ``b`` of a mask stands for ``order[b]``.
+    Built on the strata ``order`` of a map, whose vertex images it takes as
+    given.  Bit ``b`` of a mask stands for ``order[b]``.
     ``separated(a, targets)`` returns the strata in ``targets`` whose image
     projection lies wholly above or wholly below that of stratum ``a`` on
     some coordinate.  One such coordinate proves the two open images
@@ -384,40 +417,43 @@ class _IntervalRule:
     masks, per coordinate and threshold or interval, are computed on first
     use and kept.
 
-    Built once, in O(S·k) steps plus one column of n entries per vertex:
-    ``lacking[v]``, the strata without vertex ``v``; ``same[a]``, the
-    strata with ``a``'s vertex set; and each vertex's image, its column in
-    the first piece that holds it.  Strata with one vertex set have one
-    piece up to the order of its columns, so no coordinate separates them
-    and they are never tested.  A row tries ``a``'s own coordinates first
-    (vertex ``v`` is coordinate ``v``), then every other coordinate, and
-    stops once every target is separated.  The order only finds a witness
-    sooner; the answer is the union over all coordinates.  On a validated
-    map the order axioms make ``a``'s own coordinates separate it from
-    every stratum that lacks one of its vertices.
+    Built once, in O(S·k) steps plus one transpose of the images of the
+    vertices in use: ``lacking[v]``, the strata without vertex ``v``;
+    ``same[a]``, the strata with ``a``'s vertex set; and, per stratum, its
+    vertex slots in the transposed columns, through which ``_test`` reads
+    coordinate ``i``'s values on it.  The map is label-consistent by
+    construction (see ``PiecewiseAffineMap``), so strata with one vertex set
+    have one image polytope, no coordinate separates them, and they are
+    never tested.  A row tries ``a``'s own coordinates first (vertex ``v``
+    is coordinate ``v``), then every other coordinate, and stops once every
+    target is separated.  The order only finds a witness sooner; the answer
+    is the union over all coordinates.  On a validated map the order axioms
+    make ``a``'s own coordinates separate it from every stratum that lacks
+    one of its vertices.
     """
 
     def __init__(self, f: PiecewiseAffineMap, order: Sequence[str]):
         full = (1 << len(order)) - 1
         strata = [f.complex.stratum(sid) for sid in order]
         lacking: dict[int, int] = {}
-        images: dict[int, tuple[int, ...]] = {}
         same: dict[frozenset[int], int] = {}
         for b, st in enumerate(strata):
             bit = 1 << b
             same[st.vertex_set] = same.get(st.vertex_set, 0) | bit
-            for slot, v in enumerate(st.vertices):
+            for v in st.vertices:
                 lacking[v] = lacking.get(v, full) ^ bit
-                if v not in images:
-                    images[v] = tuple(map(itemgetter(slot), f.pieces[st.id]))
-        self._pieces = [f.pieces[sid] for sid in order]
+        slot = {v: k for k, v in enumerate(lacking)}
+        # A stratum's values on one coordinate, read from its column; the
+        # first slot twice, so that a vertex stratum also reads a tuple.
+        self._values = [itemgetter(slot[st.vertices[0]], *map(slot.__getitem__, st.vertices))
+                        for st in strata]
         self._same = [same[st.vertex_set] for st in strata]
         n = f.n
         self._own = [[v - 1 for v in st.vertices if 0 < v <= n] for st in strata]
         self._coordinates = range(n)
         self._lacking = list(lacking.values())
         # Coordinate i's values on the vertices, in the order of ``_lacking``.
-        self._columns = list(zip(*[images[v] for v in lacking]))
+        self._columns = list(zip(*map(f.images.__getitem__, lacking)))
         self._full = full
         self._bounds: dict[tuple[int, int, bool], int] = {}
         self._masks: dict[tuple[int, int, int], int] = {}
@@ -439,7 +475,7 @@ class _IntervalRule:
 
     def _test(self, a: int, i: int) -> int:
         """The strata that coordinate ``i`` separates from stratum ``a``."""
-        row = self._pieces[a][i]
+        row = self._values[a](self._columns[i])
         key = i, min(row), max(row)
         mask = self._masks.get(key)
         if mask is None:
@@ -495,14 +531,6 @@ def _unseparated_verdict(memo, f: PiecewiseAffineMap, sid: str, tid: str) -> Exa
     return _lp_verdict(memo, sid, tid)
 
 
-def _agree_by_label(f: PiecewiseAffineMap, sid: str, tid: str) -> bool:
-    """Whether the pieces of ``sid`` and ``tid`` give each shared vertex one image."""
-    s = f.complex.stratum(sid)
-    t = f.complex.stratum(tid)
-    return all(f.vertex_image(s, s.vertices.index(v)) == f.vertex_image(t, t.vertices.index(v))
-               for v in s.vertex_set & t.vertex_set)
-
-
 def images_relint_disjoint_exact(f: PiecewiseAffineMap,
                                  s: "Stratum | str", t: "Stratum | str") -> ExactVerdict:
     """Exact verdict on disjointness of the two open-simplex images.
@@ -510,12 +538,10 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
     Face pairs reduce to injectivity of the ambient piece; other pairs are
     decided on the image polytopes, first by a one-coordinate interval
     separation and otherwise by the exact rational LP oracle, which returns
-    a collision witness when the images meet.  ``f`` may be any map: the
-    interval rule reads a vertex's image by its label, so it runs only when
-    the two pieces agree on their shared vertices, and the LP decides
-    any other pair.  A single query has nothing to share, so the two
-    polyhedra are built directly, without the memo ``check_faithful``
-    keeps.
+    a collision witness when the images meet.  Any map is label-consistent
+    by construction, so the interval rule applies to every pair.  A single
+    query has nothing to share, so the two polyhedra are built directly,
+    without the memo ``check_faithful`` keeps.
     """
     c = f.complex
     sid = c.stratum(s).id
@@ -525,7 +551,7 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
     ambient = sid if c.is_face(tid, sid) else tid if c.is_face(sid, tid) else None
     if ambient is not None and piece_injective(f, ambient):
         return _FACE_INJECTIVE
-    if _agree_by_label(f, sid, tid) and _IntervalRule(f, (sid, tid)).separated(0, 2):
+    if _IntervalRule(f, (sid, tid)).separated(0, 2):
         return _INTERVAL
     return _lp_verdict(lambda x: simplex_image_polyhedron(f.vertex_images(x)), sid, tid)
 
@@ -616,7 +642,7 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     once per call: the strata face-related to each stratum and those it is
     ambient to (from ``c.face_map``; on a validated complex the same
     relation as ``is_face``); for the exact route, ``_IntervalRule`` on the
-    pieces, whose per-row answer is the independent partners some
+    vertex images, whose per-row answer is the independent partners some
     coordinate separates from the row's stratum (its threshold masks are
     built on first use, so a ``pair_filter`` computes only the rows it
     names); for the certificate route, ``candidates[a]``, the flagged
@@ -634,8 +660,8 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     reverse direction, the first of ``candidates[b]`` that ``a`` lacks.
     ``FaithfulnessReport.pairs`` expands the rows into records on first
     use, and the certificate writer renders straight from them.  The exact
-    route reads only the pieces, never the axioms.  The LP runs only for
-    independent pairs that no coordinate separates, which on a validated
+    route reads only the vertex images, never the axioms.  The LP runs only
+    for independent pairs that no coordinate separates, which on a validated
     input have equal vertex images (``_unseparated_verdict`` raises
     ``ArithmeticError`` otherwise), on polyhedra shared by strata with
     equal images (``_piece_memo``), so each distinct system is solved once

@@ -1,5 +1,6 @@
 """Piecewise map assembly, unimodularity, separation, and faithfulness."""
 
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -110,6 +111,28 @@ class TestBuildMap:
             assert f.piece(s) == tuple(tuple(m.order(i, v) for v in s.vertices)
                                        for i in range(1, 5))
             assert all(type(x) is int for row in f.piece(s) for x in row)
+
+    def test_one_image_per_vertex_and_no_stored_piece(self):
+        c = build_from_facets(4, 2, [[1, 2, 3], [3, 4]])
+        m = OrderMatrix(((0, 0, 0, 0), (0, 1, 1, 2), (1, 0, 1, 3),
+                         (1, 1, 0, 1), (5, 4, 1, 0)), (True,) * 5)
+        f = build_map(c, m)
+        assert f.images == {v: tuple(m.order(i, v) for i in range(1, 5)) for v in range(1, 5)}
+        assert [field.name for field in dataclasses.fields(f)] == ["complex", "n", "images"]
+        # Each read computes the pieces afresh.
+        assert f.pieces == f.pieces and f.pieces is not f.pieces
+
+    def test_from_pieces_reads_the_images_back(self):
+        for c in (generate_fixture("simplex_boundary", dim=3).complex, cycle(2)):
+            f = canonical_map(c)
+            g = PiecewiseAffineMap.from_pieces(c, f.n, f.pieces)
+            assert g.images == f.images and g.pieces == f.pieces
+
+    @pytest.mark.parametrize("piece", [((0, 1),), ((0, 1), (1,)), ((0, 1), (1, 0), (1, 1))])
+    def test_from_pieces_refuses_a_piece_of_the_wrong_shape(self, piece):
+        c = build_from_facets(2, 1, [[1, 2]])
+        with pytest.raises(ValueError, match="piece of stratum 1-2 is not 2 x 2"):
+            PiecewiseAffineMap.from_pieces(c, 2, {"1-2": piece})
 
 
 class TestUnimodularity:
@@ -328,8 +351,7 @@ class TestExactOracle:
         # A constant piece maps an edge and its endpoints to one point: the
         # face pair cannot be discharged by injectivity and must collide.
         c = build_from_facets(2, 1, [[1, 2]])
-        f = PiecewiseAffineMap(c, 2, {
-            "1": ((0,), (0,)), "2": ((0,), (0,)), "1-2": ((0, 0), (0, 0))})
+        f = PiecewiseAffineMap(c, 2, {1: (0, 0), 2: (0, 0)})
         assert not piece_injective(f, "1-2")
         verdict = images_relint_disjoint_exact(f, "1-2", "1")
         assert not verdict.disjoint and verdict.method == "lp"
@@ -580,11 +602,9 @@ def ref_separation_masks(pieces: Sequence[Sequence[Sequence[int]]]) -> list[int]
 
 def label_map(c, matrix) -> PiecewiseAffineMap:
     """The map whose coordinate ``i`` is row ``i-1`` of the integer matrix
-    ``matrix``, one column per vertex label, read by label as ``build_map``
+    ``matrix``: vertex ``v``'s image is column ``v-1``, as ``build_map``
     reads an order matrix; any integers, so no order axiom need hold."""
-    pieces = {s.id: tuple(tuple(row[v - 1] for v in s.vertices) for row in matrix)
-              for s in c.strata}
-    return PiecewiseAffineMap(c, len(matrix), pieces)
+    return PiecewiseAffineMap(c, len(matrix), dict(enumerate(zip(*matrix), 1)))
 
 
 def disjoint_edges_map(pieces) -> PiecewiseAffineMap:
@@ -592,8 +612,8 @@ def disjoint_edges_map(pieces) -> PiecewiseAffineMap:
     two strata share a vertex, so any pieces agree by label."""
     c = build_delta_complex(2 * len(pieces), 1,
                             [(f"s{a}", (2 * a + 1, 2 * a + 2)) for a in range(len(pieces))], [])
-    return PiecewiseAffineMap(c, len(pieces[0]), {f"s{a}": tuple(map(tuple, piece))
-                                                  for a, piece in enumerate(pieces)})
+    return PiecewiseAffineMap.from_pieces(c, len(pieces[0]), {f"s{a}": piece
+                                                              for a, piece in enumerate(pieces)})
 
 
 def random_valid_orders(rng, c, cleared=0.25) -> OrderMatrix:
@@ -754,6 +774,60 @@ class TestTableDrivenPairLoop:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CYCLE40_SHA256[mode]
 
 
+def banana_document(n, k, seed):
+    """A Delta input document: ``n`` components in a ring, ``k`` parallel
+    edges between neighbours in shuffled vertex order, and seeded random
+    valid orders with some horizontal flags cleared."""
+    rng = random.Random(seed)
+    strata = [{"id": f"v{v}", "vertices": [v]} for v in range(1, n + 1)]
+    faces = []
+    for a in range(1, n + 1):
+        b = a % n + 1
+        for r in range(k):
+            eid = f"e{a}-{b}.{r}"
+            strata.append({"id": eid, "vertices": list(_shuffled(rng, (a, b)))})
+            faces += [{"stratum": eid, "subset": [v], "face": f"v{v}"} for v in (a, b)]
+    data = {"schema_version": 1,
+            "complex": {"ell": n, "d": 1, "mode": "delta", "strata": strata, "face_map": faces}}
+    m = random_valid_orders(rng, parse_input(json.dumps(data)).complex)
+    data["order_matrix"] = {"orders": m.orders, "horizontal_effective": m.horizontal_effective}
+    return parse_input(json.dumps(data))
+
+
+class TestCheckNeedsNoPiece:
+    """``check_faithful`` reads the vertex images, never a stratum's piece."""
+
+    # sha256 of the certificates, taken while the map still stored one
+    # piece per stratum.
+    CERTIFICATE_SHA256 = {
+        ("cycle100", "both"):
+            "d5c58c535de0eb8da8981fdf5aa72210f01a489acc49a5720205289f12a58ad0",
+        ("cycle100", "exact"):
+            "111e2537d524d85323a2ece7bc026d1987bc6d65a8b87189c2f83d73eafa713a",
+        ("cycle100", "certificate"):
+            "9812a1efdc62202c1ef22b9f599ac2d237631ee643aa446f369c08e5130e3468",
+        ("banana", "both"):
+            "d57f47e7ccf5dfcfbbfd9419df0ec80d42923904a2365c89f750299af9acbeb1",
+        ("banana", "exact"):
+            "8c47e7606281e1be5ff8e8a390e7fead3560ce66a45456a302052de2b349060f",
+        ("banana", "certificate"):
+            "d3ca1424d878b351cc67bdf313caa2f1b019cc46236a7b54b7df19c87870f50c",
+    }
+
+    def test_certificates_unchanged_without_pieces(self, monkeypatch):
+        def no_piece(*args):
+            raise AssertionError("check_faithful built a piece")
+
+        monkeypatch.setattr(PiecewiseAffineMap, "piece", no_piece)
+        monkeypatch.setattr(PiecewiseAffineMap, "pieces", property(no_piece))
+        docs = {"cycle100": generate_fixture("cycle", n=100), "banana": banana_document(5, 3, 21)}
+        for (name, mode), digest in sorted(self.CERTIFICATE_SHA256.items()):
+            doc = docs[name]
+            report = check_faithful(doc.complex, doc.effective_orders(), mode=mode)
+            text = emit_certificate(report, input_digest(doc))
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, (name, mode)
+
+
 def count_coordinate_tests(monkeypatch) -> list[tuple[int, int]]:
     """Patch ``_IntervalRule`` to record each (row, coordinate) it tests."""
     tested = []
@@ -821,34 +895,33 @@ class TestRowSeparation:
         # a's own coordinate, then the rest in order.
         assert [i for _, i in tested] == [0, 1, 2]
 
-    def test_pieces_that_disagree_by_label_go_to_the_lp(self, monkeypatch):
+    def test_from_pieces_refuses_pieces_that_disagree_by_label(self):
         # Vertex 2 is 1 in a's piece and -1 in b's, so a's open image (0, 1)
         # meets b's (-1, 2); read by label, b would lie in GE(1) and look
-        # separated.
+        # separated.  Such a map can no longer be built.
         c = build_delta_complex(3, 1, [("a", (1, 2)), ("b", (2, 3))], [])
-        f = PiecewiseAffineMap(c, 1, {"a": ((0, 1),), "b": ((-1, 2),)})
-        tested = count_coordinate_tests(monkeypatch)
-        verdict = images_relint_disjoint_exact(f, "a", "b")
-        assert not verdict.disjoint and verdict.method == "lp"
-        assert verdict.witness is not None and 0 < verdict.witness[0] < 1
-        assert tested == []
-        # Disjoint images that disagree by label are decided by the LP too.
-        f = PiecewiseAffineMap(c, 1, {"a": ((0, 1),), "b": ((5, 6),)})
-        assert images_relint_disjoint_exact(f, "a", "b") == ExactVerdict(True, None, "lp")
+        for b_piece in (((-1, 2),), ((5, 6),)):
+            with pytest.raises(ValueError, match=r"vertex 2 has image \(1,\) in stratum a "
+                                                 r"and \(\S+,\) in stratum b"):
+                PiecewiseAffineMap.from_pieces(c, 1, {"a": ((0, 1),), "b": b_piece})
+        # Pieces that agree on vertex 2 build the map of their columns.
+        f = PiecewiseAffineMap.from_pieces(c, 1, {"a": ((0, 1),), "b": ((1, 6),)})
+        assert f.images == {1: (0,), 2: (1,), 3: (6,)}
+        assert f.pieces == {"a": ((0, 1),), "b": ((1, 6),)}
+        assert images_relint_disjoint_exact(f, "a", "b") == ExactVerdict(True, None, "interval")
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_public_verdict_matches_lp_on_any_pieces(self, data):
-        # Each stratum's piece drawn on its own, so shared vertices may have
-        # two images; the verdict must still be the LP's.
+    def test_public_verdict_matches_lp_on_any_images(self, data):
+        # One image per vertex label, any integers (negative too), so no
+        # order axiom need hold; the verdict must be the LP's.
         rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
         ell, n = rng.randint(2, 4), rng.randint(1, 3)
         verts = [_shuffled(rng, rng.sample(range(1, ell + 1), rng.randint(1, ell)))
                  for _ in range(2)]
         c = build_delta_complex(ell, ell - 1, [("a", verts[0]), ("b", verts[1])], [])
-        f = PiecewiseAffineMap(c, n, {sid: tuple(tuple(rng.randint(-2, 2) for _ in vs)
-                                                 for _ in range(n))
-                                      for sid, vs in (("a", verts[0]), ("b", verts[1]))})
+        f = PiecewiseAffineMap(c, n, {v: tuple(rng.randint(-2, 2) for _ in range(n))
+                                      for v in range(1, ell + 1)})
         hit, _ = relint_intersection_nonempty(
             *(simplex_image_polyhedron(f.vertex_images(sid)) for sid in ("a", "b")))
         assert images_relint_disjoint_exact(f, "a", "b").disjoint == (not hit)
@@ -1141,12 +1214,20 @@ class TestWhichRuleSettlesEachPair:
 # ---------------------------------------------------------------------------
 
 
-def reference_unimodularity(f, sid) -> UnimodularityCertificate:
+def reference_edge_matrix(c, m, sid) -> IntMatrix:
+    """A stratum's edge matrix read off the order matrix, not the map: row
+    ``a`` holds ``m.orders[i][v_a - 1] - m.orders[i][v_0 - 1]`` for each
+    section ``i``."""
+    first, *rest = c.stratum(sid).vertices
+    return IntMatrix.from_rows([[row[v - 1] - row[first - 1] for row in m.orders[1:]]
+                                for v in rest], cols=m.ell)
+
+
+def reference_unimodularity(c, m, sid) -> UnimodularityCertificate:
     """The certificate from the Smith diagonal of the edge matrix alone."""
-    vectors = f.edge_vectors(sid)
-    matrix = IntMatrix.from_rows(vectors, cols=f.n)
+    matrix = reference_edge_matrix(c, m, sid)
     divisors = lattice.elementary_divisors(matrix)
-    verdict = len(divisors) == len(vectors) and all(x == 1 for x in divisors)
+    verdict = len(divisors) == matrix.rows and all(x == 1 for x in divisors)
     return UnimodularityCertificate(sid, matrix, divisors, verdict)
 
 
@@ -1163,16 +1244,38 @@ class TestUnimodularityFromSelector:
             noise = data.draw(st.sampled_from((0.0, 0.1, 0.4, 1.0)))
             rows = [[rng.randint(0, 3) if rng.random() < noise else x for x in row]
                     for row in random_valid_orders(rng, c).orders]
-            f = build_map(c, OrderMatrix(tuple(map(tuple, rows)), (True,) * (c.ell + 1)),
-                          check=False)
+            m = OrderMatrix(tuple(map(tuple, rows)), (True,) * (c.ell + 1))
+            f = build_map(c, m, check=False)
             for sid in c.stratum_ids():
-                assert check_unimodular(f, sid) == reference_unimodularity(f, sid), sid
-                vectors = f.edge_vectors(sid)
+                assert check_unimodular(f, sid) == reference_unimodularity(c, m, sid), sid
+                vectors = reference_edge_matrix(c, m, sid).entries
                 if vectors:
                     selector.add(_selector_inverts(vectors, c.stratum(sid).vertices))
 
         run()
         assert selector == {True, False}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_edge_matrices_are_read_from_the_order_matrix(self, data):
+        rng, c = random_simplicial_or_delta(data)
+        valid = random_valid_orders(rng, c)
+        for cert in check_faithful(c, valid, mode="both").certificates:
+            assert cert.edge_matrix == reference_edge_matrix(c, valid, cert.stratum)
+        # Unvalidated orders that fail the selector on every edge: even
+        # entries make every edge-matrix entry even, never the selector's -1.
+        # Doubled valid orders, or any even orders.
+        if data.draw(st.booleans()):
+            rows = [[2 * x for x in row] for row in valid.orders]
+        else:
+            rows = [[2 * rng.randint(0, 3) for _ in row] for row in valid.orders]
+        m = OrderMatrix(tuple(map(tuple, rows)), valid.horizontal_effective)
+        f = build_map(c, m, check=False)
+        for s in c.strata:
+            cert = check_unimodular(f, s)
+            assert cert.edge_matrix == reference_edge_matrix(c, m, s.id), s.id
+            if len(s.vertices) > 1:
+                assert not _selector_inverts(cert.edge_matrix.entries, s.vertices), s.id
 
     def test_validated_documents_run_no_smith_elimination(self, monkeypatch):
         calls = []
