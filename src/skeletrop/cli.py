@@ -21,8 +21,8 @@ from . import bounds
 from ._version import __version__
 from .bounds import BoundQuery, coordinate_count, corollary_twist, phi_upper_bound
 from .complexes import DualComplex, connected_components, validate_complex
-from .documents import (FIXTURE_KINDS, InputDocument, InputError, emit_certificate,
-                        generate_fixture, input_digest, input_text, parse_input)
+from .documents import (FIXTURE_KINDS, InputDocument, emit_certificate, generate_fixture,
+                        input_digest, input_text, parse_input)
 from .sections import OrderMatrix, canonical_order_matrix, validate_orders
 from .tropicalize import MODES, check_faithful
 
@@ -187,10 +187,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # an InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

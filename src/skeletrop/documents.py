@@ -108,19 +108,25 @@ def _expect(obj, key, kind, path, default=None, required=True):
 
 
 def _int_list(values, path) -> list[int]:
+    """``values`` itself, once it is checked to be a list of integers."""
     if not isinstance(values, list):
         raise InputError(path, f"expected a list, got {values!r}")
-    out = []
     for k, v in enumerate(values):
         if isinstance(v, bool) or not isinstance(v, int):
             raise InputError(f"{path}[{k}]", f"expected an integer, got {v!r}")
-        out.append(v)
-    return out
+    return values
 
 
 @dataclass(frozen=True, eq=False)
 class InputDocument:
-    """Parsed and validated input: complex, optional orders, check options."""
+    """Parsed and validated input: complex, optional orders, check options.
+
+    ``canonical`` is the parsed document with its defaults filled in
+    (``complex.mode``, ``order_matrix.horizontal_effective``), its Delta
+    face-map subsets sorted and an empty ``check`` dropped; ``input_text``
+    writes it.  The other fields are built from copies of its lists, so
+    changing it changes none of them.
+    """
 
     schema_version: int
     complex: DualComplex
@@ -178,7 +184,7 @@ def _check_strata(cx: DualComplex, path: str, key: str) -> None:
                                         f"document may have")
 
 
-def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
+def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str]:
     ell = _expect(spec, "ell", int, path)
     d = _expect(spec, "d", int, path)
     mode = _expect(spec, "mode", str, path, default="simplicial", required=False)
@@ -190,9 +196,9 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
         raise InputError(f"{path}.d", "must be nonnegative")
     if mode == "simplicial":
         _reject_unknown(spec, ("ell", "d", "mode", "facets"), path)
-        facets_raw = _expect(spec, "facets", list, path)
-        facets = [_int_list(f, f"{path}.facets[{k}]")
-                  for k, f in enumerate(facets_raw)]
+        facets = _expect(spec, "facets", list, path)
+        for k, f in enumerate(facets):
+            _int_list(f, f"{path}.facets[{k}]")
         _check_expansion(map(len, facets), f"{path}.facets")
         _check_vertex_count(ell, facets, path)
         try:
@@ -200,8 +206,7 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
         except ValueError as exc:
             raise InputError(f"{path}.facets", str(exc)) from None
         _check_strata(cx, path, "facets")
-        canon = {"ell": ell, "d": d, "mode": "simplicial", "facets": facets}
-        return cx, mode, canon
+        return cx, mode
     _reject_unknown(spec, ("ell", "d", "mode", "strata", "face_map"), path)
     strata_raw = _expect(spec, "strata", list, path)
     strata = []
@@ -231,38 +236,32 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str, dict]:
     except ValueError as exc:
         raise InputError(f"{path}.strata", str(exc)) from None
     _check_strata(cx, path, "strata")
-    canon = {"ell": ell, "d": d, "mode": "delta",
-             "strata": [{"id": sid, "vertices": list(vs)} for sid, vs in strata],
-             "face_map": [{"stratum": o, "subset": sorted(sub), "face": fid}
-                          for o, sub, fid in faces]}
-    return cx, mode, canon
+    return cx, mode
 
 
-def _parse_orders(spec: dict, ell: int, path: str) -> tuple[OrderMatrix, dict]:
+def _parse_orders(spec: dict, ell: int, path: str) -> OrderMatrix:
     _reject_unknown(spec, ("orders", "horizontal_effective"), path)
-    rows_raw = _expect(spec, "orders", list, path)
-    rows = [_int_list(r, f"{path}.orders[{k}]") for k, r in enumerate(rows_raw)]
-    flags_raw = _expect(spec, "horizontal_effective", list, path,
-                        default=None, required=False)
-    if flags_raw is None:
-        flags = [True] * (ell + 1)
-    else:
-        flags = []
-        for k, v in enumerate(flags_raw):
-            if not isinstance(v, bool):
-                raise InputError(f"{path}.horizontal_effective[{k}]",
-                                 f"expected a boolean, got {v!r}")
-            flags.append(v)
+    rows = _expect(spec, "orders", list, path)
+    for k, r in enumerate(rows):
+        _int_list(r, f"{path}.orders[{k}]")
+    flags = _expect(spec, "horizontal_effective", list, path,
+                    default=[True] * (ell + 1), required=False)
+    for k, v in enumerate(flags):
+        if not isinstance(v, bool):
+            raise InputError(f"{path}.horizontal_effective[{k}]",
+                             f"expected a boolean, got {v!r}")
     try:
-        m = OrderMatrix(tuple(tuple(r) for r in rows), tuple(flags))
+        m = OrderMatrix(rows, flags)
     except ValueError as exc:
-        raise InputError(f"{path}.orders", str(exc)) from None
+        # The matrix checks its rows before its flags, so a flag-count error
+        # means the rows passed and the listed flags are at fault.
+        field = ("horizontal_effective" if "horizontal_effective" in spec
+                 and "flag" in str(exc) else "orders")
+        raise InputError(f"{path}.{field}", str(exc)) from None
     if m.ell != ell:
         raise InputError(f"{path}.orders",
                          f"matrix is for {m.ell} components, complex has {ell}")
-    canon = {"orders": [list(r) for r in m.orders],
-             "horizontal_effective": list(m.horizontal_effective)}
-    return m, canon
+    return m
 
 
 def parse_input(text: str) -> InputDocument:
@@ -284,15 +283,12 @@ def parse_input(text: str) -> InputDocument:
     version = _expect(data, "schema_version", int, "$")
     if version != SCHEMA_VERSION:
         raise InputError("$.schema_version", f"unsupported version {version}")
-    spec = _expect(data, "complex", dict, "$")
-    cx, mode, canon_complex = _parse_complex(spec, "$.complex")
-    canonical = {"schema_version": SCHEMA_VERSION, "complex": canon_complex}
+    cx, mode = _parse_complex(_expect(data, "complex", dict, "$"), "$.complex")
 
     orders = None
     if "order_matrix" in data:
         spec = _expect(data, "order_matrix", dict, "$")
-        orders, canon_orders = _parse_orders(spec, cx.ell, "$.order_matrix")
-        canonical["order_matrix"] = canon_orders
+        orders = _parse_orders(spec, cx.ell, "$.order_matrix")
 
     check_mode = None
     jobs = None
@@ -306,10 +302,9 @@ def parse_input(text: str) -> InputDocument:
         jobs = _expect(spec, "jobs", int, "$.check", default=None, required=False)
         if jobs is not None and jobs < 1:
             raise InputError("$.check.jobs", "must be at least 1")
-        pairs_raw = _expect(spec, "pairs", list, "$.check", default=None, required=False)
-        if pairs_raw is not None:
-            pairs = []
-            for k, entry in enumerate(pairs_raw):
+        pairs = _expect(spec, "pairs", list, "$.check", default=None, required=False)
+        if pairs is not None:
+            for k, entry in enumerate(pairs):
                 if (not isinstance(entry, list) or len(entry) != 2
                         or not all(isinstance(x, str) for x in entry)):
                     raise InputError(f"$.check.pairs[{k}]",
@@ -320,20 +315,20 @@ def parse_input(text: str) -> InputDocument:
                 if entry[0] == entry[1]:
                     raise InputError(f"$.check.pairs[{k}]",
                                      f"a pair needs two distinct strata, got {entry}")
-                pairs.append((entry[0], entry[1]))
-            pair_filter = tuple(pairs)
-        canon_check = {}
-        if check_mode is not None:
-            canon_check["mode"] = check_mode
-        if jobs is not None:
-            canon_check["jobs"] = jobs
-        if pair_filter is not None:
-            canon_check["pairs"] = [list(p) for p in pair_filter]
-        if canon_check:
-            canonical["check"] = canon_check
+            pair_filter = tuple(map(tuple, pairs))
 
-    return InputDocument(version, cx, mode, orders, check_mode, jobs,
-                         pair_filter, canonical)
+    # The document is valid; normalize it in place into the canonical form.
+    # The parsed objects hold tuples and frozensets built from its lists,
+    # so nothing is shared with it.
+    data["complex"]["mode"] = mode
+    if mode == "delta":
+        for entry in data["complex"]["face_map"]:
+            entry["subset"].sort()
+    if orders is not None:
+        data["order_matrix"].setdefault("horizontal_effective", [True] * (cx.ell + 1))
+    if data.get("check") == {}:
+        del data["check"]
+    return InputDocument(version, cx, mode, orders, check_mode, jobs, pair_filter, data)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +420,12 @@ def _doc_from_dict(data: dict) -> InputDocument:
     return parse_input(json.dumps(data))
 
 
+def _simplicial_fixture(ell: int, d: int, facets: list) -> InputDocument:
+    return _doc_from_dict({"schema_version": SCHEMA_VERSION,
+                           "complex": {"ell": ell, "d": d, "mode": "simplicial",
+                                       "facets": facets}})
+
+
 def generate_fixture(kind: str, n: int | None = None, dim: int | None = None,
                      ell: int | None = None, seed: int | None = None) -> InputDocument:
     """Deterministic test complexes.
@@ -456,25 +457,17 @@ def generate_fixture(kind: str, n: int | None = None, dim: int | None = None,
                 },
             }
             return _doc_from_dict(data)
-        facets = [[i, i + 1] for i in range(1, n)] + [[1, n]]
-        return _doc_from_dict({"schema_version": SCHEMA_VERSION,
-                               "complex": {"ell": n, "d": 1, "mode": "simplicial",
-                                           "facets": facets}})
+        return _simplicial_fixture(n, 1, [[i, i + 1] for i in range(1, n)] + [[1, n]])
     if kind == "path":
         if n is None or n < 2:
             raise ValueError("path fixtures need n >= 2")
-        facets = [[i, i + 1] for i in range(1, n)]
-        return _doc_from_dict({"schema_version": SCHEMA_VERSION,
-                               "complex": {"ell": n, "d": 1, "mode": "simplicial",
-                                           "facets": facets}})
+        return _simplicial_fixture(n, 1, [[i, i + 1] for i in range(1, n)])
     if kind == "simplex_boundary":
         if dim is None or dim < 1:
             raise ValueError("simplex_boundary fixtures need dim >= 1")
         verts = list(range(1, dim + 2))
         facets = [sorted(set(verts) - {v}) for v in reversed(verts)]
-        return _doc_from_dict({"schema_version": SCHEMA_VERSION,
-                               "complex": {"ell": dim + 1, "d": max(dim - 1, 0),
-                                           "mode": "simplicial", "facets": facets}})
+        return _simplicial_fixture(dim + 1, max(dim - 1, 0), facets)
     # random
     if ell is None or ell < 1 or dim is None or dim < 1 or seed is None:
         raise ValueError("random fixtures need ell >= 1, dim >= 1, and a seed")
@@ -492,9 +485,7 @@ def generate_fixture(kind: str, n: int | None = None, dim: int | None = None,
     for f in facets:
         if f not in unique:
             unique.append(f)
-    return _doc_from_dict({"schema_version": SCHEMA_VERSION,
-                           "complex": {"ell": ell, "d": dim, "mode": "simplicial",
-                                       "facets": unique}})
+    return _simplicial_fixture(ell, dim, unique)
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,9 @@ class PiecewiseAffineMap:
     images.
 
     ``images[v]`` is the image of vertex ``v``, coordinate ``i`` (section
-    index) at position ``i-1``.  Everything per stratum is a view computed
-    from it and never stored: ``vertex_images``, ``vertex_image``,
+    index) at position ``i-1``; a key that is not an ``int``, such as the
+    stratum id of a piece, is refused.  Everything per stratum is a view
+    computed from it and never stored: ``vertex_images``, ``vertex_image``,
     ``edge_vectors``, and ``piece``, the n x k matrix whose row ``i-1``
     holds coordinate ``i`` over the stratum's vertex slots.
 
@@ -109,6 +110,13 @@ class PiecewiseAffineMap:
     complex: DualComplex
     n: int
     images: Mapping[int, tuple[int, ...]]
+
+    def __post_init__(self):
+        for v in self.images:
+            if type(v) is not int:
+                raise ValueError(f"images are keyed by vertex label, got key {v!r}; "
+                                 f"build a map from per-stratum pieces with "
+                                 f"PiecewiseAffineMap.from_pieces")
 
     @classmethod
     def from_pieces(cls, c: DualComplex, n: int,

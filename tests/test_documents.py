@@ -184,6 +184,25 @@ class TestParseInput:
         with pytest.raises(InputError, match="order"):
             parse_input(json.dumps(data))
 
+    def test_flag_count_error_points_at_the_flags(self):
+        data = json.loads(MINIMAL)
+        data["order_matrix"] = {"orders": [[0, 0], [0, 1], [1, 0]],
+                                "horizontal_effective": [True]}
+        with pytest.raises(InputError) as info:
+            parse_input(json.dumps(data))
+        assert str(info.value) == ("$.order_matrix.horizontal_effective: "
+                                   "need one horizontal-effectivity flag per row")
+        assert info.value.path == "$.order_matrix.horizontal_effective"
+        # A row error is still reported at the rows, flags listed or not;
+        # so is a row count that the default flags do not fit.
+        for orders in ({"orders": [[0, 0], [0, -1], [1, 0]], "horizontal_effective": [True]},
+                       {"orders": [[0, 0], [0, -1], [1, 0]]},
+                       {"orders": [[0], [0]]}):
+            data["order_matrix"] = orders
+            with pytest.raises(InputError) as info:
+                parse_input(json.dumps(data))
+            assert info.value.path == "$.order_matrix.orders"
+
     def test_check_options(self):
         data = json.loads(MINIMAL)
         data["check"] = {"mode": "exact", "jobs": 2, "pairs": [["1", "2"]]}
@@ -626,6 +645,42 @@ def reference_input_text(doc) -> str:
     return json.dumps(doc.canonical, sort_keys=True, indent=2) + "\n"
 
 
+def reference_canonical(text: str) -> dict:
+    """The canonical form of a document that parses, built field by field
+    as a second tree next to the parsed JSON, the way ``parse_input`` built
+    it before it normalized the parsed document in place."""
+    data = json.loads(text)
+    spec = data["complex"]
+    ell, d = spec["ell"], spec["d"]
+    if spec.get("mode", "simplicial") == "simplicial":
+        canon_complex = {"ell": ell, "d": d, "mode": "simplicial",
+                         "facets": [list(f) for f in spec["facets"]]}
+    else:
+        canon_complex = {"ell": ell, "d": d, "mode": "delta",
+                         "strata": [{"id": e["id"], "vertices": list(e["vertices"])}
+                                    for e in spec["strata"]],
+                         "face_map": [{"stratum": e["stratum"], "subset": sorted(e["subset"]),
+                                       "face": e["face"]} for e in spec["face_map"]]}
+    canonical = {"schema_version": SCHEMA_VERSION, "complex": canon_complex}
+    if "order_matrix" in data:
+        spec = data["order_matrix"]
+        canonical["order_matrix"] = {
+            "orders": [list(r) for r in spec["orders"]],
+            "horizontal_effective": list(spec.get("horizontal_effective", [True] * (ell + 1)))}
+    if "check" in data:
+        spec = data["check"]
+        canon_check = {}
+        if "mode" in spec:
+            canon_check["mode"] = spec["mode"]
+        if "jobs" in spec:
+            canon_check["jobs"] = spec["jobs"]
+        if "pairs" in spec:
+            canon_check["pairs"] = [list(p) for p in spec["pairs"]]
+        if canon_check:
+            canonical["check"] = canon_check
+    return canonical
+
+
 # Stratum ids that exercise the writer's escaping: quotes, backslashes,
 # control characters, non-ASCII text and astral characters.
 ODD_IDS = ['"', "\\", 'a"b\\c', "été", "\n\t", "\x00\x1f\x7f", " ",
@@ -679,6 +734,92 @@ def random_input_document(data) -> dict:
                                        else st.just([]))
         doc["check"] = check
     return doc
+
+
+def scramble(node) -> None:
+    """Reverse every list of a JSON tree in place, innermost first, and
+    repeat its new first item at its end."""
+    if isinstance(node, dict):
+        for child in node.values():
+            scramble(child)
+    elif isinstance(node, list):
+        for child in node:
+            scramble(child)
+        if node:
+            node.reverse()
+            node.append(node[0])
+
+
+# A Delta document whose face map lists subsets out of order and lists
+# some entries twice, once in another order.
+DELTA_UNSORTED = {
+    "schema_version": 1,
+    "complex": {"ell": 3, "d": 2, "mode": "delta",
+                "strata": [{"id": "a", "vertices": [1]}, {"id": "b", "vertices": [2]},
+                           {"id": "c", "vertices": [3]}, {"id": "e", "vertices": [2, 1]},
+                           {"id": "t", "vertices": [3, 2, 1]}],
+                "face_map": [{"stratum": "e", "subset": [2], "face": "b"},
+                             {"stratum": "e", "subset": [1], "face": "a"},
+                             {"stratum": "e", "subset": [2], "face": "b"},
+                             {"stratum": "t", "subset": [2, 1], "face": "e"},
+                             {"stratum": "t", "subset": [1, 2], "face": "e"},
+                             {"stratum": "t", "subset": [3], "face": "c"}]},
+    "order_matrix": {"orders": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                     "horizontal_effective": [True, False, True, True]},
+    "check": {"mode": "exact", "jobs": 2, "pairs": [["t", "a"], ["e", "c"]]},
+}
+
+
+class TestCanonical:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference_on_random_documents(self, data):
+        text = json.dumps(random_input_document(data))
+        assert parse_input(text).canonical == reference_canonical(text)
+
+    @pytest.mark.parametrize("document", [
+        # No complex mode.
+        json.loads(MINIMAL),
+        # Orders without flags.
+        {**json.loads(MINIMAL), "order_matrix": {"orders": [[0, 0], [0, 1], [1, 0]]}},
+        # An empty check, and an empty pair list.
+        {**json.loads(MINIMAL), "check": {}},
+        {**json.loads(MINIMAL), "check": {"pairs": []}},
+        DELTA_UNSORTED,
+    ])
+    def test_matches_reference_on_edge_cases(self, document):
+        text = json.dumps(document)
+        doc = parse_input(text)
+        assert doc.canonical == reference_canonical(text)
+        assert input_text(doc) == reference_input_text(doc)
+
+    def test_fills_defaults_sorts_subsets_and_drops_an_empty_check(self):
+        doc = parse_input(json.dumps(DELTA_UNSORTED))
+        face_map = doc.canonical["complex"]["face_map"]
+        assert [e["subset"] for e in face_map] == [[2], [1], [2], [1, 2], [1, 2], [3]]
+        doc = parse_input(json.dumps({**json.loads(MINIMAL), "check": {},
+                                      "order_matrix": {"orders": [[0, 0], [0, 1], [1, 0]]}}))
+        assert doc.canonical == {"schema_version": 1,
+                                 "complex": {"ell": 2, "d": 1, "mode": "simplicial",
+                                             "facets": [[1, 2]]},
+                                 "order_matrix": {"orders": [[0, 0], [0, 1], [1, 0]],
+                                                  "horizontal_effective": [True, True, True]}}
+
+    @pytest.mark.parametrize("document", [
+        DELTA_UNSORTED,
+        {**json.loads(MINIMAL), "order_matrix": {"orders": [[0, 0], [0, 1], [1, 0]]},
+         "check": {"pairs": [["1", "1-2"], ["2", "1"]]}},
+    ])
+    def test_parsed_fields_share_no_list_with_canonical(self, document):
+        text = json.dumps(document)
+        doc, fresh = parse_input(text), parse_input(text)
+        scramble(doc.canonical)
+        assert doc.canonical != fresh.canonical
+        assert doc.complex.strata == fresh.complex.strata
+        assert doc.complex.face_map == fresh.complex.face_map
+        assert doc.order_matrix.orders == fresh.order_matrix.orders
+        assert doc.order_matrix.horizontal_effective == fresh.order_matrix.horizontal_effective
+        assert doc.pair_filter == fresh.pair_filter
 
 
 class TestInputText:

@@ -134,6 +134,19 @@ class TestBuildMap:
         with pytest.raises(ValueError, match="piece of stratum 1-2 is not 2 x 2"):
             PiecewiseAffineMap.from_pieces(c, 2, {"1-2": piece})
 
+    def test_pieces_keyed_by_stratum_are_refused_with_a_pointer(self):
+        # The pieces of the canonical map, passed where images belong: their
+        # keys are stratum ids, not vertex labels.
+        c = build_from_facets(2, 1, [[1, 2]])
+        pieces = {"1": ((0,), (1,)), "2": ((1,), (0,)), "1-2": ((0, 1), (1, 0))}
+        with pytest.raises(ValueError, match=r"keyed by vertex label, got key '1'.*"
+                                             r"PiecewiseAffineMap\.from_pieces"):
+            PiecewiseAffineMap(c, 2, pieces)
+        f = PiecewiseAffineMap.from_pieces(c, 2, pieces)
+        assert check_unimodular(f, "1-2").verdict
+        # A map with no images is still a map.
+        assert PiecewiseAffineMap(c, 3, {}).images == {}
+
 
 class TestUnimodularity:
     def test_canonical_pieces_are_unimodular(self):
