@@ -793,18 +793,6 @@ class TestCanonical:
         assert doc.canonical == reference_canonical(text)
         assert input_text(doc) == reference_input_text(doc)
 
-    def test_fills_defaults_sorts_subsets_and_drops_an_empty_check(self):
-        doc = parse_input(json.dumps(DELTA_UNSORTED))
-        face_map = doc.canonical["complex"]["face_map"]
-        assert [e["subset"] for e in face_map] == [[2], [1], [2], [1, 2], [1, 2], [3]]
-        doc = parse_input(json.dumps({**json.loads(MINIMAL), "check": {},
-                                      "order_matrix": {"orders": [[0, 0], [0, 1], [1, 0]]}}))
-        assert doc.canonical == {"schema_version": 1,
-                                 "complex": {"ell": 2, "d": 1, "mode": "simplicial",
-                                             "facets": [[1, 2]]},
-                                 "order_matrix": {"orders": [[0, 0], [0, 1], [1, 0]],
-                                                  "horizontal_effective": [True, True, True]}}
-
     @pytest.mark.parametrize("document", [
         DELTA_UNSORTED,
         {**json.loads(MINIMAL), "order_matrix": {"orders": [[0, 0], [0, 1], [1, 0]]},
