@@ -1,21 +1,27 @@
-"""What counts as an exact number, and the one place that converts them.
+"""What counts as an exact number, and the one place that checks and converts them.
 
 An integer is an ``int``, never a ``bool``.  A rational is an ``int`` or
 ``Fraction``, used as given; ``bool`` and ``float`` are refused, and other
-values (``"p/q"`` strings) are read through ``Fraction``.  ``fraction`` turns
-a rational into a ``Fraction`` and ``cleared`` clears the denominators of a
-vector of them; no other module does either."""
+values (``"p/q"`` strings) are read through ``Fraction``.  ``is_int`` and
+``ints`` apply the integer rule, ``rational`` the rational one, ``fraction``
+turns a rational into a ``Fraction`` and ``cleared`` clears the denominators
+of a vector of them; no other module does any of these."""
 
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
 
+def is_int(x) -> bool:
+    """Whether ``x`` is an integer: an ``int``, never a ``bool``."""
+    return type(x) is int or (isinstance(x, int) and not isinstance(x, bool))
+
+
 def ints(row: Iterable, message: str) -> tuple[int, ...]:
     """``row`` as a tuple of ints, or a ``TypeError`` formatting ``message``."""
     row = tuple(row)
     for x in row:
-        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+        if type(x) is not int and not is_int(x):
             raise TypeError(message.format(x=x, row=row))
     return row
 

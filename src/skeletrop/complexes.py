@@ -9,7 +9,8 @@ face maps must be given explicitly.
 
 Complexes are immutable after construction and safe to share across
 threads.  Construction is permissive; :func:`validate_complex` reports
-every invariant violation rather than raising on the first one.
+every invariant violation, each rule worded in one place, rather than
+raising on the first one.
 """
 
 from __future__ import annotations
@@ -222,13 +223,8 @@ def build_delta_complex(ell: int, d: int,
 def validate_complex(c: DualComplex) -> list[Violation]:
     """All invariant violations of a complex; empty list means valid.
 
-    A valid complex is proved valid from its codimension-one faces: if
-    every face F(s, s - {v}) has exactly the faces that s has inside
-    s - {v}, then restricting in two steps agrees with restricting
-    directly along every chain (see :func:`_find_violations`).  Only a
-    complex that breaks a rule, or fails that local test, goes through
-    the exhaustive pass, which alone words the violations; so every input
-    gets the same list, in the same order, as from the exhaustive pass.
+    The list is sorted by rule, subject and message.  A valid complex is
+    proved valid from its codimension-one faces (see :func:`_find_violations`).
 
     Complexes are immutable, so the violations are found once per complex
     and kept on it: a caller that validates before ``check_faithful``
@@ -244,68 +240,23 @@ def validate_complex(c: DualComplex) -> list[Violation]:
 
 
 def _find_violations(c: DualComplex) -> list[Violation]:
-    """The exhaustive pass's list, which is empty when the faces prove it.
+    """Every violation of ``c``, each rule worded in one place.
 
-    One pass over ``c.face_map`` checks the vertex and per-entry rules
-    and files each face under its owner.  The entries are then distinct
-    nonempty proper subsets of their owner, so a stratum with r vertices
-    misses no face exactly when it owns 2^r - 2 of them.  Composition is
-    tested locally: for each stratum s and vertex v, the faces of s
-    inside mid = s - {v} must be the faces of t = F(s, mid), r * 2^(r-1)
-    lookups instead of the ~3^r chains.
-
-    Lemma: the local test gives F(s, sub) = F(F(s, mid), sub) for every
-    chain sub < mid < s.  By induction on the codimension of mid in s:
-    codimension one is the test itself; otherwise take v in s - mid and
-    t = F(s, s - {v}), which contains mid, so F(s, sub) = F(t, sub) and
-    F(s, mid) = F(t, mid), and t restricts in two steps by induction.
-
-    Any rule or local test that fails sends the complex through
-    :func:`_exhaustive_violations` unchanged.
-    """
-    by_id = c._by_id
-    covered = set()
-    faces: dict[str, dict[frozenset[int], str]] = {}
-    for s in c.strata:
-        if (len(s.vertices) - 1 > c.dim_bound or min(s.vertices) < 1
-                or max(s.vertices) > c.ell):
-            return _exhaustive_violations(c)
-        if len(s.vertices) == 1:
-            covered.add(s.vertices[0])
-        faces[s.id] = {}
-    if len(covered) != c.ell:
-        return _exhaustive_violations(c)
-    for (owner, subset), fid in c.face_map.items():
-        own = faces.get(owner)
-        if (own is None or not subset or not subset < by_id[owner].vertex_set
-                or fid not in by_id or by_id[fid].vertex_set != subset):
-            return _exhaustive_violations(c)
-        own[subset] = fid
-    for s in c.strata:
-        own = faces[s.id]
-        if len(own) != 2 ** len(s.vertices) - 2:
-            return _exhaustive_violations(c)
-        if len(s.vertices) > 2:
-            items = own.items()
-            for v in s.vertices:
-                if not faces[own[s.vertex_set - {v}]].items() <= items:
-                    return _exhaustive_violations(c)
-    return []
-
-
-def _exhaustive_violations(c: DualComplex) -> list[Violation]:
-    """Every violation, each rule checked entry by entry and chain by chain.
-
-    :func:`_find_violations` runs it only when the faces do not prove the
-    complex valid; it is the one place that reports face-missing and
-    face-composition violations and words every message.
+    One pass over the strata words the vertex-range, dim-bound and
+    vertex-cover rules, and one over ``c.face_map`` the face-key,
+    face-dangling and face-vertex-set rules, filing each valid face under
+    its owner.  :func:`_chain_violations` adds the face-missing and
+    face-composition ones, unless the complex is valid so far and
+    :func:`_proved_by_codimension_one` holds.
     """
     out: list[Violation] = []
 
     def bad(rule, subject, message):
         out.append(Violation(rule, subject, message))
 
+    by_id = c._by_id
     covered = set()
+    faces: dict[str, dict[frozenset[int], str]] = {}
     for s in c.strata:
         for v in s.vertices:
             if not 1 <= v <= c.ell:
@@ -315,49 +266,83 @@ def _exhaustive_violations(c: DualComplex) -> list[Violation]:
         if len(s.vertices) - 1 > c.dim_bound:
             bad("dim-bound", s.id,
                 f"{len(s.vertices)} vertices exceed dimension bound {c.dim_bound}")
+        faces[s.id] = {}
     for v in range(1, c.ell + 1):
         if v not in covered:
             bad("vertex-cover", None, f"vertex {v} has no 0-dimensional stratum")
 
-    known = {s.id for s in c.strata}
     for (owner, subset), fid in c.face_map.items():
-        if owner not in known:
-            bad("face-key", owner, "face map entry for unknown stratum")
-            continue
-        verts = c.stratum(owner).vertex_set
-        if not subset or not subset < verts:
-            bad("face-key", owner,
-                f"{sorted(subset)} is not a nonempty proper subset of {sorted(verts)}")
-            continue
-        if fid not in known:
+        own = faces.get(owner)
+        if own is None or not subset or not subset < by_id[owner].vertex_set:
+            bad("face-key", owner, "face map entry for unknown stratum" if own is None else
+                f"{sorted(subset)} is not a nonempty proper subset "
+                f"of {sorted(by_id[owner].vertex_set)}")
+        elif fid not in by_id:
             bad("face-dangling", owner, f"face along {sorted(subset)} points to unknown {fid!r}")
-            continue
-        if c.stratum(fid).vertex_set != subset:
+        elif by_id[fid].vertex_set != subset:
             bad("face-vertex-set", owner,
                 f"face {fid!r} along {sorted(subset)} has vertex set "
-                f"{sorted(c.stratum(fid).vertices)}")
+                f"{sorted(by_id[fid].vertices)}")
+        else:
+            own[subset] = fid
 
+    if out or not _proved_by_codimension_one(c, faces):
+        out += _chain_violations(c)
+        out.sort(key=lambda v: (v.rule, v.subject or "", v.message))
+    return out
+
+
+def _proved_by_codimension_one(c: DualComplex, faces: dict) -> bool:
+    """Whether ``faces``, the faces of ``c`` by owner, prove them complete
+    and composing.  They are distinct nonempty proper subsets of their
+    owner, so a stratum with r vertices misses no face exactly when it
+    owns 2^r - 2 of them.  Composition is tested locally: for each stratum
+    s and vertex v, the faces of s inside mid = s - {v} must be the faces
+    of t = F(s, mid), r * 2^(r-1) lookups instead of the ~3^r chains.
+
+    Lemma: the local test gives F(s, sub) = F(F(s, mid), sub) for every
+    chain sub < mid < s.  By induction on the codimension of mid in s:
+    codimension one is the test itself; otherwise take v in s - mid and
+    t = F(s, s - {v}), which contains mid, so F(s, sub) = F(t, sub) and
+    F(s, mid) = F(t, mid), and t restricts in two steps by induction.
+    """
+    for s in c.strata:
+        own = faces[s.id]
+        if len(own) != 2 ** len(s.vertices) - 2:
+            return False
+        if len(s.vertices) > 2:
+            items = own.items()
+            for v in s.vertices:
+                if not faces[own[s.vertex_set - {v}]].items() <= items:
+                    return False
+    return True
+
+
+def _chain_violations(c: DualComplex) -> list[Violation]:
+    """The face-missing and face-composition violations, subset by subset
+    and chain by chain; run only on a complex not proved valid."""
+    out: list[Violation] = []
     for s in c.strata:
         r = len(s.vertices)
         for size in range(1, r):
             for sub in itertools.combinations(s.vertices, size):
-                key = (s.id, frozenset(sub))
-                if key not in c.face_map:
-                    bad("face-missing", s.id, f"no face assigned along {list(sub)}")
+                if (s.id, frozenset(sub)) not in c.face_map:
+                    out.append(Violation("face-missing", s.id,
+                                         f"no face assigned along {list(sub)}"))
         # Restricting in two steps must agree with restricting directly.
         for size_b in range(2, r):
             for mid in itertools.combinations(s.vertices, size_b):
                 mid_id = c.face_map.get((s.id, frozenset(mid)))
-                if mid_id is None or mid_id not in known:
+                if mid_id is None or not c.has_stratum(mid_id):
                     continue
                 for size_a in range(1, size_b):
                     for sub in itertools.combinations(mid, size_a):
                         direct = c.face_map.get((s.id, frozenset(sub)))
                         via = c.face_map.get((mid_id, frozenset(sub)))
                         if direct is not None and via is not None and direct != via:
-                            bad("face-composition", s.id,
-                                f"faces along {list(sub)} disagree through {mid_id!r}")
-    out.sort(key=lambda v: (v.rule, v.subject or "", v.message))
+                            out.append(Violation(
+                                "face-composition", s.id,
+                                f"faces along {list(sub)} disagree through {mid_id!r}"))
     return out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
 
-from ._exact import fraction
+from ._exact import fraction, ints, is_int
 from ._version import __version__
 from .complexes import DualComplex, build_delta_complex, build_from_facets
 from .sections import OrderMatrix, canonical_order_matrix
@@ -96,7 +96,7 @@ def _expect(obj, key, kind, path, default=None, required=True):
             raise InputError(f"{path}.{key}", "missing field")
         return default
     value = obj[key]
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+    if kind is int and not is_int(value):
         raise InputError(f"{path}.{key}", f"expected an integer, got {value!r}")
     if kind is str and not isinstance(value, str):
         raise InputError(f"{path}.{key}", f"expected a string, got {value!r}")
@@ -108,12 +108,15 @@ def _expect(obj, key, kind, path, default=None, required=True):
 
 
 def _int_list(values, path) -> list[int]:
-    """``values`` itself, once it is checked to be a list of integers."""
+    """``values`` itself, once it is checked to be a list of integers; only
+    a refused list pays for finding its first non-integer."""
     if not isinstance(values, list):
         raise InputError(path, f"expected a list, got {values!r}")
-    for k, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InputError(f"{path}[{k}]", f"expected an integer, got {v!r}")
+    try:
+        ints(values, "")
+    except TypeError:
+        k = next(k for k, v in enumerate(values) if not is_int(v))
+        raise InputError(f"{path}[{k}]", f"expected an integer, got {values[k]!r}") from None
     return values
 
 
@@ -245,7 +248,7 @@ def _parse_orders(spec: dict, ell: int, path: str) -> OrderMatrix:
     for k, r in enumerate(rows):
         _int_list(r, f"{path}.orders[{k}]")
     flags = _expect(spec, "horizontal_effective", list, path,
-                    default=[True] * (ell + 1), required=False)
+                    default=[True] * len(rows), required=False)
     for k, v in enumerate(flags):
         if not isinstance(v, bool):
             raise InputError(f"{path}.horizontal_effective[{k}]",

@@ -134,6 +134,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="duplicate"):
             build_delta_complex(1, 0, [("v", [1]), ("v", [1])], [])
 
+    def test_face_map_entry_for_unknown_stratum(self):
+        c = triangle()
+        face_map = dict(c.face_map)
+        face_map[("ghost", frozenset({1}))] = "1"
+        broken = DualComplex(c.ell, c.dim_bound, c.strata, face_map)
+        problems = validate_complex(broken)
+        assert problems == [Violation("face-key", "ghost", "face map entry for unknown stratum")]
+        assert problems == ref_find_violations(broken)
+
+    def test_conflicting_face_assignments_rejected(self):
+        strata = [("v1", [1]), ("v2", [2]), ("e", [1, 2])]
+        # Repeating an assignment is harmless; changing it is refused.
+        c = build_delta_complex(2, 1, strata, [("e", [1], "v1"), ("e", [2], "v2"),
+                                               ("e", [1], "v1")])
+        assert validate_complex(c) == []
+        with pytest.raises(ValueError, match=r"^conflicting face assignments for 'e' along \[1\]$"):
+            build_delta_complex(2, 1, strata, [("e", [1], "v1"), ("e", [2], "v2"),
+                                               ("e", [1], "v2")])
+
 
 def ref_find_violations(c: DualComplex) -> list[Violation]:
     """Reference: the exhaustive pass over every entry and every chain
@@ -252,15 +271,15 @@ class TestCodimensionOneProof:
     """``validate_complex`` against the exhaustive pass it replaced."""
 
     @pytest.fixture
-    def exhaustive_calls(self, monkeypatch):
+    def chain_calls(self, monkeypatch):
         calls = []
 
         def counted(c):
             calls.append(c)
-            return exhaustive(c)
+            return chains(c)
 
-        exhaustive = complexes._exhaustive_violations
-        monkeypatch.setattr(complexes, "_exhaustive_violations", counted)
+        chains = complexes._chain_violations
+        monkeypatch.setattr(complexes, "_chain_violations", counted)
         return calls
 
     @settings(max_examples=300, deadline=None)
@@ -275,7 +294,7 @@ class TestCodimensionOneProof:
             c = mutated(rng, c, data.draw(st.integers(1, 3)))
         assert validate_complex(c) == ref_find_violations(c)
 
-    def test_same_set_reassignment_breaks_composition_alone(self, exhaustive_calls):
+    def test_same_set_reassignment_breaks_composition_alone(self, chain_calls):
         # Every other rule holds, so the local test is what finds the clash.
         rng = random.Random(3)
         stack = triangle_stack(rng, k=2, ell=4)
@@ -285,7 +304,7 @@ class TestCodimensionOneProof:
         face_map[("t0", frozenset({1, 2}))] = "e12'"
         clash = DualComplex(c.ell, c.dim_bound, c.strata, face_map)
         problems = validate_complex(clash)
-        assert exhaustive_calls == [clash]
+        assert chain_calls == [clash]
         assert problems == ref_find_violations(clash)
         assert problems and {v.rule for v in problems} == {"face-composition"}
 
@@ -296,15 +315,15 @@ class TestCodimensionOneProof:
     ], ids=["simplex_boundary-6", "cycle-100", "banana-ring"])
     def test_valid_complexes_skip_the_exhaustive_pass(self, monkeypatch, make):
         def refuse(c):
-            raise AssertionError("the exhaustive pass ran on a valid complex")
+            raise AssertionError("the chain enumeration ran on a valid complex")
 
-        monkeypatch.setattr(complexes, "_exhaustive_violations", refuse)
+        monkeypatch.setattr(complexes, "_chain_violations", refuse)
         assert validate_complex(make()) == []
 
-    def test_composition_clash_takes_the_exhaustive_pass(self, exhaustive_calls):
+    def test_composition_clash_takes_the_exhaustive_pass(self, chain_calls):
         c = composition_clash()
         problems = validate_complex(c)
-        assert exhaustive_calls == [c]
+        assert chain_calls == [c]
         assert problems == ref_find_violations(c)
         assert any(v.rule == "face-composition" for v in problems)
 

@@ -238,6 +238,91 @@ class TestParseInput:
             parse_input(json.dumps(data))
 
 
+def _document(complex_spec=None, **fields) -> str:
+    """MINIMAL, or its complex replaced, with further top-level fields."""
+    spec = {"ell": 2, "d": 1, "facets": [[1, 2]]} if complex_spec is None else complex_spec
+    return json.dumps({"schema_version": 1, "complex": spec, **fields})
+
+
+def _delta_edge(strata=(), face_map=()) -> dict:
+    """The Delta complex of one edge, with further strata and face-map entries."""
+    return {"ell": 2, "d": 1, "mode": "delta",
+            "strata": [{"id": "v1", "vertices": [1]}, {"id": "v2", "vertices": [2]},
+                       {"id": "e", "vertices": [1, 2]}, *strata],
+            "face_map": [{"stratum": "e", "subset": [1], "face": "v1"},
+                         {"stratum": "e", "subset": [2], "face": "v2"}, *face_map]}
+
+
+# Each refusal: the document, then the path and message of its InputError.
+REFUSALS = {
+    "integer-as-string": (_document({"ell": "2", "d": 1, "facets": [[1, 2]]}),
+                          "$.complex.ell", "expected an integer, got '2'"),
+    "integer-as-bool": (_document({"ell": 2, "d": True, "facets": [[1, 2]]}),
+                        "$.complex.d", "expected an integer, got True"),
+    "not-a-string": (_document({"ell": 2, "d": 1, "mode": 1, "facets": [[1, 2]]}),
+                     "$.complex.mode", "expected a string, got 1"),
+    "not-a-list": (_document({"ell": 2, "d": 1, "facets": 12}),
+                   "$.complex.facets", "expected a list, got 12"),
+    "not-an-object": (_document([]), "$.complex", "expected an object, got []"),
+    "facet-not-a-list": (_document({"ell": 2, "d": 1, "facets": [[1, 2], 3]}),
+                         "$.complex.facets[1]", "expected a list, got 3"),
+    "facet-float-vertex": (_document({"ell": 2, "d": 1, "facets": [[1, 2.0]]}),
+                           "$.complex.facets[0][1]", "expected an integer, got 2.0"),
+    "order-bool-entry": (_document(order_matrix={"orders": [[0, 0], [0, 1], [True, 0]]}),
+                         "$.order_matrix.orders[2][0]", "expected an integer, got True"),
+    "ell-below-one": (_document({"ell": 0, "d": 1, "facets": [[1, 2]]}),
+                      "$.complex.ell", "must be at least 1"),
+    "negative-d": (_document({"ell": 2, "d": -1, "facets": [[1, 2]]}),
+                   "$.complex.d", "must be nonnegative"),
+    "stratum-not-an-object": (_document(_delta_edge(strata=[["x", [1]]])),
+                              "$.complex.strata[3]", "expected an object with id and vertices"),
+    "face-entry-not-an-object": (_document(_delta_edge(face_map=[["e", [1], "v1"]])),
+                                 "$.complex.face_map[2]",
+                                 "expected an object with stratum, subset, face"),
+    "delta-builder": (_document(_delta_edge(face_map=[{"stratum": "e", "subset": [1],
+                                                       "face": "v2"}])),
+                      "$.complex.strata", "conflicting face assignments for 'e' along [1]"),
+    "flag-not-a-bool": (_document(order_matrix={"orders": [[0, 0], [0, 1], [1, 0]],
+                                                "horizontal_effective": [True, 1, True]}),
+                        "$.order_matrix.horizontal_effective[1]", "expected a boolean, got 1"),
+    # Rows for one component under a two-vertex complex: the same message
+    # whether or not the document lists flags.
+    "orders-for-fewer-components": (
+        '{"schema_version": 1, "complex": {"ell": 2, "d": 1, "facets": [[1, 2]]}, '
+        '"order_matrix": {"orders": [[0], [0]]}}',
+        "$.order_matrix.orders", "matrix is for 1 components, complex has 2"),
+    "orders-for-fewer-components-flags-listed": (
+        _document(order_matrix={"orders": [[0], [0]], "horizontal_effective": [True, True]}),
+        "$.order_matrix.orders", "matrix is for 1 components, complex has 2"),
+    "top-level-not-an-object": ("[]", "$", "top level must be an object"),
+    "unknown-check-mode": (_document(check={"mode": "fast"}),
+                           "$.check.mode", "unknown mode 'fast'"),
+    "check-jobs-below-one": (_document(check={"jobs": 0}),
+                             "$.check.jobs", "must be at least 1"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("name", REFUSALS)
+    def test_path_and_message(self, name):
+        text, path, message = REFUSALS[name]
+        with pytest.raises(InputError) as info:
+            parse_input(text)
+        assert info.value.path == path
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("name", REFUSALS)
+    def test_cli_exits_1_with_one_error_line(self, name, tmp_path, capsys):
+        text, path, message = REFUSALS[name]
+        doc = tmp_path / "doc.json"
+        doc.write_text(text, encoding="utf-8")
+        for verb in ("check", "validate"):
+            assert main([verb, str(doc)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {path}: {message}\n"
+            assert captured.out == ""
+
+
 class TestRationals:
     def test_parse_forms(self):
         assert parse_rational("3/4") == Fraction(3, 4)

@@ -166,3 +166,24 @@ def test_only_exact_converts_and_clears():
     assert _uses_lcm(ast.parse(sources.pop("_exact.py")))
     assert [name for name, text in sorted(sources.items())
             if "Fraction(rational(" in text or _uses_lcm(ast.parse(text))] == []
+
+
+def _int_checks(tree) -> int:
+    """``isinstance(..., int)`` calls, ``int`` alone or in a tuple of types."""
+    def names(node):
+        return [e.id for e in node.elts if isinstance(e, ast.Name)] \
+            if isinstance(node, ast.Tuple) else [getattr(node, "id", None)]
+
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+               and len(node.args) == 2 and "int" in names(node.args[1]))
+
+
+def test_only_exact_applies_the_integer_rule():
+    # Stands in for a lint rule: whether a value is an integer is decided by
+    # ``_exact.is_int`` (or ``_exact.ints`` on a row), nowhere else.
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in Path(skeletrop.__file__).parent.glob("*.py")}
+    assert _int_checks(ast.parse(sources.pop("_exact.py"))) == 1
+    assert [name for name, text in sorted(sources.items())
+            if _int_checks(ast.parse(text))] == []
