@@ -170,13 +170,10 @@ def test_only_exact_converts_and_clears():
 
 def _int_checks(tree) -> int:
     """``isinstance(..., int)`` calls, ``int`` alone or in a tuple of types."""
-    def names(node):
-        return [e.id for e in node.elts if isinstance(e, ast.Name)] \
-            if isinstance(node, ast.Tuple) else [getattr(node, "id", None)]
-
     return sum(1 for node in ast.walk(tree)
                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
-               and len(node.args) == 2 and "int" in names(node.args[1]))
+               and len(node.args) == 2
+               and any(getattr(n, "id", None) == "int" for n in ast.walk(node.args[1])))
 
 
 def test_only_exact_applies_the_integer_rule():
