@@ -171,7 +171,9 @@ def build_from_facets(ell: int, d: int, facets: Iterable[Sequence[int]]) -> Dual
     """Plain simplicial complex: one stratum per nonempty subset of a facet.
 
     Vertex order inside each stratum is ascending, ids are the dash-joined
-    vertices, and the face map is subset inclusion.
+    vertices, and the face map is subset inclusion.  Each face-map key holds
+    the face stratum's own ``vertex_set``, so the map makes no set of its
+    own and every key's hash is computed once, with the face.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
@@ -185,13 +187,14 @@ def build_from_facets(ell: int, d: int, facets: Iterable[Sequence[int]]) -> Dual
                 vertex_sets.add(sub)
     ordered = sorted(vertex_sets, key=lambda vs: (len(vs), vs))
     strata = tuple(Stratum("-".join(map(str, vs)), vs) for vs in ordered)
-    ids = {s.vertices: s.id for s in strata}
+    by_vertices = {s.vertices: s for s in strata}
     face_map = {}
     for s in strata:
         r = len(s.vertices)
         for size in range(1, r):
             for sub in itertools.combinations(s.vertices, size):
-                face_map[(s.id, frozenset(sub))] = ids[sub]
+                face = by_vertices[sub]
+                face_map[(s.id, face.vertex_set)] = face.id
     return DualComplex(ell, d, strata, face_map)
 
 

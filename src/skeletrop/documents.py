@@ -49,8 +49,9 @@ FIXTURE_KINDS = ("cycle", "path", "simplex_boundary", "random")
 # checked on the listed sizes before anything is expanded; the stratum limit
 # below then refuses every facet of 10 or more vertices (an 11-vertex facet
 # has 2,047 strata), so it no longer parses.  Every fixture lies far below
-# both limits (the dimension-6 simplex boundary needs 4,214 entries and has
-# 126 strata, the 400-cycle 800 of each).
+# both limits: the dimension-6 simplex boundary lists seven 6-vertex facets,
+# bounded at 4,214 entries, and its built face map holds 1,806 entries on
+# 126 strata; the 400-cycle is bounded at 800 entries and has 800 strata.
 MAX_FACE_MAP_ENTRIES = 250_000
 # Most strata a complex may have.  ``check`` records every unordered pair of
 # strata, so its time, memory and certificate grow with S^2: 1,001 singleton
@@ -568,12 +569,20 @@ def _pair_records(rows):
     is looked up by value in one ``_Rendered`` memo per kind, so each
     stratum id, exact verdict, face discharge and separation is encoded
     once per call.
+
+    ``check_faithful`` makes each face pair a group of its own, so a face
+    shape, relation "face" with a discharge and no separation or exact
+    verdict, skips ``head_and_tail``: its head is a prefix kept by the plain
+    fields (ambient, injective, disjoint), its face text from the same
+    memo, plus the row's left and relation text.
     """
     name = _Rendered(_encode)
     literal = _Rendered(_literal)
     exact = _Rendered(_exact_field, {None: ""})
     face = _Rendered(_face_field, {None: ""})
     separation = _Rendered(_separation_field, {None: ""})
+
+    face_heads: dict[tuple, str] = {}
 
     def head_and_tail(shape, left_text):
         relation, fc, sep, ex, disjoint = shape
@@ -583,6 +592,7 @@ def _pair_records(rows):
     for left, rights, fill, groups in rows:
         count = len(rights)
         left_text = f',\n      "left": {name[left]},\n      "relation": '
+        face_text = f'{left_text}{name["face"]},\n      "right": '
         if fill is None:
             texts = [""] * (3 * count)
         else:
@@ -590,7 +600,16 @@ def _pair_records(rows):
             texts = [head, "", tail] * count
         texts[1::3] = map(name.__getitem__, rights)
         for shape, positions in groups:
-            head, tail = head_and_tail(shape, left_text)
+            relation, fc, sep, ex, disjoint = shape
+            if fc is not None and sep is None and ex is None and relation == "face":
+                key = fc.ambient, fc.injective, disjoint
+                prefix = face_heads.get(key)
+                if prefix is None:
+                    prefix = face_heads[key] = (f',\n    {{\n      "disjoint": '
+                                                f'{literal[disjoint]}{face[fc]}')
+                head, tail = prefix + face_text, "\n    }"
+            else:
+                head, tail = head_and_tail(shape, left_text)
             for k in positions:
                 texts[3 * k] = head
                 texts[3 * k + 2] = tail

@@ -71,6 +71,17 @@ class IntMatrix:
             ints(row, "matrix entries must be ints, got {x!r}")
 
     @classmethod
+    def from_checked(cls, rows: int, cols: int,
+                     entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """The matrix of ``entries``, which the caller guarantees to be
+        ``rows`` tuples of ``cols`` ints each: nothing is checked again."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        object.__setattr__(matrix, "cols", cols)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
+
+    @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         data = tuple(tuple(row) for row in rows)
         if data:

@@ -26,16 +26,18 @@ polytopes outright, by coordinate-interval separation when a single
 coordinate suffices and by exact rational LP feasibility otherwise.
 
 ``check_faithful`` works on bitsets over the sorted stratum order.  Once
-per call it builds, per stratum, the strata face-related to it (noting
-which side is ambient).  On a validated input the order axioms settle the
-vertex-value table in advance, so the certificate route needs only each
-stratum's flagged vertices and, per vertex ``j``, the strata without
-``j``.  The O(S^2) pairs are then settled a row at a time, stratum ``a``
-against all later strata at once, with whole-row mask operations.  The
-exact route asks ``_IntervalRule`` per row which of ``a``'s independent
-partners some coordinate's image projection separates from ``a``'s,
-trying ``a``'s own coordinates first; it reads only the vertex images, and
-only for the rows it settles.  Each row is kept as it was decided
+per call, one pass over the face map files each face pair, with the shape
+it carries, in the row of its face, which comes first in the order; a row
+takes its face pairs from that table with no test per pair.  On a
+validated input the order axioms settle the vertex-value table in
+advance, so the certificate route needs only each stratum's flagged
+vertices and, per vertex ``j``, the strata without ``j``.  The O(S^2)
+pairs are then settled a row at a time, stratum ``a`` against all later
+strata at once, with whole-row mask operations.  The exact route asks
+``_IntervalRule`` per row which of ``a``'s independent partners some
+coordinate's image projection separates from ``a``'s, trying ``a``'s own
+coordinates first; it reads only the vertex images, and only for the rows
+it settles.  Each row is kept as it was decided
 (``PairRow``): the one shape most of its pairs share, and the positions
 of the few pairs of other shapes.  No per-pair record is built unless
 ``FaithfulnessReport.pairs`` is read.  Only independent pairs that no
@@ -55,7 +57,7 @@ from itertools import compress, repeat
 from operator import and_, gt, itemgetter, lt, mul, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._exact import cleared
+from ._exact import cleared, ints
 from .complexes import DualComplex, SimplexPoint, Stratum, validate_complex
 # ``smith_normal_form`` is unused here but stays importable from this module:
 # perfbench's traced run wraps it under this name.
@@ -93,8 +95,10 @@ class PiecewiseAffineMap:
 
     ``images[v]`` is the image of vertex ``v``, coordinate ``i`` (section
     index) at position ``i-1``; a key that is not an ``int``, such as the
-    stratum id of a piece, is refused.  Everything per stratum is a view
-    computed from it and never stored: ``vertex_images``, ``vertex_image``,
+    stratum id of a piece, is refused, and so is an image that is not ``n``
+    ints, kept as the checked tuple; the edge matrices built from the images
+    are not checked again.  Everything per stratum is a view computed from
+    them and never stored: ``vertex_images``, ``vertex_image``,
     ``edge_vectors``, and ``piece``, the n x k matrix whose row ``i-1``
     holds coordinate ``i`` over the stratum's vertex slots.
 
@@ -112,11 +116,27 @@ class PiecewiseAffineMap:
     images: Mapping[int, tuple[int, ...]]
 
     def __post_init__(self):
-        for v in self.images:
+        images = {}
+        for v, image in self.images.items():
             if type(v) is not int:
                 raise ValueError(f"images are keyed by vertex label, got key {v!r}; "
                                  f"build a map from per-stratum pieces with "
                                  f"PiecewiseAffineMap.from_pieces")
+            image = images[v] = ints(image, "image entries must be ints, got {x!r}")
+            if len(image) != self.n:
+                raise ValueError(f"image of vertex {v} has {len(image)} entries, not {self.n}")
+        object.__setattr__(self, "images", images)
+
+    @classmethod
+    def _from_checked(cls, c: DualComplex, n: int,
+                      images: dict[int, tuple[int, ...]]) -> "PiecewiseAffineMap":
+        """The map of ``images``, which the caller guarantees to be tuples of
+        ``n`` ints keyed by vertex label: nothing is checked again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "complex", c)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "images", images)
+        return f
 
     @classmethod
     def from_pieces(cls, c: DualComplex, n: int,
@@ -198,7 +218,8 @@ def build_map(c: DualComplex, m: OrderMatrix, check: bool = True) -> PiecewiseAf
         if not s.vertex_set <= components:
             v = next(v for v in s.vertices if v not in components)
             raise ValueError(f"component index {v} out of range 1..{ell}")
-    return PiecewiseAffineMap(c, ell, dict(enumerate(zip(*m.orders[1:]), 1)))
+    # The columns of rows that ``OrderMatrix`` has checked to be ell ints each.
+    return PiecewiseAffineMap._from_checked(c, ell, dict(enumerate(zip(*m.orders[1:]), 1)))
 
 
 @dataclass(frozen=True)
@@ -243,7 +264,8 @@ def check_unimodular(f: PiecewiseAffineMap, s: "Stratum | str") -> Unimodularity
     """
     st = f.complex.stratum(s)
     vectors = f.edge_vectors(st)
-    matrix = IntMatrix(len(vectors), f.n, vectors)
+    # Differences of the map's images, which it has checked to be n ints each.
+    matrix = IntMatrix.from_checked(len(vectors), f.n, vectors)
     if not vectors:
         return UnimodularityCertificate(st.id, matrix, (), True)
     if _selector_inverts(vectors, st.vertices):
@@ -647,10 +669,12 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     unimodular, and needs no route at all.
 
     The pairs are settled from tables over the sorted stratum order, built
-    once per call: the strata face-related to each stratum and those it is
-    ambient to (from ``c.face_map``; on a validated complex the same
-    relation as ``is_face``); for the exact route, ``_IntervalRule`` on the
-    vertex images, whose per-row answer is the independent partners some
+    once per call: from one pass over ``c.face_map`` (on a validated complex
+    the same relation as ``is_face``), the face pairs of each row ``x``, the
+    strata ``x`` is a face of, as a face has fewer vertices than its ambient
+    stratum and comes first: ``up[x]`` as a bitset and ``ambients[x]`` in
+    order, each with its pair's shape.  For the exact route,
+    ``_IntervalRule`` on the vertex images, whose per-row answer is the independent partners some
     coordinate separates from the row's stratum (its threshold masks are
     built on first use, so a ``pair_filter`` computes only the rows it
     names); for the certificate route, ``candidates[a]``, the flagged
@@ -662,13 +686,15 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     is the row's fill, the one evidence shape most of its pairs share.  The
     report keeps rows, not records (``PairRow``, one per stratum ``a``):
     the row's ids, its fill, and its other groups by position in the row:
-    the other separation groups, the face pairs, and one group each for
-    the pairs no coordinate separates, the LP pairs and the reverse-
-    direction separations.  Only the pairs ``a`` cannot separate try the
-    reverse direction, the first of ``candidates[b]`` that ``a`` lacks.
-    ``FaithfulnessReport.pairs`` expands the rows into records on first
-    use, and the certificate writer renders straight from them.  The exact
-    route reads only the vertex images, never the axioms.  The LP runs only
+    the other separation groups, one group per face pair, taken from
+    ``ambients[a]`` as filed (a pair filter only drops the pairs it does
+    not name), and one group each for the pairs no coordinate separates,
+    the LP pairs and the reverse-direction separations.  Only the pairs
+    ``a`` cannot separate try the reverse direction, the first of
+    ``candidates[b]`` that ``a`` lacks.  ``FaithfulnessReport.pairs``
+    expands the rows into records on first use, and the certificate writer
+    renders straight from them.  The exact route reads only the vertex
+    images, never the axioms.  The LP runs only
     for independent pairs that no coordinate separates, which on a validated
     input have equal vertex images (``_unseparated_verdict`` raises
     ``ArithmeticError`` otherwise), on polyhedra shared by strata with
@@ -708,14 +734,19 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
             rows.append((a, [order[b] for b in cols], sum(1 << b for b in cols),
                          {b: k for k, b in enumerate(cols)}))
 
-    # The face relation as per-stratum bitsets: ``down[a]`` holds the faces
-    # of ``a`` (``a`` is ambient), ``up[a]`` the strata ``a`` is a face of.
-    down = [0] * count
+    # The shape of a face pair, per ambient stratum: its piece is unimodular,
+    # so injective, and the discharge is shared by every face pair it is ambient to.
+    face_shapes = [("face", FaceDischarge(cert.stratum, True), None, None, True)
+                   for cert in certificates]
+    # The face pairs of row ``x``, the strata ``x`` is a face of (see above).
     up = [0] * count
+    ambients: list[list] = [[] for _ in range(count)]
     for (owner, _), fid in c.face_map.items():
         o, x = index[owner], index[fid]
-        down[o] |= 1 << x
         up[x] |= 1 << o
+        ambients[x].append((o, face_shapes[o]))
+    for later in ambients:
+        later.sort()  # one entry per ambient, so only the positions compare
     exact_route = mode != "certificate"
     if exact_route:
         intervals = _IntervalRule(f, order)
@@ -734,16 +765,12 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     new = tuple.__new__
     # The exact verdict of the common records: a coordinate separates them.
     interval = _INTERVAL if exact_route else None
-    # The shape of a face pair, per ambient stratum: its piece is unimodular,
-    # so injective, and the discharge is shared by every face pair it is ambient to.
-    face_shapes = [("face", FaceDischarge(cert.stratum, True), None, None, True)
-                   for cert in certificates]
     decided = []
     defects = []
     collision = unknown = False
     for a, ids, want, where in rows:
         sid = order[a]
-        faces = want & (down[a] | up[a])
+        faces = want & up[a]
         independent = want ^ faces
         sep_a = intervals.separated(a, independent) if exact_route else -1
         # Groups of independent pairs that share a separation: a's candidates
@@ -774,8 +801,10 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
             if group is not fill and got:
                 others.append((("independent", None, sep, interval, True),
                                [where[b] for b in _members(got)]))
-        others += [(face_shapes[a if down[a] >> b & 1 else b], (where[b],))
-                   for b in _members(faces)]
+        partners = ambients[a]
+        if faces != up[a]:  # a pair filter leaves some of them out
+            partners = [p for p in partners if faces >> p[0] & 1]
+        others += [(shape, (where[b],)) for b, shape in partners]
         for b in _members(independent & ~settled):
             tid = order[b]
             if rest >> b & 1:

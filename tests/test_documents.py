@@ -21,7 +21,7 @@ from skeletrop.documents import (MAX_FACE_MAP_ENTRIES, MAX_STRATA, SCHEMA_VERSIO
 from skeletrop.lattice import IntMatrix
 from skeletrop.sections import canonical_order_matrix
 from skeletrop.tropicalize import (MODES, ExactVerdict, FaceDischarge, FaithfulnessReport,
-                                   PairEvidence, SeparationCertificate,
+                                   PairEvidence, PairRow, SeparationCertificate,
                                    UnimodularityCertificate, check_faithful)
 
 from test_tropicalize import (banana_ring, one_record_rows, random_simplicial,
@@ -637,39 +637,71 @@ class TestCertificateBytes:
                 tuple(data.draw(st.lists(ints, max_size=3))), data.draw(st.booleans()))
 
         drawn = {FaceDischarge: [], SeparationCertificate: [], ExactVerdict: []}
+        witness = st.one_of(st.none(), st.lists(
+            st.fractions(max_denominator=50).map(Fraction), max_size=3).map(tuple))
+        strategies = {
+            FaceDischarge: st.builds(FaceDischarge, text, st.booleans()),
+            SeparationCertificate: st.builds(SeparationCertificate, text,
+                                             st.integers(0, 10 ** 6)),
+            ExactVerdict: st.builds(ExactVerdict, st.booleans(), witness,
+                                    st.sampled_from(("face-injectivity", "interval", "lp"))),
+        }
 
-        def optional(kind, strategy):
+        def optional(kind, required=False):
             # None, a new object, or, as check_faithful shares them, an
             # earlier object itself or an equal but distinct copy of one.
             earlier = drawn[kind]
-            how = data.draw(st.sampled_from(("none", "new", "same", "equal")
-                                            if earlier else ("none", "new")))
+            how = data.draw(st.sampled_from(("new", "same", "equal")[:3 if earlier else 1]
+                                            + (() if required else ("none",))))
             if how == "none":
                 return None
             if how == "new":
-                earlier.append(data.draw(strategy))
+                earlier.append(data.draw(strategies[kind]))
                 return earlier[-1]
             x = data.draw(st.sampled_from(earlier))
             return x if how == "same" else dataclasses.replace(x)
 
-        def pair():
-            witness = st.one_of(st.none(), st.lists(
-                st.fractions(max_denominator=50).map(Fraction), max_size=3).map(tuple))
-            return PairEvidence(
-                data.draw(text), data.draw(text),
-                data.draw(st.sampled_from(("face", "independent"))),
-                optional(FaceDischarge, st.builds(FaceDischarge, text, st.booleans())),
-                optional(SeparationCertificate,
-                         st.builds(SeparationCertificate, text, st.integers(0, 10 ** 6))),
-                optional(ExactVerdict, st.builds(
-                    ExactVerdict, st.booleans(), witness,
-                    st.sampled_from(("face-injectivity", "interval", "lp")))),
-                data.draw(st.sampled_from((True, False, None))))
+        def shape():
+            disjoint = data.draw(st.sampled_from((True, False, None)))
+            if data.draw(st.booleans()):
+                # A face pair's shape, which the writer renders from its
+                # plain fields, or a near miss: another relation, or a
+                # separation or an exact verdict as well.
+                near = data.draw(st.sampled_from((None, "relation", "separation", "exact")))
+                return ("independent" if near == "relation" else "face",
+                        optional(FaceDischarge, required=True),
+                        optional(SeparationCertificate, required=True) if near == "separation"
+                        else None,
+                        optional(ExactVerdict, required=True) if near == "exact" else None,
+                        disjoint)
+            return (data.draw(st.sampled_from(("face", "independent"))),
+                    optional(FaceDischarge), optional(SeparationCertificate),
+                    optional(ExactVerdict), disjoint)
 
+        def grouped_row():
+            # A row as check_faithful keeps one: a fill, or None, and groups
+            # of shapes by position; a position no group names takes the fill.
+            count = data.draw(st.integers(0, 8))
+            fill = shape() if data.draw(st.booleans()) else None
+            shapes = [shape() for _ in range(data.draw(st.integers(1, 4)))]
+            slots = [data.draw(st.integers(0 if fill is None else -1, len(shapes) - 1))
+                     for _ in range(count)]
+            groups = [(x, [k for k, g in enumerate(slots) if g == at])
+                      for at, x in enumerate(shapes)]
+            return PairRow(data.draw(text), [data.draw(text) for _ in range(count)], fill,
+                           groups)
+
+        rows = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            if data.draw(st.booleans()):
+                rows.append(grouped_row())
+            else:
+                rows += one_record_rows([PairEvidence(data.draw(text), data.draw(text),
+                                                      *shape())])
         report = FaithfulnessReport(
             data.draw(st.sampled_from(MODES)),
             tuple(certificate() for _ in range(data.draw(st.integers(0, 3)))),
-            one_record_rows(pair() for _ in range(data.draw(st.integers(0, 6)))),
+            rows,
             data.draw(st.sampled_from(("faithful", "not_faithful", "certificate_incomplete"))),
             tuple(data.draw(st.lists(text, max_size=3))))
         digest = data.draw(st.one_of(st.just("sha256:" + "0" * 64), text))

@@ -21,6 +21,7 @@ from skeletrop.sections import (AffineFunctional, OrderMatrix, canonical_order_m
                                 concavity_lower_bound, restrict_affine)
 from skeletrop.tropical import (MonomialSupport, TropicalProjectivePoint, eval_min_plus,
                                 trop_normalize)
+from skeletrop.tropicalize import PiecewiseAffineMap
 
 CYCLE3 = build_from_facets(3, 1, [[1, 2], [2, 3], [1, 3]])
 ORDERS = canonical_order_matrix(CYCLE3)
@@ -50,6 +51,9 @@ INTEGER_SLOTS = [
      lambda x: MonomialSupport.from_exponents([(0, x)]).exponents),
     ("OrderMatrix order",
      lambda x: OrderMatrix(((0, 0), (0, x), (x, 0)), (True,) * 3).orders),
+    ("PiecewiseAffineMap image", lambda x: PiecewiseAffineMap(CYCLE3, 2, {1: (x, 2)}).images),
+    ("PiecewiseAffineMap.from_pieces entry",
+     lambda x: PiecewiseAffineMap.from_pieces(CYCLE3, 2, {"1-2": ((0, x), (1, 0))}).images),
 ]
 
 RATIONAL_SLOTS = [

@@ -147,6 +147,33 @@ class TestBuildMap:
         # A map with no images is still a map.
         assert PiecewiseAffineMap(c, 3, {}).images == {}
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False], ids=repr)
+    def test_image_entries_are_checked_where_they_enter(self, bad):
+        c = build_from_facets(2, 1, [[1, 2]])
+        with pytest.raises(TypeError, match=f"image entries must be ints, got {bad!r}"):
+            PiecewiseAffineMap(c, 2, {1: (0, 1), 2: (bad, 0)})
+        with pytest.raises(TypeError, match=f"image entries must be ints, got {bad!r}"):
+            PiecewiseAffineMap.from_pieces(c, 2, {"1-2": ((0, bad), (1, 0))})
+        with pytest.raises(ValueError, match="image of vertex 2 has 1 entries, not 2"):
+            PiecewiseAffineMap(c, 2, {1: (0, 1), 2: (1,)})
+        # Images given as lists are kept as the tuples that were checked.
+        assert PiecewiseAffineMap(c, 2, {1: [0, 1], 2: [1, 0]}).images == {1: (0, 1), 2: (1, 0)}
+
+    def test_edge_matrices_are_not_checked_again(self, monkeypatch):
+        # The entries were checked once, as order-matrix rows or as images;
+        # the edge matrices built from their differences check nothing.
+        for doc in (generate_fixture("cycle", n=5), generate_fixture("simplex_boundary", dim=3)):
+            c = doc.complex
+            f = canonical_map(c)
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(lattice, "ints", lambda *args: calls.append(args))
+                certs = [check_unimodular(f, s) for s in c.strata]
+            assert calls == []
+            assert all(cert.verdict for cert in certs)
+            assert [cert.edge_matrix for cert in certs] == [
+                IntMatrix.from_rows(f.edge_vectors(s), cols=f.n) for s in c.strata]
+
 
 class TestUnimodularity:
     def test_canonical_pieces_are_unimodular(self):
