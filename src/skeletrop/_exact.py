@@ -3,9 +3,14 @@
 An integer is an ``int``, never a ``bool``.  A rational is an ``int`` or
 ``Fraction``, used as given; ``bool`` and ``float`` are refused, and other
 values (``"p/q"`` strings) are read through ``Fraction``.  ``is_int`` and
-``ints`` apply the integer rule, ``rational`` the rational one, ``fraction``
-turns a rational into a ``Fraction`` and ``cleared`` clears the denominators
-of a vector of them; no other module does any of these."""
+``ints`` apply the integer rule to a value and to a row of entries,
+``at_least`` to a size together with its lower bound, ``rational`` applies
+the rational rule, ``fraction`` turns a rational into a ``Fraction`` and
+``cleared`` clears the denominators of a vector of them; no other module
+does any of these.  Each value is checked once, where it enters: a row of
+order entries by ``OrderMatrix``, a size by the constructor or function
+that takes it.  A document's vertex lists are the exception: the parser
+checks them before the size limits read them, and the complex again."""
 
 from fractions import Fraction
 from math import lcm
@@ -24,6 +29,21 @@ def ints(row: Iterable, message: str) -> tuple[int, ...]:
         if type(x) is not int and not is_int(x):
             raise TypeError(message.format(x=x, row=row))
     return row
+
+
+def at_least(x, least: int, message: str) -> None:
+    """Refuse a size ``x`` that is not an integer of at least ``least``.
+
+    A value that is not an integer raises ``TypeError``; one below
+    ``least`` raises ``ValueError(message)``, and so does ``None``, a size
+    left out.
+    """
+    if x is None:
+        raise ValueError(message)
+    if type(x) is not int and not is_int(x):
+        raise TypeError(f"sizes must be ints, got {x!r}")
+    if x < least:
+        raise ValueError(message)
 
 
 def rational(x) -> int | Fraction:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._exact import at_least
+
 __all__ = [
     "BoundQuery",
     "phi_upper_bound",
@@ -27,10 +29,8 @@ class BoundQuery:
     mode: str = "angehrn_siu"
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be at least 1")
-        if self.ell < 1:
-            raise ValueError("component count must be at least 1")
+        at_least(self.d, 1, "dimension must be at least 1")
+        at_least(self.ell, 1, "component count must be at least 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.mode == "fujita" and self.d > 4:
@@ -49,8 +49,8 @@ def coordinate_count(ell: int, d: int) -> int:
 
     The tropical projective target has dimension one less.
     """
-    if ell < 1 or d < 1:
-        raise ValueError("ell and d must be at least 1")
+    at_least(ell, 1, "ell and d must be at least 1")
+    at_least(d, 1, "ell and d must be at least 1")
     return ell + d + 1
 
 
@@ -63,8 +63,7 @@ def corollary_twist(d: int, case: str) -> int:
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}")
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    at_least(d, 1, "dimension must be at least 1")
     if d > 4:
         raise ValueError("the special-case twists are only stated for dimension at most 4")
     return d + 1 if case == "trivial_canonical" else d + 2

@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from . import bounds
+from ._exact import at_least
 from ._version import __version__
 from .bounds import BoundQuery, coordinate_count, corollary_twist, phi_upper_bound
 from .complexes import DualComplex, connected_components, validate_complex
@@ -95,8 +96,8 @@ def _cmd_check(args) -> int:
     mode = args.mode or doc.check_mode or "both"
     # --jobs and check.jobs are accepted for compatibility and never change
     # the work done; parse_input already refuses a check.jobs below 1.
-    if args.jobs is not None and args.jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    if args.jobs is not None:
+        at_least(args.jobs, 1, "jobs must be at least 1")
     report = check_faithful(doc.complex, m, mode=mode, pair_filter=doc.pair_filter)
     _write_output(emit_certificate(report, input_digest(doc)), args.out)
     if report.overall == "faithful":

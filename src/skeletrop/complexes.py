@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from ._exact import fraction, ints
+from ._exact import at_least, fraction, ints
 
 __all__ = [
     "Stratum",
@@ -88,10 +88,8 @@ class DualComplex:
     _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError("a complex needs at least one vertex")
-        if self.dim_bound < 0:
-            raise ValueError("dimension bound must be nonnegative")
+        at_least(self.ell, 1, "a complex needs at least one vertex")
+        at_least(self.dim_bound, 0, "dimension bound must be nonnegative")
         by_id = {}
         for s in self.strata:
             if s.id in by_id:
@@ -175,10 +173,8 @@ def build_from_facets(ell: int, d: int, facets: Iterable[Sequence[int]]) -> Dual
     the face stratum's own ``vertex_set``, so the map makes no set of its
     own and every key's hash is computed once, with the face.
     """
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    at_least(ell, 1, "ell must be at least 1")
+    at_least(d, 0, "d must be nonnegative")
     vertex_sets: set[tuple[int, ...]] = set()
     for facet in facets:
         verts = tuple(sorted(_check_facet(facet, ell, d)))

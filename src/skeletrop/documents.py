@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
 
-from ._exact import fraction, ints, is_int
+from ._exact import at_least, fraction, ints, is_int
 from ._version import __version__
 from .complexes import DualComplex, build_delta_complex, build_from_facets
 from .sections import OrderMatrix, canonical_order_matrix
@@ -246,26 +246,33 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str]:
 def _parse_orders(spec: dict, ell: int, path: str) -> OrderMatrix:
     _reject_unknown(spec, ("orders", "horizontal_effective"), path)
     rows = _expect(spec, "orders", list, path)
+    try:
+        # The one check on the entries of a matrix that it accepts.  It
+        # refuses any other JSON value too: in place of a list, a number or
+        # null is not iterable, and a string or an object yields strings or
+        # nothing.
+        m = OrderMatrix(rows, spec.get("horizontal_effective", [True] * len(rows)))
+    except (TypeError, ValueError) as exc:
+        refused = str(exc)
+    else:
+        if m.ell != ell:
+            raise InputError(f"{path}.orders",
+                             f"matrix is for {m.ell} components, complex has {ell}")
+        return m
+    # Refused: report the first fault in row, entry, flag order, whatever the
+    # matrix met first, and else the matrix's own ValueError.
     for k, r in enumerate(rows):
         _int_list(r, f"{path}.orders[{k}]")
-    flags = _expect(spec, "horizontal_effective", list, path,
-                    default=[True] * len(rows), required=False)
+    flags = _expect(spec, "horizontal_effective", list, path, default=(), required=False)
     for k, v in enumerate(flags):
         if not isinstance(v, bool):
             raise InputError(f"{path}.horizontal_effective[{k}]",
                              f"expected a boolean, got {v!r}")
-    try:
-        m = OrderMatrix(rows, flags)
-    except ValueError as exc:
-        # The matrix checks its rows before its flags, so a flag-count error
-        # means the rows passed and the listed flags are at fault.
-        field = ("horizontal_effective" if "horizontal_effective" in spec
-                 and "flag" in str(exc) else "orders")
-        raise InputError(f"{path}.{field}", str(exc)) from None
-    if m.ell != ell:
-        raise InputError(f"{path}.orders",
-                         f"matrix is for {m.ell} components, complex has {ell}")
-    return m
+    # The matrix checks its rows before its flags, so a flag-count error
+    # means the rows passed and the listed flags are at fault.
+    field = ("horizontal_effective" if "horizontal_effective" in spec
+             and "flag" in refused else "orders")
+    raise InputError(f"{path}.{field}", refused)
 
 
 def parse_input(text: str) -> InputDocument:
@@ -430,6 +437,14 @@ def _simplicial_fixture(ell: int, d: int, facets: list) -> InputDocument:
                                        "facets": facets}})
 
 
+def _fixture_strata(name: str, size: int, strata: int) -> None:
+    """Refuse a fixture size whose complex would have more than
+    ``MAX_STRATA`` strata, before any part of it is built."""
+    if strata > MAX_STRATA:
+        raise ValueError(f"{name} = {size} gives a complex of more than {MAX_STRATA} "
+                         f"strata, the most a document may have")
+
+
 def generate_fixture(kind: str, n: int | None = None, dim: int | None = None,
                      ell: int | None = None, seed: int | None = None) -> InputDocument:
     """Deterministic test complexes.
@@ -438,13 +453,15 @@ def generate_fixture(kind: str, n: int | None = None, dim: int | None = None,
     n = 2, which needs Delta mode).  ``path(n)``: a chain.
     ``simplex_boundary(k)``: all k-subsets of k+1 vertices.
     ``random(ell, dim, seed)``: face-closed complex from seeded random
-    facets, padded with singletons so every vertex appears.
+    facets, padded with singletons so every vertex appears.  A size whose
+    complex would have more than ``MAX_STRATA`` strata is refused before
+    anything is built.
     """
     if kind not in FIXTURE_KINDS:
         raise ValueError(f"unknown fixture kind {kind!r}; expected one of {FIXTURE_KINDS}")
     if kind == "cycle":
-        if n is None or n < 2:
-            raise ValueError("cycle fixtures need n >= 2")
+        at_least(n, 2, "cycle fixtures need n >= 2")
+        _fixture_strata("n", n, 2 * n)
         if n == 2:
             data = {
                 "schema_version": SCHEMA_VERSION,
@@ -463,18 +480,25 @@ def generate_fixture(kind: str, n: int | None = None, dim: int | None = None,
             return _doc_from_dict(data)
         return _simplicial_fixture(n, 1, [[i, i + 1] for i in range(1, n)] + [[1, n]])
     if kind == "path":
-        if n is None or n < 2:
-            raise ValueError("path fixtures need n >= 2")
+        at_least(n, 2, "path fixtures need n >= 2")
+        _fixture_strata("n", n, 2 * n - 1)
         return _simplicial_fixture(n, 1, [[i, i + 1] for i in range(1, n)])
     if kind == "simplex_boundary":
-        if dim is None or dim < 1:
-            raise ValueError("simplex_boundary fixtures need dim >= 1")
+        at_least(dim, 1, "simplex_boundary fixtures need dim >= 1")
+        # Every nonempty proper subset of dim + 1 vertices is a stratum; from
+        # dim 9 on that alone exceeds the limit, and the cap keeps the power small.
+        _fixture_strata("dim", dim, 2 ** (min(dim, 9) + 1) - 2)
         verts = list(range(1, dim + 2))
         facets = [sorted(set(verts) - {v}) for v in reversed(verts)]
         return _simplicial_fixture(dim + 1, max(dim - 1, 0), facets)
     # random
-    if ell is None or ell < 1 or dim is None or dim < 1 or seed is None:
-        raise ValueError("random fixtures need ell >= 1, dim >= 1, and a seed")
+    message = "random fixtures need ell >= 1, dim >= 1, and a seed"
+    at_least(ell, 1, message)
+    at_least(dim, 1, message)
+    if seed is None:
+        raise ValueError(message)
+    # Each vertex is a stratum of its own.
+    _fixture_strata("ell", ell, ell)
     rng = random.Random(seed)
     nfacets = rng.randint(1, min(4, ell))
     facets = []

@@ -37,7 +37,7 @@ from operator import mul
 from typing import Iterable, Sequence
 from weakref import ref
 
-from ._exact import cleared, fraction, ints
+from ._exact import at_least, cleared, fraction, ints
 
 __all__ = [
     "IntMatrix",
@@ -61,8 +61,8 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        at_least(self.rows, 0, "matrix dimensions must be nonnegative")
+        at_least(self.cols, 0, "matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entries")
         for row in self.entries:
@@ -365,8 +365,7 @@ class RationalPolyhedron:
     _relint_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.ambient_dim < 1:
-            raise ValueError("ambient dimension must be positive")
+        at_least(self.ambient_dim, 1, "ambient dimension must be positive")
         for c in self.constraints:
             if len(c.normal) != self.ambient_dim:
                 raise ValueError("constraint dimension does not match ambient space")

@@ -14,6 +14,9 @@ is what justifies the concavity lower bound
 
 Orders are ints, flags bools; weights are ints and ``Fraction``s as given,
 other rationals through ``Fraction``, and ``bool`` and ``float`` are refused.
+``OrderMatrix`` is the one check on the orders and flags of an input
+document: the parser searches them itself only to name the fault in a
+matrix that ``OrderMatrix`` refused.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class OrderMatrix:
         for i, row in enumerate(orders):
             if len(row) != ell:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {ell}")
-            if any(x < 0 for x in row):
+            if min(row) < 0:
                 raise ValueError(f"row {i} has a negative order")
         flags = tuple(self.horizontal_effective)
         if any(type(f) is not bool for f in flags):

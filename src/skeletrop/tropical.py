@@ -20,7 +20,7 @@ from functools import cached_property
 from operator import le, mul
 from typing import Iterable, Sequence
 
-from ._exact import cleared, fraction, ints
+from ._exact import at_least, cleared, fraction, ints
 
 __all__ = [
     "INFINITY",
@@ -98,6 +98,7 @@ class MonomialSupport:
     exponents: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
+        at_least(self.arity, 1, "a monomial family needs at least one variable")
         # Checked before the set is formed, so that an exponent such as 1.0
         # cannot hide behind an equal int.
         exps = [ints(m, "exponent vector {row} has a non-integer entry {x!r}")

@@ -57,7 +57,7 @@ from itertools import compress, repeat
 from operator import and_, gt, itemgetter, lt, mul, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._exact import cleared, ints
+from ._exact import at_least, cleared, ints
 from .complexes import DualComplex, SimplexPoint, Stratum, validate_complex
 # ``smith_normal_form`` is unused here but stays importable from this module:
 # perfbench's traced run wraps it under this name.
@@ -116,6 +116,7 @@ class PiecewiseAffineMap:
     images: Mapping[int, tuple[int, ...]]
 
     def __post_init__(self):
+        at_least(self.n, 1, "a map needs at least one coordinate")
         images = {}
         for v, image in self.images.items():
             if type(v) is not int:
@@ -201,7 +202,8 @@ def build_map(c: DualComplex, m: OrderMatrix, check: bool = True) -> PiecewiseAf
     ``v-1`` of the section rows, the orders along component ``v``.
 
     With ``check`` (the default) the complex and the order matrix are
-    validated first and any violation raises.
+    validated first and any violation raises; without it, only the matrix
+    size and the vertex range, which the images need, are checked.
     """
     if check:
         problems = validate_complex(c)
@@ -210,16 +212,17 @@ def build_map(c: DualComplex, m: OrderMatrix, check: bool = True) -> PiecewiseAf
         problems = validate_orders(m, c)
         if problems:
             raise ValueError("invalid order matrix: " + "; ".join(v.message for v in problems))
-    elif m.ell != c.ell:
-        raise ValueError("order matrix size does not match the complex")
-    ell = m.ell
-    components = frozenset(range(1, ell + 1))
-    for s in c.strata:
-        if not s.vertex_set <= components:
-            v = next(v for v in s.vertices if v not in components)
-            raise ValueError(f"component index {v} out of range 1..{ell}")
+    else:
+        # Validation has proved both of these; an unchecked pair may break them.
+        if m.ell != c.ell:
+            raise ValueError("order matrix size does not match the complex")
+        components = frozenset(range(1, m.ell + 1))
+        for s in c.strata:
+            if not s.vertex_set <= components:
+                v = next(v for v in s.vertices if v not in components)
+                raise ValueError(f"component index {v} out of range 1..{m.ell}")
     # The columns of rows that ``OrderMatrix`` has checked to be ell ints each.
-    return PiecewiseAffineMap._from_checked(c, ell, dict(enumerate(zip(*m.orders[1:]), 1)))
+    return PiecewiseAffineMap._from_checked(c, m.ell, dict(enumerate(zip(*m.orders[1:]), 1)))
 
 
 @dataclass(frozen=True)
@@ -722,8 +725,10 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     else:
         wanted: dict[int, set[int]] = {}
         for p in pair_filter:
-            p = tuple(p)
-            ids = {c.stratum(x).id for x in p}  # a Stratum stands for its id
+            # A string iterates as its characters, so it names no pair; a
+            # Stratum stands for its id.
+            p = p if isinstance(p, str) else tuple(p)
+            ids = set() if isinstance(p, str) else {c.stratum(x).id for x in p}
             if len(p) != 2 or len(ids) != 2 or not ids <= index.keys():
                 raise ValueError(f"pair filter entry {p!r} is not two distinct stratum ids")
             a, b = sorted(map(index.__getitem__, ids))

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from skeletrop import cli
+from skeletrop import cli, documents
 from skeletrop.cli import build_parser, main
 from skeletrop.documents import generate_fixture, input_text
 
@@ -285,6 +285,18 @@ def test_fixtures_gen_roundtrip(tmp_path, capsys):
 def test_fixtures_gen_bad_params(capsys):
     assert main(["fixtures", "gen", "cycle", "--n", "1"]) == 1
     assert "n >= 2" in capsys.readouterr().err
+
+
+def test_fixtures_gen_refuses_a_size_beyond_the_strata_limit_unbuilt(capsys, monkeypatch):
+    # Built, a cycle of 10^12 components would exhaust memory long before
+    # the parser could refuse it; here building would fail at once.
+    monkeypatch.setattr(documents, "range", None, raising=False)
+    monkeypatch.setattr(documents, "_doc_from_dict", None)
+    assert main(["fixtures", "gen", "cycle", "--n", "1000000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: n = 1000000000000 gives a complex of more than 1000 "
+                            "strata, the most a document may have\n")
 
 
 def test_bounds_command(capsys):

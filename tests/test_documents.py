@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeletrop import documents
 from skeletrop._version import __version__
 from skeletrop.cli import main
 from skeletrop.documents import (MAX_FACE_MAP_ENTRIES, MAX_STRATA, SCHEMA_VERSION, InputError,
@@ -294,6 +295,26 @@ REFUSALS = {
     "orders-for-fewer-components-flags-listed": (
         _document(order_matrix={"orders": [[0], [0]], "horizontal_effective": [True, True]}),
         "$.order_matrix.orders", "matrix is for 1 components, complex has 2"),
+    # Order rows that are not lists and entries that are not integers, which
+    # the parser looks for only once OrderMatrix has refused the matrix; and
+    # two faults at once, where the first in row, entry, flag order is
+    # reported whatever the matrix meets first.
+    "order-row-empty-string": (_document(order_matrix={"orders": [[0, 0], "", [1, 0]]}),
+                               "$.order_matrix.orders[1]", "expected a list, got ''"),
+    "order-row-null": (_document(order_matrix={"orders": [[0, 0], [0, 1], None]}),
+                       "$.order_matrix.orders[2]", "expected a list, got None"),
+    "order-row-number": (_document(order_matrix={"orders": [[0, 0], 5, [1, 0]]}),
+                         "$.order_matrix.orders[1]", "expected a list, got 5"),
+    "order-float-entry": (_document(order_matrix={"orders": [[0, 0], [0, 1.5], [1, 0]]}),
+                          "$.order_matrix.orders[1][1]", "expected an integer, got 1.5"),
+    "order-float-entry-and-flags-not-a-list": (
+        _document(order_matrix={"orders": [[0, 0], [0, 1.5], [1, 0]],
+                                "horizontal_effective": 5}),
+        "$.order_matrix.orders[1][1]", "expected an integer, got 1.5"),
+    "order-short-row-and-flag-not-a-bool": (
+        _document(order_matrix={"orders": [[0, 0], [0], [1, 0]],
+                                "horizontal_effective": [True, 1, True]}),
+        "$.order_matrix.horizontal_effective[1]", "expected a boolean, got 1"),
     "top-level-not-an-object": ("[]", "$", "top level must be an object"),
     "unknown-check-mode": (_document(check={"mode": "fast"}),
                            "$.check.mode", "unknown mode 'fast'"),
@@ -303,6 +324,25 @@ REFUSALS = {
 
 
 class TestRefusals:
+    def test_valid_orders_are_checked_by_the_matrix_alone(self, monkeypatch):
+        # _int_list runs on the rows of a refused order matrix only.
+        paths = []
+
+        def spy(values, path):
+            paths.append(path)
+            return int_list(values, path)
+
+        int_list = documents._int_list
+        monkeypatch.setattr(documents, "_int_list", spy)
+        doc = parse_input(_document(order_matrix={"orders": [[0, 0], [0, 1], [1, 0]]}))
+        assert doc.order_matrix.orders == ((0, 0), (0, 1), (1, 0))
+        assert paths == ["$.complex.facets[0]"]
+        paths.clear()
+        with pytest.raises(InputError, match="expected an integer"):
+            parse_input(_document(order_matrix={"orders": [[0, 0], [0, 1], [1, 0.5]]}))
+        assert paths == ["$.complex.facets[0]"] + [f"$.order_matrix.orders[{k}]"
+                                                   for k in range(3)]
+
     @pytest.mark.parametrize("name", REFUSALS)
     def test_path_and_message(self, name):
         text, path, message = REFUSALS[name]
@@ -339,6 +379,38 @@ class TestRationals:
 
 
 class TestFixtures:
+    @pytest.mark.parametrize("kind, sizes, message", [
+        ("cycle", {}, "cycle fixtures need n >= 2"),
+        ("path", {}, "path fixtures need n >= 2"),
+        ("simplex_boundary", {}, "simplex_boundary fixtures need dim >= 1"),
+        ("random", {"ell": 3, "dim": 1}, "random fixtures need ell >= 1, dim >= 1, and a seed"),
+        ("random", {"dim": 1, "seed": 0}, "random fixtures need ell >= 1, dim >= 1, and a seed"),
+    ])
+    def test_an_omitted_size_is_a_value_error(self, kind, sizes, message):
+        with pytest.raises(ValueError) as info:
+            generate_fixture(kind, **sizes)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind, name, size, largest", [
+        ("cycle", "n", 501, 500),
+        ("path", "n", 501, 500),
+        ("simplex_boundary", "dim", 9, 8),
+        ("simplex_boundary", "dim", 10 ** 12, 8),
+        ("random", "ell", 1001, None),
+    ])
+    def test_sizes_beyond_the_strata_limit_are_refused_unbuilt(self, kind, name, size, largest,
+                                                              monkeypatch):
+        sizes = {"dim": 1, "seed": 0} if kind == "random" else {}
+        if largest is not None:
+            generate_fixture(kind, **sizes, **{name: largest})
+        # Building would now fail at once instead of exhausting memory.
+        monkeypatch.setattr(documents, "range", None, raising=False)
+        monkeypatch.setattr(documents, "_doc_from_dict", None)
+        with pytest.raises(ValueError) as info:
+            generate_fixture(kind, **sizes, **{name: size})
+        assert str(info.value) == (f"{name} = {size} gives a complex of more than "
+                                   f"{MAX_STRATA} strata, the most a document may have")
+
     def test_cycle_three_is_triangle(self):
         doc = generate_fixture("cycle", n=3)
         assert doc.canonical["complex"]["facets"] == [[1, 2], [2, 3], [1, 3]]

@@ -4,17 +4,28 @@ Integer slots accept a non-bool ``int`` only.  Rational slots use ints and
 ``Fraction``s as given, refuse ``bool`` and ``float`` with ``TypeError``,
 and read other rationals (here ``"p/q"`` strings) through ``Fraction``.
 Each row of the table puts one value into one slot of one entry point.
+Sizes are integer slots with a lower bound: below it they raise their own
+``ValueError``.
 """
 
 import ast
+import dataclasses
+import inspect
+import io
+import os
+import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import skeletrop
-from skeletrop.complexes import SimplexPoint, Stratum, build_delta_complex, build_from_facets
-from skeletrop.documents import format_rational
+from skeletrop.bounds import BoundQuery, coordinate_count, corollary_twist
+from skeletrop.cli import build_parser
+from skeletrop.complexes import (DualComplex, SimplexPoint, Stratum, build_delta_complex,
+                                 build_from_facets)
+from skeletrop.documents import format_rational, generate_fixture
 from skeletrop.lattice import (Constraint, IntMatrix, RationalPolyhedron,
                                simplex_image_polyhedron)
 from skeletrop.sections import (AffineFunctional, OrderMatrix, canonical_order_matrix,
@@ -56,6 +67,68 @@ INTEGER_SLOTS = [
      lambda x: PiecewiseAffineMap.from_pieces(CYCLE3, 2, {"1-2": ((0, x), (1, 0))}).images),
 ]
 
+
+def check_with_jobs(jobs):
+    """``skeletrop check - --jobs`` with ``jobs`` in place of the parsed
+    value, on a one-edge document read from standard input."""
+    args = build_parser().parse_args(["check", "-", "--out", os.devnull])
+    args.jobs = jobs
+    stdin = sys.stdin
+    sys.stdin = io.StringIO('{"schema_version": 1, '
+                            '"complex": {"ell": 2, "d": 1, "facets": [[1, 2]]}}')
+    try:
+        return args.func(args)
+    finally:
+        sys.stdin = stdin
+
+
+# (entry point and size, call with the size in that slot, least size, the
+# message of the ValueError below it)
+SIZE_SLOTS = [
+    ("BoundQuery d", lambda x: BoundQuery(d=x), 1, "dimension must be at least 1"),
+    ("BoundQuery ell", lambda x: BoundQuery(d=2, ell=x), 1, "component count must be at least 1"),
+    ("coordinate_count ell", lambda x: coordinate_count(x, 2), 1, "ell and d must be at least 1"),
+    ("coordinate_count d", lambda x: coordinate_count(2, x), 1, "ell and d must be at least 1"),
+    ("corollary_twist d", lambda x: corollary_twist(x, "trivial_canonical"), 1,
+     "dimension must be at least 1"),
+    ("DualComplex ell", lambda x: DualComplex(x, 0, (), {}), 1,
+     "a complex needs at least one vertex"),
+    ("DualComplex dim_bound", lambda x: DualComplex(1, x, (), {}), 0,
+     "dimension bound must be nonnegative"),
+    ("build_from_facets ell", lambda x: build_from_facets(x, 0, [[1]]), 1, "ell must be at least 1"),
+    ("build_from_facets d", lambda x: build_from_facets(1, x, [[1]]), 0, "d must be nonnegative"),
+    ("build_delta_complex ell", lambda x: build_delta_complex(x, 0, [("a", (1,))], []), 1,
+     "a complex needs at least one vertex"),
+    ("build_delta_complex d", lambda x: build_delta_complex(1, x, [("a", (1,))], []), 0,
+     "dimension bound must be nonnegative"),
+    ("generate_fixture n", lambda x: generate_fixture("cycle", n=x), 2,
+     "cycle fixtures need n >= 2"),
+    ("generate_fixture n, path", lambda x: generate_fixture("path", n=x), 2,
+     "path fixtures need n >= 2"),
+    ("generate_fixture dim", lambda x: generate_fixture("simplex_boundary", dim=x), 1,
+     "simplex_boundary fixtures need dim >= 1"),
+    ("generate_fixture dim, random", lambda x: generate_fixture("random", ell=2, dim=x, seed=0),
+     1, "random fixtures need ell >= 1, dim >= 1, and a seed"),
+    ("generate_fixture ell", lambda x: generate_fixture("random", ell=x, dim=1, seed=0), 1,
+     "random fixtures need ell >= 1, dim >= 1, and a seed"),
+    ("IntMatrix rows", lambda x: IntMatrix(x, 0, ()), 0, "matrix dimensions must be nonnegative"),
+    ("IntMatrix cols", lambda x: IntMatrix(0, x, ()), 0, "matrix dimensions must be nonnegative"),
+    ("IntMatrix.from_rows cols", lambda x: IntMatrix.from_rows([], cols=x), 0,
+     "matrix dimensions must be nonnegative"),
+    ("IntMatrix.identity n", IntMatrix.identity, 0, "matrix dimensions must be nonnegative"),
+    ("RationalPolyhedron ambient_dim", lambda x: RationalPolyhedron(x, ()), 1,
+     "ambient dimension must be positive"),
+    ("MonomialSupport arity", lambda x: MonomialSupport(x, frozenset({(0,)})), 1,
+     "a monomial family needs at least one variable"),
+    ("PiecewiseAffineMap n", lambda x: PiecewiseAffineMap(CYCLE3, x, {}), 1,
+     "a map needs at least one coordinate"),
+    ("PiecewiseAffineMap.from_pieces n", lambda x: PiecewiseAffineMap.from_pieces(CYCLE3, x, {}),
+     1, "a map needs at least one coordinate"),
+    ("check --jobs", check_with_jobs, 1, "jobs must be at least 1"),
+]
+INTEGER_SLOTS += [(name, call) for name, call, _, _ in SIZE_SLOTS]
+SIZES = {name: (least, message) for name, _, least, message in SIZE_SLOTS}
+
 RATIONAL_SLOTS = [
     ("Constraint bound", lambda x: Constraint((2, 0), x).bound),
     ("RationalPolyhedron.contains", lambda x: SQUARE.contains((x, 0))),
@@ -96,10 +169,21 @@ def test_bool_and_float_are_refused(name, call, bad):
 
 @pytest.mark.parametrize("name, call", INTEGER_SLOTS, ids=[name for name, _ in INTEGER_SLOTS])
 def test_integer_slots_take_ints_only(name, call):
-    call(1)
-    for other in (Fraction(1), "1"):
+    # A size takes its least value, every other slot 1.
+    valid = SIZES.get(name, (1,))[0]
+    call(valid)
+    for other in (Fraction(valid), str(valid)):
         with pytest.raises(TypeError):
             call(other)
+
+
+@pytest.mark.parametrize("name, call, least, message", SIZE_SLOTS,
+                         ids=[name for name, *_ in SIZE_SLOTS])
+def test_sizes_below_their_bound_keep_their_message(name, call, least, message):
+    for below in (least - 1, -10):
+        with pytest.raises(ValueError) as info:
+            call(below)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name, call", RATIONAL_SLOTS, ids=[name for name, _ in RATIONAL_SLOTS])
@@ -188,3 +272,58 @@ def test_only_exact_applies_the_integer_rule():
     assert _int_checks(ast.parse(sources.pop("_exact.py"))) == 1
     assert [name for name, text in sorted(sources.items())
             if _int_checks(ast.parse(text))] == []
+
+
+# Integer parameters and fields of the public API that take no row above,
+# each with the reason.
+NOT_SLOTS = {
+    "restrict_affine i": "a section index on the valuations path: a check costs about "
+                         "0.1 us a call there, and that workload makes 40,000 calls a pass; "
+                         "it is bounded by _orders_along, and a float fails as a tuple index",
+    "concavity_lower_bound i": "the same section index as restrict_affine's, on the same path",
+    "generate_fixture seed": "a seed for random.Random, which takes any hashable value",
+    "IntMatrix.from_checked rows": "a shape the program guarantees; skipping the checks is "
+                                   "this constructor's purpose",
+    "IntMatrix.from_checked cols": "as IntMatrix.from_checked rows",
+    "InputDocument schema_version": "a record parse_input builds after checking the value",
+    "InputDocument jobs": "a record parse_input builds after checking the value",
+    "SeparationCertificate coordinate": "a record separation_certificate builds from a "
+                                        "vertex of a checked stratum",
+}
+
+
+def _integer_parameters():
+    """``"<name> <parameter>"`` for each parameter annotated ``int`` or
+    ``int | None`` of a function or public classmethod in
+    ``skeletrop.__all__``, and for each such dataclass field that its
+    constructor takes.  Other methods take indices or labels to look up in
+    the object they belong to, and are left out."""
+    wanted = (int, int | None)
+    for name in skeletrop.__all__:
+        obj = getattr(skeletrop, name)
+        if inspect.isfunction(obj):
+            hints = typing.get_type_hints(obj)
+            yield from (f"{name} {p}" for p in inspect.signature(obj).parameters
+                        if hints.get(p) in wanted)
+        elif inspect.isclass(obj):
+            if dataclasses.is_dataclass(obj):
+                hints = typing.get_type_hints(obj)
+                yield from (f"{name} {f.name}" for f in dataclasses.fields(obj)
+                            if f.init and hints[f.name] in wanted)
+            for attr, member in vars(obj).items():
+                if isinstance(member, classmethod) and not attr.startswith("_"):
+                    hints = typing.get_type_hints(member.__func__)
+                    yield from (f"{name}.{attr} {p}"
+                                for p in inspect.signature(member.__func__).parameters
+                                if hints.get(p) in wanted)
+
+
+def test_every_integer_parameter_has_a_row():
+    # Stands in for a lint rule: every integer a public entry point takes
+    # meets the integer rule in a row above, or is listed with its reason.
+    found = set(_integer_parameters())
+    rows = {name for name, _ in INTEGER_SLOTS}
+    assert "BoundQuery d" in found and "IntMatrix.identity n" in found
+    assert sorted(found - rows - NOT_SLOTS.keys()) == []
+    assert sorted(NOT_SLOTS.keys() - found) == []
+    assert sorted(NOT_SLOTS.keys() & rows) == []

@@ -502,7 +502,9 @@ class TestCheckFaithful:
         by_stratum = check_faithful(c, m, pair_filter=[(c.stratum("1-2"), "3-4"),
                                                        (c.stratum("2"), c.stratum("2-3"))])
         assert by_stratum == by_id and len(by_id.pairs) == 2
-        for bad in [(c.stratum("1-2"), "1-2")], [(Stratum("7-9", (7, 9)), "1-2")]:
+        # "12" would iterate as the ids "1" and "2".
+        for bad in ([(c.stratum("1-2"), "1-2")], [(Stratum("7-9", (7, 9)), "1-2")], ["12"],
+                    ["1-2"]):
             with pytest.raises(ValueError, match="not two distinct stratum ids"):
                 check_faithful(c, m, pair_filter=bad)
 
