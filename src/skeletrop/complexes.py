@@ -142,9 +142,10 @@ class DualComplex:
         return cached
 
     def adjacent(self, i: int, j: int) -> bool:
-        return frozenset((i, j)) in self.edges()
+        return frozenset(ints((i, j), "vertex labels must be ints, got {x!r}")) in self.edges()
 
     def vertex_stratum(self, v: int) -> str | None:
+        ints((v,), "vertex labels must be ints, got {x!r}")
         for s in self.strata:
             if s.vertices == (v,):
                 return s.id

@@ -70,6 +70,7 @@ class OrderMatrix:
 
     def order(self, section: int, component: int) -> int:
         """Order of section ``section`` along component ``component`` (1-based)."""
+        ints((section, component), "indices must be ints, got {x!r}")
         if not 0 <= section <= self.ell:
             raise ValueError(f"section index {section} out of range 0..{self.ell}")
         if not 1 <= component <= self.ell:

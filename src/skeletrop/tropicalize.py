@@ -43,9 +43,13 @@ of the few pairs of other shapes.  No per-pair record is built unless
 ``FaithfulnessReport.pairs`` is read.  Only independent pairs that no
 coordinate separates reach the LP, and each distinct system is solved
 once per call.  Pairs are reported in sorted order.  The order axioms,
-validated first, make every piece unimodular, so injective, every
-separation certificate sound and every LP pair's vertex images equal:
-each is a guard that raises ``ArithmeticError``, never a defect.
+validated first, make every piece unimodular, so injective, and let a
+coordinate separate any two strata on different vertex sets.  Each is a
+guard that raises ``ArithmeticError``, never a defect: unimodularity is
+checked once per stratum, separation once per row.  So the LP pairs are
+exactly the independent pairs on one vertex set, and every pair that a
+separation certificate settles (its strata have different vertex sets)
+is also separated by a coordinate.
 """
 
 from __future__ import annotations
@@ -168,6 +172,7 @@ class PiecewiseAffineMap:
         return tuple(map(self.images.__getitem__, self.complex.stratum(s).vertices))
 
     def vertex_image(self, s: "Stratum | str", slot: int) -> tuple[int, ...]:
+        ints((slot,), "slots must be ints, got {x!r}")
         return self.images[self.complex.stratum(s).vertices[slot]]
 
     def edge_vectors(self, s: "Stratum | str") -> tuple[tuple[int, ...], ...]:
@@ -457,12 +462,15 @@ class _IntervalRule:
     coordinate ``i``'s values on it.  The map is label-consistent by
     construction (see ``PiecewiseAffineMap``), so strata with one vertex set
     have one image polytope, no coordinate separates them, and they are
-    never tested.  A row tries ``a``'s own coordinates first (vertex ``v``
-    is coordinate ``v``), then every other coordinate, and stops once every
-    target is separated.  The order only finds a witness sooner; the answer
-    is the union over all coordinates.  On a validated map the order axioms
-    make ``a``'s own coordinates separate it from every stratum that lacks
-    one of its vertices.
+    never tested.  ``same`` is the one table read from outside:
+    ``check_faithful``'s guard, once per row, requires every independent
+    partner that ``separated`` leaves out to lie in ``same[a]``.  A row
+    tries ``a``'s own coordinates first (vertex ``v`` is coordinate ``v``),
+    then every other coordinate, and stops once every target is separated.
+    The order only finds a witness sooner; the answer is the union over all
+    coordinates.  On a validated map the order axioms make ``a``'s own
+    coordinates separate it from every stratum that lacks one of its
+    vertices.
     """
 
     def __init__(self, f: PiecewiseAffineMap, order: Sequence[str]):
@@ -480,7 +488,7 @@ class _IntervalRule:
         # first slot twice, so that a vertex stratum also reads a tuple.
         self._values = [itemgetter(slot[st.vertices[0]], *map(slot.__getitem__, st.vertices))
                         for st in strata]
-        self._same = [same[st.vertex_set] for st in strata]
+        self.same = [same[st.vertex_set] for st in strata]
         n = f.n
         self._own = [[v - 1 for v in st.vertices if 0 < v <= n] for st in strata]
         self._coordinates = range(n)
@@ -493,7 +501,7 @@ class _IntervalRule:
 
     def separated(self, a: int, targets: int) -> int:
         """The strata in ``targets`` that some coordinate separates from ``a``."""
-        start = todo = targets & ~self._same[a]
+        start = todo = targets & ~self.same[a]
         own = self._own[a]
         for i in own:
             if not todo:
@@ -546,22 +554,6 @@ def _lp_verdict(memo, sid: str, tid: str) -> ExactVerdict:
     polyhedra, ``memo(sid)`` and ``memo(tid)``."""
     hit, witness = relint_intersection_nonempty(memo(sid), memo(tid))
     return ExactVerdict(not hit, witness, "lp")
-
-
-def _unseparated_verdict(memo, f: PiecewiseAffineMap, sid: str, tid: str) -> ExactVerdict:
-    """The exact verdict on an independent pair that no coordinate separates.
-
-    On a validated input two strata with different vertex sets are always
-    separated by a coordinate, so such a pair has equal sorted vertex
-    images and the LP only confirms a collision known in advance.  The
-    guard compares the images of ``f`` itself, not the order axioms the
-    certificate route reads, and a pair whose images differ raises
-    ``ArithmeticError`` rather than reach the LP.
-    """
-    if sorted(f.vertex_images(sid)) != sorted(f.vertex_images(tid)):
-        raise ArithmeticError(f"pair {sid}/{tid}: no coordinate separates the images "
-                              f"of two strata with different vertex images")
-    return _lp_verdict(memo, sid, tid)
 
 
 def images_relint_disjoint_exact(f: PiecewiseAffineMap,
@@ -665,9 +657,12 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     accepts ``j`` for the interior ``s`` against ``t`` exactly when ``j`` is
     a flagged vertex of ``s`` and not a vertex of ``t``.  The axioms also
     make every piece unimodular (``check_unimodular``'s selector rule) and
-    every separation sound, so a certificate with a false verdict, or a
-    separated pair the exact oracle finds colliding, raises
-    ``ArithmeticError``: each is checked once, as a guard.  Every face pair
+    let a coordinate separate any two strata on different vertex sets, so a
+    certificate with a false verdict, or an independent pair on two vertex
+    sets that no coordinate separates, raises ``ArithmeticError``: the
+    first is checked once per stratum, the second once per row, as guards.
+    A separation certificate only settles pairs on two vertex sets, so the
+    exact route confirms every one of them.  Every face pair
     is therefore discharged by its ambient piece, injective because
     unimodular, and needs no route at all.
 
@@ -697,12 +692,14 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     ``candidates[b]`` that ``a`` lacks.  ``FaithfulnessReport.pairs``
     expands the rows into records on first use, and the certificate writer
     renders straight from them.  The exact route reads only the vertex
-    images, never the axioms.  The LP runs only
-    for independent pairs that no coordinate separates, which on a validated
-    input have equal vertex images (``_unseparated_verdict`` raises
-    ``ArithmeticError`` otherwise), on polyhedra shared by strata with
-    equal images (``_piece_memo``), so each distinct system is solved once
-    per call.
+    data, never the axioms.  Its guard runs once per row, before any pair
+    of the row: the independent partners of ``a`` that no coordinate
+    separates must lie in ``_IntervalRule.same[a]``, the strata on ``a``'s
+    vertex set, or the first of the others, in sorted order, raises
+    ``ArithmeticError``.  So the LP runs only for independent pairs on one
+    vertex set, which have one image, on polyhedra shared by strata with
+    equal images (``_piece_memo``), and each distinct system is solved
+    once per call.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -755,8 +752,10 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     exact_route = mode != "certificate"
     if exact_route:
         intervals = _IntervalRule(f, order)
+    # The certificate route's tables, from the order axioms (see above); in
+    # exact mode no stratum has candidates.
+    candidates = [()] * count
     if mode != "exact":
-        # The certificate route's tables, from the order axioms (see above).
         flags = m.horizontal_effective
         candidates = []
         lacking = [(1 << count) - 1] * (m.ell + 1)
@@ -777,14 +776,21 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
         sid = order[a]
         faces = want & up[a]
         independent = want ^ faces
-        sep_a = intervals.separated(a, independent) if exact_route else -1
+        if exact_route:
+            sep_a = intervals.separated(a, independent)
+            # Only strata on a's vertex set may share its image (see above).
+            stray = independent & ~sep_a & ~intervals.same[a]
+            if stray:
+                tid = order[_members(stray)[0]]
+                raise ArithmeticError(f"pair {sid}/{tid}: no coordinate separates the images "
+                                      f"of two strata with different vertex images")
         # Groups of independent pairs that share a separation: a's candidates
-        # j in turn take the later strata in ``lacking[j]``, and
-        # ``rest`` keeps those a cannot separate.  ``common`` narrows each
-        # group to the pairs that need no LP: the row's common records.
+        # j in turn take the later strata in ``lacking[j]``, and ``rest``
+        # keeps those a cannot separate.  In exact mode the one group is the
+        # pairs some coordinate separates, and ``rest`` the LP pairs.
         if mode == "exact":
-            groups = common = [(None, independent & sep_a)]
-            rest = 0
+            groups = [(None, independent & sep_a)]
+            rest = independent & ~sep_a
         else:
             groups = []
             rest = independent
@@ -793,39 +799,25 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
                 if got:
                     groups.append((SeparationCertificate(sid, j), got))
                     rest ^= got
-            common = [(sep, got & sep_a) for sep, got in groups] if exact_route else groups
         # The largest group is the row's fill; every other record joins a
         # group of its own shape, held by positions in the row.
-        fill = (common[0] if len(common) == 1
-                else max(common, key=lambda group: group[1].bit_count(), default=(None, 0)))
-        others = []
-        settled = 0
-        for group in common:
-            sep, got = group
-            settled |= got
-            if group is not fill and got:
-                others.append((("independent", None, sep, interval, True),
-                               [where[b] for b in _members(got)]))
+        fill = (groups[0] if len(groups) == 1
+                else max(groups, key=lambda group: group[1].bit_count(), default=(None, 0)))
+        others = [(("independent", None, sep, interval, True), [where[b] for b in _members(got)])
+                  for sep, got in groups if sep is not fill[0]]
         partners = ambients[a]
         if faces != up[a]:  # a pair filter leaves some of them out
             partners = [p for p in partners if faces >> p[0] & 1]
         others += [(shape, (where[b],)) for b, shape in partners]
-        for b in _members(independent & ~settled):
+        for b in _members(rest):
             tid = order[b]
-            if rest >> b & 1:
-                # a separates nothing from b: try b's candidates against a.
-                j = next((j for j in candidates[b] if lacking[j] >> a & 1), None)
-                separation = None if j is None else SeparationCertificate(tid, j)
-            else:
-                separation = next((sep for sep, got in groups if got >> b & 1), None)
+            # a separates nothing from b: try b's candidates against a.
+            j = next((j for j in candidates[b] if lacking[j] >> a & 1), None)
+            separation = None if j is None else SeparationCertificate(tid, j)
             if exact_route:
-                exact = (_INTERVAL if sep_a >> b & 1
-                         else _unseparated_verdict(memo, f, sid, tid))
+                exact = _INTERVAL if sep_a >> b & 1 else _lp_verdict(memo, sid, tid)
                 disjoint = exact.disjoint
                 if not disjoint:
-                    if separation is not None:
-                        raise ArithmeticError(f"pair {sid}/{tid}: separation certificate "
-                                              f"contradicts the exact oracle")
                     collision = True
                     if mode == "both":
                         # Only both-mode actually consulted the certificate route,

@@ -32,11 +32,12 @@ from skeletrop.sections import (AffineFunctional, OrderMatrix, canonical_order_m
                                 concavity_lower_bound, restrict_affine)
 from skeletrop.tropical import (MonomialSupport, TropicalProjectivePoint, eval_min_plus,
                                 trop_normalize)
-from skeletrop.tropicalize import PiecewiseAffineMap
+from skeletrop.tropicalize import PiecewiseAffineMap, build_map
 
 CYCLE3 = build_from_facets(3, 1, [[1, 2], [2, 3], [1, 3]])
 ORDERS = canonical_order_matrix(CYCLE3)
 EDGE = CYCLE3.stratum("1-2")
+MAP = build_map(CYCLE3, ORDERS)
 SQUARE = RationalPolyhedron(2, (Constraint((1, 0), 1), Constraint((0, 1), 1)))
 SUPPORT = MonomialSupport.from_exponents([(1, 0), (0, 2)])
 
@@ -65,6 +66,12 @@ INTEGER_SLOTS = [
     ("PiecewiseAffineMap image", lambda x: PiecewiseAffineMap(CYCLE3, 2, {1: (x, 2)}).images),
     ("PiecewiseAffineMap.from_pieces entry",
      lambda x: PiecewiseAffineMap.from_pieces(CYCLE3, 2, {"1-2": ((0, x), (1, 0))}).images),
+    ("DualComplex.adjacent i", lambda x: CYCLE3.adjacent(x, 2)),
+    ("DualComplex.adjacent j", lambda x: CYCLE3.adjacent(2, x)),
+    ("DualComplex.vertex_stratum v", CYCLE3.vertex_stratum),
+    ("OrderMatrix.order section", lambda x: ORDERS.order(x, 2)),
+    ("OrderMatrix.order component", lambda x: ORDERS.order(2, x)),
+    ("PiecewiseAffineMap.vertex_image slot", lambda x: MAP.vertex_image(EDGE, x)),
 ]
 
 
@@ -294,10 +301,9 @@ NOT_SLOTS = {
 
 def _integer_parameters():
     """``"<name> <parameter>"`` for each parameter annotated ``int`` or
-    ``int | None`` of a function or public classmethod in
-    ``skeletrop.__all__``, and for each such dataclass field that its
-    constructor takes.  Other methods take indices or labels to look up in
-    the object they belong to, and are left out."""
+    ``int | None`` of a function in ``skeletrop.__all__`` or of a public
+    classmethod or instance method of a class there, and for each such
+    dataclass field that its constructor takes."""
     wanted = (int, int | None)
     for name in skeletrop.__all__:
         obj = getattr(skeletrop, name)
@@ -311,10 +317,10 @@ def _integer_parameters():
                 yield from (f"{name} {f.name}" for f in dataclasses.fields(obj)
                             if f.init and hints[f.name] in wanted)
             for attr, member in vars(obj).items():
-                if isinstance(member, classmethod) and not attr.startswith("_"):
-                    hints = typing.get_type_hints(member.__func__)
-                    yield from (f"{name}.{attr} {p}"
-                                for p in inspect.signature(member.__func__).parameters
+                member = member.__func__ if isinstance(member, classmethod) else member
+                if inspect.isfunction(member) and not attr.startswith("_"):
+                    hints = typing.get_type_hints(member)
+                    yield from (f"{name}.{attr} {p}" for p in inspect.signature(member).parameters
                                 if hints.get(p) in wanted)
 
 

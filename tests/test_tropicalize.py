@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from operator import or_
 from typing import Sequence
@@ -1158,18 +1159,6 @@ class TestSinglePassVerdict:
             report = check_faithful(c, m, mode=mode)
             assert (report.defects, report.overall) == ref_verdict(report), mode
 
-    def test_contradicted_separation_raises(self, monkeypatch):
-        # With no coordinate separating anything, every independent pair
-        # reaches the exact oracle for unseparated pairs; a collision there
-        # contradicts the pair's separation certificate, which the order
-        # axioms make sound, so the check raises instead of reporting.
-        c = cycle(4)
-        colliding = ExactVerdict(False, None, "lp")
-        monkeypatch.setattr(_IntervalRule, "separated", lambda self, a, targets: 0)
-        monkeypatch.setattr(tropicalize, "_unseparated_verdict", lambda *args: colliding)
-        with pytest.raises(ArithmeticError, match="contradicts the exact oracle"):
-            check_faithful(c, canonical_order_matrix(c), mode="both")
-
     def test_non_unimodular_certificate_raises_in_every_mode(self, monkeypatch):
         # The order axioms make every validated piece unimodular; a false
         # verdict is a broken invariant, not a verdict to report.
@@ -1213,6 +1202,8 @@ class TestLpGuard:
         for sid, tid in calls:
             assert not c.face_related(sid, tid)
             assert sorted(f.vertex_images(sid)) == sorted(f.vertex_images(tid)), (sid, tid)
+            # The invariant the check per row enforces: one vertex set.
+            assert c.stratum(sid).vertex_set == c.stratum(tid).vertex_set, (sid, tid)
 
     def test_guard_fires_when_no_coordinate_separates(self, monkeypatch):
         c = cycle(4)
@@ -1223,9 +1214,18 @@ class TestLpGuard:
 
         monkeypatch.setattr(_IntervalRule, "separated", lambda self, a, targets: 0)
         monkeypatch.setattr(tropicalize, "relint_intersection_nonempty", no_lp)
+        # No two strata of the cycle share a vertex set, so every independent
+        # pair is unseparated; the error names the first in sorted order, and
+        # the last one for a row of the pair filter that names it alone.
+        order = c.stratum_ids()
+        independent = [(s, t) for k, s in enumerate(order) for t in order[k + 1:]
+                       if not c.face_related(s, t)]
         for mode in ("exact", "both"):
-            with pytest.raises(ArithmeticError, match="different vertex images"):
-                check_faithful(c, m, mode=mode)
+            for pair_filter, (s, t) in ((None, independent[0]),
+                                        ([independent[-1][::-1]], independent[-1])):
+                message = re.escape(f"pair {s}/{t}: ") + ".*different vertex images"
+                with pytest.raises(ArithmeticError, match=message):
+                    check_faithful(c, m, mode=mode, pair_filter=pair_filter)
         # The certificate route never asks the exact oracle.
         assert check_faithful(c, m, mode="certificate").overall == "faithful"
 
