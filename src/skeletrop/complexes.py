@@ -90,6 +90,22 @@ class DualComplex:
     def __post_init__(self):
         at_least(self.ell, 1, "a complex needs at least one vertex")
         at_least(self.dim_bound, 0, "dimension bound must be nonnegative")
+        self._index()
+
+    @classmethod
+    def _from_checked(cls, ell: int, dim_bound: int, strata: Iterable[Stratum],
+                      face_map: Mapping[tuple[str, frozenset[int]], str]) -> "DualComplex":
+        """The complex of these parts, whose ``ell`` and ``dim_bound`` the
+        caller has checked: they are not checked again."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "ell", ell)
+        object.__setattr__(c, "dim_bound", dim_bound)
+        object.__setattr__(c, "strata", strata)
+        object.__setattr__(c, "face_map", face_map)
+        c._index()
+        return c
+
+    def _index(self):
         by_id = {}
         for s in self.strata:
             if s.id in by_id:
@@ -176,6 +192,11 @@ def build_from_facets(ell: int, d: int, facets: Iterable[Sequence[int]]) -> Dual
     """
     at_least(ell, 1, "ell must be at least 1")
     at_least(d, 0, "d must be nonnegative")
+    return _facet_complex(ell, d, facets)
+
+
+def _facet_complex(ell: int, d: int, facets: Iterable[Sequence[int]]) -> DualComplex:
+    """``build_from_facets`` for an ``ell`` and ``d`` that the caller has checked."""
     vertex_sets: set[tuple[int, ...]] = set()
     for facet in facets:
         verts = tuple(sorted(_check_facet(facet, ell, d)))
@@ -192,7 +213,7 @@ def build_from_facets(ell: int, d: int, facets: Iterable[Sequence[int]]) -> Dual
             for sub in itertools.combinations(s.vertices, size):
                 face = by_vertices[sub]
                 face_map[(s.id, face.vertex_set)] = face.id
-    return DualComplex(ell, d, strata, face_map)
+    return DualComplex._from_checked(ell, d, strata, face_map)
 
 
 def build_delta_complex(ell: int, d: int,
@@ -204,6 +225,18 @@ def build_delta_complex(ell: int, d: int,
     performed; whatever is missing will be reported by
     :func:`validate_complex`.
     """
+    return DualComplex(ell, d, *_delta_parts(strata, face_entries))
+
+
+def _delta_complex(ell: int, d: int, strata: Iterable[tuple[str, Sequence[int]]],
+                   face_entries: Iterable[tuple[str, Iterable[int], str]]) -> DualComplex:
+    """``build_delta_complex`` for an ``ell`` and ``d`` that the caller has checked."""
+    return DualComplex._from_checked(ell, d, *_delta_parts(strata, face_entries))
+
+
+def _delta_parts(strata, face_entries) -> tuple[tuple[Stratum, ...], dict]:
+    """The strata and the face map that ``build_delta_complex`` builds its
+    complex from."""
     built = []
     for s in strata:
         if isinstance(s, Stratum):
@@ -217,7 +250,7 @@ def build_delta_complex(ell: int, d: int,
         if key in face_map and face_map[key] != str(fid):
             raise ValueError(f"conflicting face assignments for {owner!r} along {sorted(key[1])}")
         face_map[key] = str(fid)
-    return DualComplex(ell, d, tuple(built), face_map)
+    return tuple(built), face_map
 
 
 def validate_complex(c: DualComplex) -> list[Violation]:

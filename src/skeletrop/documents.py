@@ -23,9 +23,9 @@ from json.encoder import encode_basestring_ascii as _encode
 
 from ._exact import at_least, fraction, ints, is_int
 from ._version import __version__
-from .complexes import DualComplex, build_delta_complex, build_from_facets
+from .complexes import DualComplex, _delta_complex, _facet_complex
 from .sections import OrderMatrix, canonical_order_matrix
-from .tropicalize import MODES, FaithfulnessReport
+from .tropicalize import MODES, FaceDischarge, FaithfulnessReport
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -206,7 +206,7 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str]:
         _check_expansion(map(len, facets), f"{path}.facets")
         _check_vertex_count(ell, facets, path)
         try:
-            cx = build_from_facets(ell, d, facets)
+            cx = _facet_complex(ell, d, facets)
         except ValueError as exc:
             raise InputError(f"{path}.facets", str(exc)) from None
         _check_strata(cx, path, "facets")
@@ -236,7 +236,7 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str]:
     _check_expansion((len(verts) for _, verts in strata), f"{path}.strata")
     _check_vertex_count(ell, (verts for _, verts in strata), path)
     try:
-        cx = build_delta_complex(ell, d, strata, faces)
+        cx = _delta_complex(ell, d, strata, faces)
     except ValueError as exc:
         raise InputError(f"{path}.strata", str(exc)) from None
     _check_strata(cx, path, "strata")
@@ -577,6 +577,10 @@ def _separation_field(sep) -> str:
             "      }")
 
 
+# For each byte value, the text offsets 3 * b of its set bits b.
+_OFFSETS = [tuple(3 * b for b in range(8) if byte >> b & 1) for byte in range(256)]
+
+
 def _pair_records(rows):
     """The texts of the pair records of ``FaithfulnessReport.rows`` in
     report order, one list per row, each record led by a comma and a
@@ -585,58 +589,77 @@ def _pair_records(rows):
     A record's keys sort as disjoint, exact, face, left, relation, right,
     separation, so it is a head that its shape and the row's stratum fix,
     the right-hand stratum's id, and a tail that only the separation fixes.
-    Each group of a row renders its head and tail once; the row is then a
-    list of (head, id, tail) triples, its fill's everywhere and each
-    group's at the group's positions.  The lists hold shared strings, so
-    the certificate's one join is the only copy of the records' text.  An
-    absent optional field renders as nothing; its key is None.  Each field
-    is looked up by value in one ``_Rendered`` memo per kind, so each
-    stratum id, exact verdict, face discharge and separation is encoded
-    once per call.
-
-    ``check_faithful`` makes each face pair a group of its own, so a face
-    shape, relation "face" with a discharge and no separation or exact
-    verdict, skips ``head_and_tail``: its head is a prefix kept by the plain
-    fields (ambient, injective, disjoint), its face text from the same
-    memo, plus the row's left and relation text.
+    A row is a list of (head, id, tail) triples: its fill's everywhere, then
+    each group's head and tail, rendered once, at the positions its mask
+    names.  A face record is three strings kept per certificate or row: the
+    ``"disjoint"`` and ``"face"`` fields, one per ambient stratum; the
+    row's left and relation text; and the ambient's id with the closing
+    brace, one per stratum.  Each mask is walked once, as its texts are
+    stored: a byte of bits at a time through ``_OFFSETS``, with a run of
+    zero bytes skipped in one step, which costs less than a step per set
+    bit on the dense masks and no more on the sparse ones.  The lists hold
+    shared strings, so the certificate's one join is the only copy of the
+    records' text.  An absent optional field renders as nothing; its key is
+    None.  Each field is looked up by value in one ``_Rendered`` memo per
+    kind, so each stratum id, exact verdict, face discharge and separation
+    is encoded once per call.
     """
     name = _Rendered(_encode)
     literal = _Rendered(_literal)
     exact = _Rendered(_exact_field, {None: ""})
     face = _Rendered(_face_field, {None: ""})
     separation = _Rendered(_separation_field, {None: ""})
+    face_head = _Rendered(lambda ambient: ',\n    {\n      "disjoint": true'
+                                          + _face_field(FaceDischarge(ambient, True)))
+    face_tail = _Rendered(lambda ambient: name[ambient] + "\n    }")
 
-    face_heads: dict[tuple, str] = {}
-
-    def head_and_tail(shape, left_text):
-        relation, fc, sep, ex, disjoint = shape
-        return (f',\n    {{\n      "disjoint": {literal[disjoint]}{exact[ex]}{face[fc]}'
-                f'{left_text}{name[relation]},\n      "right": ', f"{separation[sep]}\n    }}")
-
-    for left, rights, fill, groups in rows:
-        count = len(rights)
+    for left, rights, fill, groups, faces in rows:
         left_text = f',\n      "left": {name[left]},\n      "relation": '
-        face_text = f'{left_text}{name["face"]},\n      "right": '
         if fill is None:
-            texts = [""] * (3 * count)
+            texts = [""] * (3 * len(rights))
         else:
-            head, tail = head_and_tail(fill, left_text)
-            texts = [head, "", tail] * count
+            relation, fc, sep, ex, disjoint = fill
+            texts = [f',\n    {{\n      "disjoint": {literal[disjoint]}{exact[ex]}{face[fc]}'
+                     f'{left_text}{name[relation]},\n      "right": ', "",
+                     f"{separation[sep]}\n    }}"] * len(rights)
         texts[1::3] = map(name.__getitem__, rights)
-        for shape, positions in groups:
-            relation, fc, sep, ex, disjoint = shape
-            if fc is not None and sep is None and ex is None and relation == "face":
-                key = fc.ambient, fc.injective, disjoint
-                prefix = face_heads.get(key)
-                if prefix is None:
-                    prefix = face_heads[key] = (f',\n    {{\n      "disjoint": '
-                                                f'{literal[disjoint]}{face[fc]}')
-                head, tail = prefix + face_text, "\n    }"
-            else:
-                head, tail = head_and_tail(shape, left_text)
-            for k in positions:
-                texts[3 * k] = head
-                texts[3 * k + 2] = tail
+        for (relation, fc, sep, ex, disjoint), mask in groups:
+            head = (f',\n    {{\n      "disjoint": {literal[disjoint]}{exact[ex]}{face[fc]}'
+                    f'{left_text}{name[relation]},\n      "right": ')
+            tail = f"{separation[sep]}\n    }}"
+            base = 0
+            while mask:
+                byte = mask & 255
+                if byte:
+                    for k in _OFFSETS[byte]:
+                        k += base
+                        texts[k] = head
+                        texts[k + 2] = tail
+                    mask >>= 8
+                    base += 24
+                else:
+                    # On to the byte of the lowest set bit.
+                    skip = ((mask & -mask).bit_length() - 1) & ~7
+                    mask >>= skip
+                    base += 3 * skip
+        if faces:
+            face_text = f'{left_text}"face",\n      "right": '
+            base = 0
+            while faces:
+                byte = faces & 255
+                if byte:
+                    for k in _OFFSETS[byte]:
+                        k += base
+                        right = rights[k // 3]
+                        texts[k] = face_head[right]
+                        texts[k + 1] = face_text
+                        texts[k + 2] = face_tail[right]
+                    faces >>= 8
+                    base += 24
+                else:
+                    skip = ((faces & -faces).bit_length() - 1) & ~7
+                    faces >>= skip
+                    base += 3 * skip
         yield texts
 
 

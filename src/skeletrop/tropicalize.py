@@ -26,37 +26,37 @@ polytopes outright, by coordinate-interval separation when a single
 coordinate suffices and by exact rational LP feasibility otherwise.
 
 ``check_faithful`` works on bitsets over the sorted stratum order.  Once
-per call, one pass over the face map files each face pair, with the shape
-it carries, in the row of its face, which comes first in the order; a row
-takes its face pairs from that table with no test per pair.  On a
-validated input the order axioms settle the vertex-value table in
-advance, so the certificate route needs only each stratum's flagged
-vertices and, per vertex ``j``, the strata without ``j``.  The O(S^2)
-pairs are then settled a row at a time, stratum ``a`` against all later
-strata at once, with whole-row mask operations.  The exact route asks
-``_IntervalRule`` per row which of ``a``'s independent partners some
-coordinate's image projection separates from ``a``'s, trying ``a``'s own
-coordinates first; it reads only the vertex images, and only for the rows
-it settles.  Each row is kept as it was decided
-(``PairRow``): the one shape most of its pairs share, and the positions
-of the few pairs of other shapes.  No per-pair record is built unless
-``FaithfulnessReport.pairs`` is read.  Only independent pairs that no
-coordinate separates reach the LP, and each distinct system is solved
-once per call.  Pairs are reported in sorted order.  The order axioms,
-validated first, make every piece unimodular, so injective, and let a
-coordinate separate any two strata on different vertex sets.  Each is a
-guard that raises ``ArithmeticError``, never a defect: unimodularity is
-checked once per stratum, separation once per row.  So the LP pairs are
-exactly the independent pairs on one vertex set, and every pair that a
-separation certificate settles (its strata have different vertex sets)
-is also separated by a coordinate.
+per call, one pass over the face map files each face pair in the row of
+its face, which comes first in the order, as one bit; a row takes its
+face pairs as one mask, with no test per pair.  On a validated input the
+order axioms settle the vertex-value table in advance, so the certificate
+route needs only each stratum's flagged vertices and, per vertex ``j``,
+the strata without ``j``.  The O(S^2) pairs are then settled a row at a
+time, stratum ``a`` against all later strata at once, with whole-row mask
+operations.  The exact route asks ``_IntervalRule`` per row which of
+``a``'s independent partners some coordinate's image projection separates
+from ``a``'s, trying ``a``'s own coordinates first; it reads only the
+vertex images, and only for the rows it settles.  Each row is kept as it
+was decided (``PairRow``): the one shape most of its pairs share, each
+other shape with the bitmask of its pairs, and the mask of the face
+pairs.  No per-pair record is built unless ``FaithfulnessReport.pairs``
+is read.  Only independent pairs that no coordinate separates reach the
+LP; each distinct system is solved once per call, and the pairs on the
+same two systems share one verdict.  Pairs are reported in sorted order.
+The order axioms, validated first, make every piece unimodular, so
+injective, and let a coordinate separate any two strata on different
+vertex sets.  Each is a guard that raises ``ArithmeticError``, never a
+defect: unimodularity is checked once per stratum, separation once per
+row.  So the LP pairs are exactly the independent pairs on one vertex
+set, and every pair that a separation certificate settles (its strata
+have different vertex sets) is also separated by a coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import compress, repeat
 from operator import and_, gt, itemgetter, lt, mul, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -391,16 +391,21 @@ class PairRow(NamedTuple):
 
     A pair's evidence without its two ids is its shape, the tuple
     ``(relation, face, separation, exact, disjoint)`` of ``PairEvidence``'s
-    other fields.  Records share few shapes, so a row holds each shape once:
-    ``fill`` is the shape of every pair that no group names (None when the
-    groups name them all), and ``groups`` pairs a shape with the positions
-    in ``rights`` that carry it.  The groups' positions are disjoint.
+    other fields.  Records share few shapes, so a row holds each shape once,
+    and the pairs that carry it as a bitmask over the row: bit ``k`` stands
+    for ``rights[k]``.  ``groups`` pairs a shape with its mask; ``faces``
+    is the mask of the face pairs, whose shape the right-hand stratum fixes,
+    ``("face", FaceDischarge(right, True), None, None, True)`` (0, the
+    default, when the row has none); ``fill`` is the shape of every pair
+    that neither names (None when they name them all).  The masks are
+    disjoint.
     """
 
     left: str
     rights: Sequence[str]
     fill: tuple | None
-    groups: Sequence[tuple[tuple, Sequence[int]]]
+    groups: Sequence[tuple[tuple, int]]
+    faces: int = 0
 
 
 _FACE_INJECTIVE = ExactVerdict(True, None, "face-injectivity")
@@ -410,26 +415,28 @@ _INTERVAL = ExactVerdict(True, None, "interval")
 def _piece_memo(f: PiecewiseAffineMap):
     """One memo for the relative-interior image polyhedra of the exact route.
 
-    ``memo(sid)`` returns the polyhedron of a stratum.  It is built once
-    per distinct ``f.vertex_images(sid)``, the exact input of
+    ``memo(sid)`` returns the polyhedron of a stratum, kept by stratum.  It
+    is built once per distinct ``f.vertex_images(sid)``, the exact input of
     ``simplex_image_polyhedron`` (not the vertex set: a Delta stratum may
     list the same vertices in another order, and Fourier-Motzkin's
     redundant rows depend on that order), and interned by value, so strata
     with equal constraint systems share one object and with it the LP
-    results that ``relint_intersection_nonempty`` keeps on it.  Only LP
-    pairs ask, so each call looks the images up again: one lookup per
-    vertex, against the Fourier-Motzkin run it may save.  The memo belongs
-    to one call of ``check_faithful`` and dies with it.
+    results that ``relint_intersection_nonempty`` keeps on it.  The memo
+    belongs to one call of ``check_faithful`` and dies with it.
     """
+    by_id: dict[str, RationalPolyhedron] = {}
     by_images: dict[tuple[tuple[int, ...], ...], RationalPolyhedron] = {}
     interned: dict[RationalPolyhedron, RationalPolyhedron] = {}
 
     def memo(sid: str) -> RationalPolyhedron:
-        images = f.vertex_images(sid)
-        poly = by_images.get(images)
+        poly = by_id.get(sid)
         if poly is None:
-            poly = simplex_image_polyhedron(images, relative_interior=True)
-            poly = by_images[images] = interned.setdefault(poly, poly)
+            images = f.vertex_images(sid)
+            poly = by_images.get(images)
+            if poly is None:
+                poly = simplex_image_polyhedron(images, relative_interior=True)
+                poly = by_images[images] = interned.setdefault(poly, poly)
+            by_id[sid] = poly
         return poly
 
     return memo
@@ -549,11 +556,23 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-def _lp_verdict(memo, sid: str, tid: str) -> ExactVerdict:
+def _placed(where: Mapping[int, int], mask: int) -> int:
+    """``mask`` with each bit ``b`` moved to bit ``where[b]``."""
+    return sum(1 << where[b] for b in _members(mask))
+
+
+def _lp_verdict(memo, verdicts: dict, sid: str, tid: str) -> ExactVerdict:
     """The exact LP oracle on two strata's relative-interior image
-    polyhedra, ``memo(sid)`` and ``memo(tid)``."""
-    hit, witness = relint_intersection_nonempty(memo(sid), memo(tid))
-    return ExactVerdict(not hit, witness, "lp")
+    polyhedra, ``memo(sid)`` and ``memo(tid)``.  The oracle is asked for
+    every pair; ``verdicts`` keeps one verdict per distinct pair of
+    polyhedra, so the pairs on the same two systems share it."""
+    p, q = memo(sid), memo(tid)
+    hit, witness = relint_intersection_nonempty(p, q)
+    key = (id(p), id(q)) if id(p) < id(q) else (id(q), id(p))
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = ExactVerdict(not hit, witness, "lp")
+    return verdict
 
 
 def images_relint_disjoint_exact(f: PiecewiseAffineMap,
@@ -578,7 +597,7 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
         return _FACE_INJECTIVE
     if _IntervalRule(f, (sid, tid)).separated(0, 2):
         return _INTERVAL
-    return _lp_verdict(lambda x: simplex_image_polyhedron(f.vertex_images(x)), sid, tid)
+    return _lp_verdict(lambda x: simplex_image_polyhedron(f.vertex_images(x)), {}, sid, tid)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -590,8 +609,9 @@ class FaithfulnessReport:
     its later partners, which is how ``check_faithful`` decides it and how
     the certificate writer renders it; ``pairs`` is the same evidence as
     one ``PairEvidence`` per pair in report order, built on first use and
-    then kept.  The sequence fields are stored as tuples.  A report of
-    given records holds each record ``e`` as a row of its own,
+    then kept: it expands each row's fill, group masks and face mask.  The
+    sequence fields are stored as tuples.  A report of given records holds
+    each record ``e`` as a row of its own,
     ``PairRow(e.left, (e.right,), tuple(e[2:]), ())``.  Equality and the
     hash read ``pairs``, so two reports with the same evidence are equal
     however their rows group it.
@@ -610,12 +630,20 @@ class FaithfulnessReport:
     @cached_property
     def pairs(self) -> tuple[PairEvidence, ...]:
         new = tuple.__new__
+        face_shapes: dict[str, tuple] = {}
         evidence = []
-        for left, rights, fill, groups in self.rows:
+        for left, rights, fill, groups, faces in self.rows:
             shapes = [fill] * len(rights)
-            for shape, positions in groups:
-                for k in positions:
+            for shape, mask in groups:
+                for k in _members(mask):
                     shapes[k] = shape
+            for k in _members(faces):
+                right = rights[k]
+                shape = face_shapes.get(right)
+                if shape is None:
+                    shape = face_shapes[right] = ("face", FaceDischarge(right, True),
+                                                  None, None, True)
+                shapes[k] = shape
             evidence += [new(PairEvidence, (left, right, *shape))
                          for right, shape in zip(rights, shapes)]
         return tuple(evidence)
@@ -668,38 +696,44 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
 
     The pairs are settled from tables over the sorted stratum order, built
     once per call: from one pass over ``c.face_map`` (on a validated complex
-    the same relation as ``is_face``), the face pairs of each row ``x``, the
-    strata ``x`` is a face of, as a face has fewer vertices than its ambient
-    stratum and comes first: ``up[x]`` as a bitset and ``ambients[x]`` in
-    order, each with its pair's shape.  For the exact route,
-    ``_IntervalRule`` on the vertex images, whose per-row answer is the independent partners some
-    coordinate separates from the row's stratum (its threshold masks are
-    built on first use, so a ``pair_filter`` computes only the rows it
-    names); for the certificate route, ``candidates[a]``, the flagged
-    vertices of stratum ``a`` in vertex order, and ``lacking[j]``, the strata without
-    vertex ``j``.  Each row of pairs ``(a, b)``, ``b`` after ``a`` (and
-    wanted by ``pair_filter``), is then settled with whole-row mask
-    operations: ``a``'s candidates ``j`` in turn take the later strata in
+    the same relation as ``is_face``), ``up[x]``, the strata ``x`` is a
+    face of, as a bitset; a face has fewer vertices than its ambient stratum
+    and comes first, so these are the face pairs of row ``x``.  For the
+    exact route, ``_IntervalRule`` on the vertex images, whose per-row
+    answer is the independent partners some coordinate separates from the
+    row's stratum (its threshold masks are built on first use, so a
+    ``pair_filter`` computes only the rows it names); for the certificate
+    route, ``candidates[a]``, the flagged vertices of stratum ``a`` in
+    vertex order, and ``lacking[j]``, the strata without vertex ``j``.
+    Each row of pairs ``(a, b)``, ``b`` after ``a`` (and wanted by
+    ``pair_filter``), is then settled with whole-row mask operations:
+    ``a``'s candidates ``j`` in turn take the later strata in
     ``lacking[j]``, and the largest group of independent, separated pairs
     is the row's fill, the one evidence shape most of its pairs share.  The
     report keeps rows, not records (``PairRow``, one per stratum ``a``):
-    the row's ids, its fill, and its other groups by position in the row:
-    the other separation groups, one group per face pair, taken from
-    ``ambients[a]`` as filed (a pair filter only drops the pairs it does
-    not name), and one group each for the pairs no coordinate separates,
-    the LP pairs and the reverse-direction separations.  Only the pairs
-    ``a`` cannot separate try the reverse direction, the first of
-    ``candidates[b]`` that ``a`` lacks.  ``FaithfulnessReport.pairs``
-    expands the rows into records on first use, and the certificate writer
-    renders straight from them.  The exact route reads only the vertex
-    data, never the axioms.  Its guard runs once per row, before any pair
-    of the row: the independent partners of ``a`` that no coordinate
-    separates must lie in ``_IntervalRule.same[a]``, the strata on ``a``'s
-    vertex set, or the first of the others, in sorted order, raises
-    ``ArithmeticError``.  So the LP runs only for independent pairs on one
-    vertex set, which have one image, on polyhedra shared by strata with
-    equal images (``_piece_memo``), and each distinct system is solved
-    once per call.
+    the row's ids, its fill, its other groups as (shape, mask) with bit
+    ``k`` for ``rights[k]``, and the mask of its face pairs, whose shape the
+    ambient stratum fixes.  A complete row's masks are the stratum-order
+    masks shifted by ``a + 1``; a pair filter's row moves each bit to its
+    place.  So a row costs a few mask operations, with no step per pair,
+    unless ``a`` leaves pairs unseparated: only those try the reverse
+    direction, the first of ``candidates[b]`` that ``a`` lacks, and take
+    the exact route's verdict one by one.  A reverse separation is a group
+    of its own; the other unseparated pairs form one group per verdict, and
+    the LP pairs of a row that share two polyhedra share one
+    ``ExactVerdict``, so a row has at most a few such groups.
+    ``FaithfulnessReport.pairs`` expands the rows into records on first
+    use, and the certificate writer renders straight from them.  The exact
+    route reads only the vertex data, never the axioms.  Its guard runs
+    once per row, before any pair of the row: the independent partners of
+    ``a`` that no coordinate separates must lie in
+    ``_IntervalRule.same[a]``, the strata on ``a``'s vertex set, or the
+    first of the others, in sorted order, raises ``ArithmeticError``.  So
+    the LP runs only for independent pairs on one vertex set, which have
+    one image, on polyhedra shared by strata with equal images
+    (``_piece_memo``); the oracle is asked once per LP pair, and each
+    distinct system is solved once per call.  Defects are listed in pair
+    order.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -714,11 +748,12 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
             raise ArithmeticError(f"stratum {cert.stratum}: validated piece is not unimodular")
 
     # The rows: each stratum ``a`` with the later strata it is paired with,
-    # as their ids in order, as a bitmask, and as ``where[b]``, the place of
-    # ``b`` in the row (a shifted range when the row is complete).
+    # as their ids in order and as a bitmask; ``where[b]``, the place of
+    # ``b`` in the row; and ``place``, which moves a mask's bits to their
+    # places (a shift when the row is complete).
     if pair_filter is None:
-        rows = ((a, order[a + 1:], (1 << count) - (2 << a), range(-a - 1, count))
-                for a in range(count - 1))
+        rows = ((a, order[a + 1:], (1 << count) - (2 << a), range(-a - 1, count),
+                 (a + 1).__rrshift__) for a in range(count - 1))
     else:
         wanted: dict[int, set[int]] = {}
         for p in pair_filter:
@@ -733,22 +768,14 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
         rows = []
         for a, later in sorted(wanted.items()):
             cols = sorted(later)
-            rows.append((a, [order[b] for b in cols], sum(1 << b for b in cols),
-                         {b: k for k, b in enumerate(cols)}))
+            where = {b: k for k, b in enumerate(cols)}
+            rows.append((a, [order[b] for b in cols], sum(1 << b for b in cols), where,
+                         partial(_placed, where)))
 
-    # The shape of a face pair, per ambient stratum: its piece is unimodular,
-    # so injective, and the discharge is shared by every face pair it is ambient to.
-    face_shapes = [("face", FaceDischarge(cert.stratum, True), None, None, True)
-                   for cert in certificates]
-    # The face pairs of row ``x``, the strata ``x`` is a face of (see above).
+    # The face pairs of row ``x``: the strata ``x`` is a face of (see above).
     up = [0] * count
-    ambients: list[list] = [[] for _ in range(count)]
     for (owner, _), fid in c.face_map.items():
-        o, x = index[owner], index[fid]
-        up[x] |= 1 << o
-        ambients[x].append((o, face_shapes[o]))
-    for later in ambients:
-        later.sort()  # one entry per ambient, so only the positions compare
+        up[index[fid]] |= 1 << index[owner]
     exact_route = mode != "certificate"
     if exact_route:
         intervals = _IntervalRule(f, order)
@@ -765,6 +792,7 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
             for v in vertices:
                 lacking[v] ^= 1 << b
     memo = _piece_memo(f)
+    verdicts: dict = {}
 
     new = tuple.__new__
     # The exact verdict of the common records: a coordinate separates them.
@@ -772,7 +800,7 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     decided = []
     defects = []
     collision = unknown = False
-    for a, ids, want, where in rows:
+    for a, ids, want, where, place in rows:
         sid = order[a]
         faces = want & up[a]
         independent = want ^ faces
@@ -799,38 +827,50 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
                 if got:
                     groups.append((SeparationCertificate(sid, j), got))
                     rest ^= got
-        # The largest group is the row's fill; every other record joins a
-        # group of its own shape, held by positions in the row.
+        # The largest group is the row's fill; every other group keeps its
+        # shape and its mask over the row.
         fill = (groups[0] if len(groups) == 1
                 else max(groups, key=lambda group: group[1].bit_count(), default=(None, 0)))
-        others = [(("independent", None, sep, interval, True), [where[b] for b in _members(got)])
+        others = [(("independent", None, sep, interval, True), place(got))
                   for sep, got in groups if sep is not fill[0]]
-        partners = ambients[a]
-        if faces != up[a]:  # a pair filter leaves some of them out
-            partners = [p for p in partners if faces >> p[0] & 1]
-        others += [(shape, (where[b],)) for b, shape in partners]
-        for b in _members(rest):
-            tid = order[b]
-            # a separates nothing from b: try b's candidates against a.
-            j = next((j for j in candidates[b] if lacking[j] >> a & 1), None)
-            separation = None if j is None else SeparationCertificate(tid, j)
-            if exact_route:
-                exact = _INTERVAL if sep_a >> b & 1 else _lp_verdict(memo, sid, tid)
-                disjoint = exact.disjoint
-                if not disjoint:
-                    collision = True
-                    if mode == "both":
-                        # Only both-mode actually consulted the certificate route,
-                        # so only there can its silence be reported as a gap.
-                        defects.append(f"pair {sid}/{tid}: no separating vertex exists "
-                                       f"and the exact oracle reports a collision")
-            else:
-                exact = None
-                disjoint = True if separation is not None else None
-                unknown = unknown or disjoint is None
-            others.append((("independent", None, separation, exact, disjoint), (where[b],)))
+        if rest:
+            # The pairs no vertex of a separates, by exact verdict (the one
+            # object of their pair of polyhedra, or None), unless a reverse
+            # separation gives a pair a record of its own.
+            unseparated: dict[int, list] = {}
+            for b in _members(rest):
+                tid = order[b]
+                # a separates nothing from b: try b's candidates against a.
+                j = next((j for j in candidates[b] if lacking[j] >> a & 1), None)
+                if exact_route:
+                    exact = (_INTERVAL if sep_a >> b & 1
+                             else _lp_verdict(memo, verdicts, sid, tid))
+                    if not exact.disjoint:
+                        collision = True
+                        if mode == "both":
+                            # Only both-mode actually consulted the certificate route,
+                            # so only there can its silence be reported as a gap.
+                            defects.append(f"pair {sid}/{tid}: no separating vertex exists "
+                                           f"and the exact oracle reports a collision")
+                else:
+                    exact = None
+                    unknown = unknown or j is None
+                if j is not None:
+                    separation = SeparationCertificate(tid, j)
+                    disjoint = True if exact is None else exact.disjoint
+                    others.append((("independent", None, separation, exact, disjoint),
+                                   1 << where[b]))
+                else:
+                    group = unseparated.get(id(exact))
+                    if group is None:
+                        unseparated[id(exact)] = [exact, 1 << where[b]]
+                    else:
+                        group[1] |= 1 << where[b]
+            others += [(("independent", None, None, exact,
+                         None if exact is None else exact.disjoint), mask)
+                       for exact, mask in unseparated.values()]
         decided.append(new(PairRow, (sid, ids, ("independent", None, fill[0], interval, True)
-                                         if fill[1] else None, others)))
+                                         if fill[1] else None, others, place(faces))))
 
     if collision:
         overall = "not_faithful"

@@ -136,6 +136,30 @@ class TestParseInput:
             parse_input(doc(5 * (MAX_STRATA + 1), MAX_STRATA + 1))
         assert info.value.path == "$.complex.strata"
 
+    def test_ell_and_d_are_checked_once(self, monkeypatch):
+        # The parser checks ell and d under their document paths; the
+        # complex it builds from them does not check them again.
+        from skeletrop import complexes
+        from skeletrop.complexes import build_delta_complex, build_from_facets
+
+        checked = []
+        monkeypatch.setattr(complexes, "at_least", lambda *args: checked.append(args))
+        simplicial = parse_input(MINIMAL).complex
+        delta = generate_fixture("cycle", n=2).complex
+        assert checked == []
+        monkeypatch.undo()
+        assert simplicial == build_from_facets(2, 1, [[1, 2]])
+        assert delta == build_delta_complex(delta.ell, delta.dim_bound, delta.strata,
+                                            [(owner, subset, fid) for (owner, subset), fid
+                                             in delta.face_map.items()])
+        for text, path in (('{"schema_version": 1, "complex": {"ell": 0, "d": 1, '
+                            '"facets": [[1, 2]]}}', "$.complex.ell"),
+                           ('{"schema_version": 1, "complex": {"ell": 2, "d": -1, "mode": '
+                            '"delta", "strata": [], "face_map": []}}', "$.complex.d")):
+            with pytest.raises(InputError) as info:
+                parse_input(text)
+            assert info.value.path == path
+
     def test_not_json(self):
         with pytest.raises(InputError, match="not valid JSON"):
             parse_input("{")
@@ -751,17 +775,35 @@ class TestCertificateBytes:
                     optional(ExactVerdict), disjoint)
 
         def grouped_row():
-            # A row as check_faithful keeps one: a fill, or None, and groups
-            # of shapes by position; a position no group names takes the fill.
+            # A row as check_faithful keeps one: a fill, or None, groups of
+            # shapes by mask over the row, and the mask of the face pairs; a
+            # position no mask names takes the fill.  A slot is a group's
+            # index, "fill", "face", or "near", a one-pair group whose shape
+            # is the face shape of its right-hand stratum with one field
+            # changed, or unchanged.
             count = data.draw(st.integers(0, 8))
             fill = shape() if data.draw(st.booleans()) else None
             shapes = [shape() for _ in range(data.draw(st.integers(1, 4)))]
-            slots = [data.draw(st.integers(0 if fill is None else -1, len(shapes) - 1))
-                     for _ in range(count)]
-            groups = [(x, [k for k, g in enumerate(slots) if g == at])
+            kinds = [*range(len(shapes)), "face", "near"] + ([] if fill is None else ["fill"])
+            slots = [data.draw(st.sampled_from(kinds)) for _ in range(count)]
+            rights = [data.draw(text) for _ in range(count)]
+            groups = [(x, sum(1 << k for k, g in enumerate(slots) if g == at))
                       for at, x in enumerate(shapes)]
-            return PairRow(data.draw(text), [data.draw(text) for _ in range(count)], fill,
-                           groups)
+            for k, g in enumerate(slots):
+                if g == "near":
+                    near = data.draw(st.sampled_from((None, "ambient", "injective", "disjoint",
+                                                      "relation")))
+                    groups.append(((
+                        "independent" if near == "relation" else "face",
+                        FaceDischarge(data.draw(text) if near == "ambient" else rights[k],
+                                      near != "injective"),
+                        None, None,
+                        data.draw(st.sampled_from((False, None))) if near == "disjoint"
+                        else True), 1 << k))
+            faces = sum(1 << k for k, g in enumerate(slots) if g == "face")
+            if not faces and data.draw(st.booleans()):
+                return PairRow(data.draw(text), rights, fill, groups)
+            return PairRow(data.draw(text), rights, fill, groups, faces)
 
         rows = []
         for _ in range(data.draw(st.integers(0, 4))):

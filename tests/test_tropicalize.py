@@ -22,7 +22,7 @@ from skeletrop.documents import emit_certificate, generate_fixture, input_digest
 from skeletrop.lattice import IntMatrix, relint_intersection_nonempty, simplex_image_polyhedron
 from skeletrop.sections import OrderMatrix, canonical_order_matrix
 from skeletrop.tropical import trop_eq
-from skeletrop.tropicalize import (ExactVerdict, FaceDischarge, FaithfulnessReport,
+from skeletrop.tropicalize import (MODES, ExactVerdict, FaceDischarge, FaithfulnessReport,
                                    PairEvidence, PairRow, PiecewiseAffineMap,
                                    SeparationCertificate, UnimodularityCertificate,
                                    _IntervalRule, _selector_inverts,
@@ -804,17 +804,71 @@ class TestTableDrivenPairLoop:
 
     @pytest.mark.parametrize("mode", sorted(CYCLE40_SHA256))
     def test_cycle40_random_orders_certificate_is_pinned(self, mode):
-        base = generate_fixture("cycle", n=40)
-        c = base.complex
-        rng = random.Random(40)
-        rows = [[0] * 40] + [[0 if i == j else (1 if c.adjacent(i, j) else rng.randint(1, 4))
-                              for j in range(1, 41)] for i in range(1, 41)]
-        flags = [True] + [rng.random() > 0.2 for _ in range(40)]
-        doc = parse_input(json.dumps(dict(
-            base.canonical, order_matrix={"orders": rows, "horizontal_effective": flags})))
+        doc = random_orders_document(generate_fixture("cycle", n=40), random.Random(40), 0.2)
         report = check_faithful(doc.complex, doc.effective_orders(), mode=mode)
         text = emit_certificate(report, input_digest(doc))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CYCLE40_SHA256[mode]
+
+    # sha256 of the dim-6 simplex boundary's certificate under seeded random
+    # orders with some horizontal flags cleared, taken while each row still
+    # listed its groups by position and made each face pair a group.  Every
+    # two vertices share a facet, so the only valid orders are the canonical
+    # ones; the seed clears the flags of vertices 4 and 5, which gives
+    # reverse separations and, in certificate mode, pairs that no vertex
+    # separates.
+    SIMPLEX6_SHA256 = {
+        "both": "444423443be3570710bb4f0a943692586e3853a251988765821cc14e05195c87",
+        "exact": "feed635e23c33cbc038e639e6ba792c5f9a6b3c50f2e6e56b7826ecd6d0cbd28",
+        "certificate": "f45ef27d08da35e58413f7dc9b143e26de2a28f0eab1188664b53f0e253f9e88",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(SIMPLEX6_SHA256))
+    def test_simplex6_random_orders_certificate_is_pinned(self, mode):
+        doc = random_orders_document(generate_fixture("simplex_boundary", dim=6),
+                                     random.Random(6), 0.3)
+        report = check_faithful(doc.complex, doc.effective_orders(), mode=mode)
+        text = emit_certificate(report, input_digest(doc))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.SIMPLEX6_SHA256[mode]
+
+    def test_complete_lp_free_check_walks_no_mask(self, monkeypatch):
+        # A complete row shifts its masks into place, so a check with no LP
+        # pair and no pair that the row's stratum leaves unseparated lists no
+        # position bit by bit.
+        walked = []
+        members = tropicalize._members
+
+        def spy(mask):
+            walked.append(mask)
+            return members(mask)
+
+        monkeypatch.setattr(tropicalize, "_members", spy)
+        docs = [generate_fixture("simplex_boundary", dim=6), generate_fixture("cycle", n=30),
+                random_orders_document(generate_fixture("cycle", n=30), random.Random(3), 0.0)]
+        for doc in docs:
+            for mode in MODES:
+                report = check_faithful(doc.complex, doc.effective_orders(), mode=mode)
+                assert report.overall == "faithful"
+                assert all(shape[3] is None or shape[3].method == "interval"
+                           for row in report.rows for shape, _ in row.groups)
+        assert walked == []
+        # The spy sees the walks that do happen: a pair filter's rows and
+        # the records read afterwards.
+        assert report.pairs and walked
+        walked.clear()
+        check_faithful(docs[0].complex, docs[0].effective_orders(), pair_filter=[("1", "2-3")])
+        assert walked
+
+
+def random_orders_document(base, rng, cleared):
+    """``base`` with seeded random valid orders and each vertex's horizontal
+    flag cleared with probability ``cleared``."""
+    c = base.complex
+    ell = c.ell
+    rows = [[0] * ell] + [[0 if i == j else (1 if c.adjacent(i, j) else rng.randint(1, 4))
+                           for j in range(1, ell + 1)] for i in range(1, ell + 1)]
+    flags = [True] + [rng.random() > cleared for _ in range(ell)]
+    return parse_input(json.dumps(dict(
+        base.canonical, order_matrix={"orders": rows, "horizontal_effective": flags})))
 
 
 def banana_document(n, k, seed):
@@ -1040,6 +1094,39 @@ class TestSharedExactWork:
         assert len(solves) == 2 * len(merged)
         assert len(builds) == 2 * len(distinct_images)
 
+    def test_lp_pairs_share_one_group_per_verdict(self, monkeypatch):
+        # Triangles on one vertex set in shuffled vertex orders: the LP pairs
+        # on the same two polyhedra share one ExactVerdict, and a row keeps
+        # one group per verdict.  The oracle is still asked once per LP
+        # pair, in pair order, and the defects follow the pairs.
+        rng = random.Random(6)
+        c = triangle_stack(rng, k=8, ell=5)
+        m = random_valid_orders(rng, c, cleared=0.0)
+        asked = []
+        relint = tropicalize.relint_intersection_nonempty
+
+        def spy(p, q):
+            asked.append((p, q))
+            return relint(p, q)
+
+        monkeypatch.setattr(tropicalize, "relint_intersection_nonempty", spy)
+        report = check_faithful(c, m, mode="both")
+        lp = [e for e in report.pairs if e.exact is not None and e.exact.method == "lp"]
+        assert len(asked) == len(lp) > 0
+        verdicts: dict[frozenset, set] = {}
+        for (p, q), e in zip(asked, lp):
+            verdicts.setdefault(frozenset((id(p), id(q))), set()).add(id(e.exact))
+        assert all(len(ids) == 1 for ids in verdicts.values())
+        assert len({id(e.exact) for e in lp}) == len(verdicts) < len(lp)
+        for row in report.rows:
+            mine = [id(shape[3]) for shape, _ in row.groups
+                    if shape[3] is not None and shape[3].method == "lp"]
+            partners = {id(e.exact) for e in lp if e.left == row.left}
+            assert sorted(mine) == sorted(partners)
+        assert list(report.defects) == [
+            f"pair {e.left}/{e.right}: no separating vertex exists and the exact oracle "
+            f"reports a collision" for e in report.pairs if e.disjoint is False]
+
     def test_no_polyhedron_outlives_the_call(self):
         # The LP memo holds the other polyhedron by a weak reference, so
         # with the cyclic collector off nothing of the exact route survives.
@@ -1187,9 +1274,9 @@ class TestLpGuard:
         calls = []
         lp = tropicalize._lp_verdict
 
-        def recording(memo, sid, tid):
+        def recording(memo, verdicts, sid, tid):
             calls.append((sid, tid))
-            return lp(memo, sid, tid)
+            return lp(memo, verdicts, sid, tid)
 
         tropicalize._lp_verdict = recording
         try:
