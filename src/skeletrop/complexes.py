@@ -221,9 +221,10 @@ def build_delta_complex(ell: int, d: int,
                         face_entries: Iterable[tuple[str, Iterable[int], str]]) -> DualComplex:
     """Delta-complex from explicit strata and face assignments.
 
-    Vertex order is taken verbatim from the input.  No face closure is
-    performed; whatever is missing will be reported by
-    :func:`validate_complex`.
+    Vertex order and stratum ids are taken verbatim from the input: an id
+    that is not a nonempty string, in a stratum or in a face entry, raises
+    ``ValueError``.  No face closure is performed; whatever is missing will
+    be reported by :func:`validate_complex`.
     """
     return DualComplex(ell, d, *_delta_parts(strata, face_entries))
 
@@ -243,13 +244,15 @@ def _delta_parts(strata, face_entries) -> tuple[tuple[Stratum, ...], dict]:
             built.append(s)
         else:
             sid, verts = s
-            built.append(Stratum(str(sid), tuple(verts)))
+            built.append(Stratum(sid, tuple(verts)))
     face_map = {}
     for owner, subset, fid in face_entries:
-        key = (str(owner), frozenset(ints(subset, "face vertices must be ints, got {x!r}")))
-        if key in face_map and face_map[key] != str(fid):
+        if not (isinstance(owner, str) and isinstance(fid, str) and owner and fid):
+            raise ValueError(f"face map entry {owner!r} -> {fid!r}: stratum ids must be "
+                             f"nonempty strings")
+        key = (owner, frozenset(ints(subset, "face vertices must be ints, got {x!r}")))
+        if face_map.setdefault(key, fid) != fid:
             raise ValueError(f"conflicting face assignments for {owner!r} along {sorted(key[1])}")
-        face_map[key] = str(fid)
     return tuple(built), face_map
 
 

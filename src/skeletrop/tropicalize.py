@@ -25,31 +25,31 @@ The exact route decides emptiness of the intersection of the two image
 polytopes outright, by coordinate-interval separation when a single
 coordinate suffices and by exact rational LP feasibility otherwise.
 
-``check_faithful`` works on bitsets over the sorted stratum order.  Once
-per call, one pass over the face map files each face pair in the row of
-its face, which comes first in the order, as one bit; a row takes its
-face pairs as one mask, with no test per pair.  On a validated input the
-order axioms settle the vertex-value table in advance, so the certificate
-route needs only each stratum's flagged vertices and, per vertex ``j``,
-the strata without ``j``.  The O(S^2) pairs are then settled a row at a
-time, stratum ``a`` against all later strata at once, with whole-row mask
-operations.  The exact route asks ``_IntervalRule`` per row which of
-``a``'s independent partners some coordinate's image projection separates
-from ``a``'s, trying ``a``'s own coordinates first; it reads only the
-vertex images, and only for the rows it settles.  Each row is kept as it
-was decided (``PairRow``): the one shape most of its pairs share, each
-other shape with the bitmask of its pairs, and the mask of the face
-pairs.  No per-pair record is built unless ``FaithfulnessReport.pairs``
-is read.  Only independent pairs that no coordinate separates reach the
-LP; each distinct system is solved once per call, and the pairs on the
-same two systems share one verdict.  Pairs are reported in sorted order.
-The order axioms, validated first, make every piece unimodular, so
-injective, and let a coordinate separate any two strata on different
-vertex sets.  Each is a guard that raises ``ArithmeticError``, never a
-defect: unimodularity is checked once per stratum, separation once per
-row.  So the LP pairs are exactly the independent pairs on one vertex
-set, and every pair that a separation certificate settles (its strata
-have different vertex sets) is also separated by a coordinate.
+``check_faithful`` works on bitsets over the sorted stratum order.  The
+O(S^2) pairs are settled a row at a time, stratum ``a`` against all later
+strata at once, and before either route runs each row splits into three
+disjoint masks: ``faces``, the strata ``a`` is a face of, from one pass
+over the face map; ``shared``, the other strata on ``a``'s vertex set,
+from one pass over the strata; and ``apart``, all the others.  Face pairs
+are discharged by their ambient piece, with no test per pair.  On a
+validated input the order axioms let a flagged vertex of either stratum
+that the other lacks separate an ``apart`` pair, and a coordinate separate
+it: the certificate route takes ``a``'s flagged vertices in turn, then,
+for the pairs ``a`` leaves over, those of the partner; the exact route asks
+``_IntervalRule`` once per row which of the ``apart`` partners some
+coordinate's image projection separates from ``a``'s, reading only the
+vertex images.  ``shared`` pairs have one image, so no vertex and no
+coordinate separates them: the exact route sends each to the LP, each
+distinct system solved once per call and the pairs on the same two
+systems sharing one verdict, and the certificate route leaves them
+unsettled as one mask.  Each row is kept as it was decided (``PairRow``):
+the one shape most of its pairs share, each other shape with the bitmask
+of its pairs, and the mask of the face pairs.  No per-pair record is
+built unless ``FaithfulnessReport.pairs`` is read.  Pairs are reported
+in sorted order.  The order axioms, validated first, make every piece
+unimodular, so injective, and let a coordinate separate every ``apart``
+pair.  Each is a guard that raises ``ArithmeticError``, never a defect:
+unimodularity is checked once per stratum, separation once per row.
 """
 
 from __future__ import annotations
@@ -109,8 +109,9 @@ class PiecewiseAffineMap:
     Label consistency holds by construction: a piece's entries depend only
     on vertex labels, so pieces agree on shared faces, and strata with one
     vertex set have one piece up to the order of its columns.  The exact
-    route relies on it: ``_IntervalRule`` never tests two strata on one
-    vertex set.  ``build_map`` reads the images off the order matrix;
+    route relies on it: no coordinate separates two strata on one vertex
+    set, so ``check_faithful`` sends them to the LP without asking
+    ``_IntervalRule``.  ``build_map`` reads the images off the order matrix;
     ``from_pieces`` reads them off given pieces and refuses pieces that
     give a vertex two images.
     """
@@ -173,7 +174,10 @@ class PiecewiseAffineMap:
 
     def vertex_image(self, s: "Stratum | str", slot: int) -> tuple[int, ...]:
         ints((slot,), "slots must be ints, got {x!r}")
-        return self.images[self.complex.stratum(s).vertices[slot]]
+        vertices = self.complex.stratum(s).vertices
+        if not 0 <= slot < len(vertices):
+            raise ValueError(f"slot index {slot} out of range 0..{len(vertices) - 1}")
+        return self.images[vertices[slot]]
 
     def edge_vectors(self, s: "Stratum | str") -> tuple[tuple[int, ...], ...]:
         """Row ``a-1`` is ``img(v_a) - img(v_0)``, for ``a`` in 1..k."""
@@ -463,39 +467,32 @@ class _IntervalRule:
     use and kept.
 
     Built once, in O(S·k) steps plus one transpose of the images of the
-    vertices in use: ``lacking[v]``, the strata without vertex ``v``;
-    ``same[a]``, the strata with ``a``'s vertex set; and, per stratum, its
-    vertex slots in the transposed columns, through which ``_test`` reads
-    coordinate ``i``'s values on it.  The map is label-consistent by
-    construction (see ``PiecewiseAffineMap``), so strata with one vertex set
-    have one image polytope, no coordinate separates them, and they are
-    never tested.  ``same`` is the one table read from outside:
-    ``check_faithful``'s guard, once per row, requires every independent
-    partner that ``separated`` leaves out to lie in ``same[a]``.  A row
-    tries ``a``'s own coordinates first (vertex ``v`` is coordinate ``v``),
-    then every other coordinate, and stops once every target is separated.
-    The order only finds a witness sooner; the answer is the union over all
-    coordinates.  On a validated map the order axioms make ``a``'s own
-    coordinates separate it from every stratum that lacks one of its
-    vertices.
+    vertices in use: ``lacking[v]``, the strata without vertex ``v``, and,
+    per stratum, its vertex slots in the transposed columns, through which
+    ``_test`` reads coordinate ``i``'s values on it.  The map is
+    label-consistent by construction (see ``PiecewiseAffineMap``), so strata
+    with one vertex set have one image polytope and no coordinate separates
+    them: ``separated`` leaves them out, and ``check_faithful`` does not ask
+    for them.  A row tries ``a``'s own coordinates first (vertex ``v`` is
+    coordinate ``v``), then every other coordinate, and stops once every
+    target is separated.  The order only finds a witness sooner; the answer
+    is the union over all coordinates.  On a validated map the order axioms
+    make ``a``'s own coordinates separate it from every stratum that lacks
+    one of its vertices.
     """
 
     def __init__(self, f: PiecewiseAffineMap, order: Sequence[str]):
         full = (1 << len(order)) - 1
         strata = [f.complex.stratum(sid) for sid in order]
         lacking: dict[int, int] = {}
-        same: dict[frozenset[int], int] = {}
         for b, st in enumerate(strata):
-            bit = 1 << b
-            same[st.vertex_set] = same.get(st.vertex_set, 0) | bit
             for v in st.vertices:
-                lacking[v] = lacking.get(v, full) ^ bit
+                lacking[v] = lacking.get(v, full) ^ 1 << b
         slot = {v: k for k, v in enumerate(lacking)}
         # A stratum's values on one coordinate, read from its column; the
         # first slot twice, so that a vertex stratum also reads a tuple.
         self._values = [itemgetter(slot[st.vertices[0]], *map(slot.__getitem__, st.vertices))
                         for st in strata]
-        self.same = [same[st.vertex_set] for st in strata]
         n = f.n
         self._own = [[v - 1 for v in st.vertices if 0 < v <= n] for st in strata]
         self._coordinates = range(n)
@@ -508,7 +505,7 @@ class _IntervalRule:
 
     def separated(self, a: int, targets: int) -> int:
         """The strata in ``targets`` that some coordinate separates from ``a``."""
-        start = todo = targets & ~self.same[a]
+        start = todo = targets
         own = self._own[a]
         for i in own:
             if not todo:
@@ -583,7 +580,8 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
     decided on the image polytopes, first by a one-coordinate interval
     separation and otherwise by the exact rational LP oracle, which returns
     a collision witness when the images meet.  Any map is label-consistent
-    by construction, so the interval rule applies to every pair.  A single
+    by construction, so the interval rule applies to every pair; two strata
+    on one vertex set have one image, and it finds no coordinate.  A single
     query has nothing to share, so the two polyhedra are built directly,
     without the memo ``check_faithful`` keeps.
     """
@@ -689,51 +687,52 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     certificate with a false verdict, or an independent pair on two vertex
     sets that no coordinate separates, raises ``ArithmeticError``: the
     first is checked once per stratum, the second once per row, as guards.
-    A separation certificate only settles pairs on two vertex sets, so the
-    exact route confirms every one of them.  Every face pair
-    is therefore discharged by its ambient piece, injective because
-    unimodular, and needs no route at all.
+    Every face pair is therefore discharged by its ambient piece, injective
+    because unimodular, and needs no route at all.
 
     The pairs are settled from tables over the sorted stratum order, built
     once per call: from one pass over ``c.face_map`` (on a validated complex
     the same relation as ``is_face``), ``up[x]``, the strata ``x`` is a
     face of, as a bitset; a face has fewer vertices than its ambient stratum
-    and comes first, so these are the face pairs of row ``x``.  For the
-    exact route, ``_IntervalRule`` on the vertex images, whose per-row
-    answer is the independent partners some coordinate separates from the
-    row's stratum (its threshold masks are built on first use, so a
-    ``pair_filter`` computes only the rows it names); for the certificate
-    route, ``candidates[a]``, the flagged vertices of stratum ``a`` in
-    vertex order, and ``lacking[j]``, the strata without vertex ``j``.
-    Each row of pairs ``(a, b)``, ``b`` after ``a`` (and wanted by
-    ``pair_filter``), is then settled with whole-row mask operations:
-    ``a``'s candidates ``j`` in turn take the later strata in
-    ``lacking[j]``, and the largest group of independent, separated pairs
-    is the row's fill, the one evidence shape most of its pairs share.  The
-    report keeps rows, not records (``PairRow``, one per stratum ``a``):
-    the row's ids, its fill, its other groups as (shape, mask) with bit
-    ``k`` for ``rights[k]``, and the mask of its face pairs, whose shape the
-    ambient stratum fixes.  A complete row's masks are the stratum-order
+    and comes first, so these are the face pairs of row ``x``.  From one
+    pass over the strata, ``same``, the strata on each vertex set, and, for
+    the certificate route, ``candidates[a]``, the flagged vertices of
+    stratum ``a`` in vertex order, and ``lacking[j]``, the strata without
+    vertex ``j``.  For the exact route, ``_IntervalRule`` on the vertex
+    images (its threshold masks are built on first use, so a
+    ``pair_filter`` computes only the rows it names).  Each row of pairs
+    ``(a, b)``, ``b`` after ``a`` (and wanted by ``pair_filter``), first
+    splits into three disjoint masks: ``faces``, its pairs in ``up[a]``;
+    ``shared``, those on ``a``'s vertex set; and ``apart``, the rest.
+
+    ``apart`` pairs lie on two vertex sets.  The exact route's guard
+    runs once per row, before any pair of it: ``_IntervalRule`` must find a
+    coordinate for every ``apart`` partner, or the first of the others, in
+    sorted order, raises ``ArithmeticError``.  The certificate route
+    settles them with whole-row mask operations: ``a``'s candidates ``j``
+    in turn take the later strata in ``lacking[j]``, and the largest group
+    is the row's fill, the one evidence shape most of its pairs share.  Only
+    the pairs that ``a`` leaves over try the reverse direction, the first of
+    ``candidates[b]`` that ``a`` lacks, each a group of its own; those with
+    no separation either way form one group.  ``shared`` pairs have one
+    image, so neither a vertex nor a coordinate separates them.  The exact
+    route asks the LP oracle once per pair, on polyhedra shared by strata
+    with equal images (``_piece_memo``), so each distinct system is solved
+    once per call and the pairs that share two polyhedra share one
+    ``ExactVerdict`` and one group.  Without the exact route they join the
+    unseparated group, as one mask.  Defects are listed in pair order.
+
+    The report keeps rows, not records (``PairRow``, one per stratum
+    ``a``): the row's ids, its fill, its other groups as (shape, mask) with
+    bit ``k`` for ``rights[k]``, and the mask of its face pairs, whose shape
+    the ambient stratum fixes.  A complete row's masks are the stratum-order
     masks shifted by ``a + 1``; a pair filter's row moves each bit to its
     place.  So a row costs a few mask operations, with no step per pair,
-    unless ``a`` leaves pairs unseparated: only those try the reverse
-    direction, the first of ``candidates[b]`` that ``a`` lacks, and take
-    the exact route's verdict one by one.  A reverse separation is a group
-    of its own; the other unseparated pairs form one group per verdict, and
-    the LP pairs of a row that share two polyhedra share one
-    ``ExactVerdict``, so a row has at most a few such groups.
+    except for the reverse searches and the LP pairs.
     ``FaithfulnessReport.pairs`` expands the rows into records on first
     use, and the certificate writer renders straight from them.  The exact
-    route reads only the vertex data, never the axioms.  Its guard runs
-    once per row, before any pair of the row: the independent partners of
-    ``a`` that no coordinate separates must lie in
-    ``_IntervalRule.same[a]``, the strata on ``a``'s vertex set, or the
-    first of the others, in sorted order, raises ``ArithmeticError``.  So
-    the LP runs only for independent pairs on one vertex set, which have
-    one image, on polyhedra shared by strata with equal images
-    (``_piece_memo``); the oracle is asked once per LP pair, and each
-    distinct system is solved once per call.  Defects are listed in pair
-    order.
+    route reads only the vertex data, never the axioms: ``same`` comes from
+    the vertex sets.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -748,12 +747,11 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
             raise ArithmeticError(f"stratum {cert.stratum}: validated piece is not unimodular")
 
     # The rows: each stratum ``a`` with the later strata it is paired with,
-    # as their ids in order and as a bitmask; ``where[b]``, the place of
-    # ``b`` in the row; and ``place``, which moves a mask's bits to their
-    # places (a shift when the row is complete).
+    # as their ids in order and as a bitmask, and ``place``, which moves a
+    # mask's bits to their places in the row (a shift when it is complete).
     if pair_filter is None:
-        rows = ((a, order[a + 1:], (1 << count) - (2 << a), range(-a - 1, count),
-                 (a + 1).__rrshift__) for a in range(count - 1))
+        rows = ((a, order[a + 1:], (1 << count) - (2 << a), (a + 1).__rrshift__)
+                for a in range(count - 1))
     else:
         wanted: dict[int, set[int]] = {}
         for p in pair_filter:
@@ -768,65 +766,69 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
         rows = []
         for a, later in sorted(wanted.items()):
             cols = sorted(later)
-            where = {b: k for k, b in enumerate(cols)}
-            rows.append((a, [order[b] for b in cols], sum(1 << b for b in cols), where,
-                         partial(_placed, where)))
+            rows.append((a, [order[b] for b in cols], sum(1 << b for b in cols),
+                         partial(_placed, {b: k for k, b in enumerate(cols)})))
 
     # The face pairs of row ``x``: the strata ``x`` is a face of (see above).
     up = [0] * count
     for (owner, _), fid in c.face_map.items():
         up[index[fid]] |= 1 << index[owner]
+    # One pass over the strata: ``same``, by vertex set, and the certificate
+    # route's tables from the order axioms (see above), which exact mode
+    # does not read.
+    certify = mode != "exact"
+    flags = m.horizontal_effective
+    same: dict[frozenset[int], int] = {}
+    candidates = []
+    lacking = [(1 << count) - 1] * (m.ell + 1)
+    strata = [c.stratum(sid) for sid in order]
+    for b, st in enumerate(strata):
+        same[st.vertex_set] = same.get(st.vertex_set, 0) | 1 << b
+        if certify:
+            candidates.append([j for j in st.vertices if flags[j]])
+            for v in st.vertices:
+                lacking[v] ^= 1 << b
     exact_route = mode != "certificate"
     if exact_route:
         intervals = _IntervalRule(f, order)
-    # The certificate route's tables, from the order axioms (see above); in
-    # exact mode no stratum has candidates.
-    candidates = [()] * count
-    if mode != "exact":
-        flags = m.horizontal_effective
-        candidates = []
-        lacking = [(1 << count) - 1] * (m.ell + 1)
-        for b, sid in enumerate(order):
-            vertices = c.stratum(sid).vertices
-            candidates.append([j for j in vertices if flags[j]])
-            for v in vertices:
-                lacking[v] ^= 1 << b
     memo = _piece_memo(f)
     verdicts: dict = {}
 
     new = tuple.__new__
-    # The exact verdict of the common records: a coordinate separates them.
+    # The exact verdict of the pairs on two vertex sets: a coordinate
+    # separates them; and the shape of those no vertex separates.
     interval = _INTERVAL if exact_route else None
+    unseparated = ("independent", None, None, interval, True if exact_route else None)
     decided = []
     defects = []
     collision = unknown = False
-    for a, ids, want, where, place in rows:
+    for a, ids, want, place in rows:
         sid = order[a]
         faces = want & up[a]
-        independent = want ^ faces
+        shared = want & same[strata[a].vertex_set]
+        apart = want ^ faces ^ shared
         if exact_route:
-            sep_a = intervals.separated(a, independent)
             # Only strata on a's vertex set may share its image (see above).
-            stray = independent & ~sep_a & ~intervals.same[a]
+            stray = apart & ~intervals.separated(a, apart)
             if stray:
                 tid = order[_members(stray)[0]]
                 raise ArithmeticError(f"pair {sid}/{tid}: no coordinate separates the images "
                                       f"of two strata with different vertex images")
-        # Groups of independent pairs that share a separation: a's candidates
-        # j in turn take the later strata in ``lacking[j]``, and ``rest``
-        # keeps those a cannot separate.  In exact mode the one group is the
-        # pairs some coordinate separates, and ``rest`` the LP pairs.
-        if mode == "exact":
-            groups = [(None, independent & sep_a)]
-            rest = independent & ~sep_a
-        else:
+        # Groups of the pairs on two vertex sets that share a separation:
+        # a's candidates j in turn take the later strata in ``lacking[j]``,
+        # and ``rest`` keeps those a cannot separate.  In exact mode the one
+        # group is all of them.
+        if certify:
             groups = []
-            rest = independent
+            rest = apart
             for j in candidates[a]:
                 got = rest & lacking[j]
                 if got:
                     groups.append((SeparationCertificate(sid, j), got))
                     rest ^= got
+        else:
+            groups = [(None, apart)]
+            rest = 0
         # The largest group is the row's fill; every other group keeps its
         # shape and its mask over the row.
         fill = (groups[0] if len(groups) == 1
@@ -834,41 +836,38 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
         others = [(("independent", None, sep, interval, True), place(got))
                   for sep, got in groups if sep is not fill[0]]
         if rest:
-            # The pairs no vertex of a separates, by exact verdict (the one
-            # object of their pair of polyhedra, or None), unless a reverse
-            # separation gives a pair a record of its own.
-            unseparated: dict[int, list] = {}
+            # a separates nothing from b: try b's candidates against a.
             for b in _members(rest):
-                tid = order[b]
-                # a separates nothing from b: try b's candidates against a.
                 j = next((j for j in candidates[b] if lacking[j] >> a & 1), None)
-                if exact_route:
-                    exact = (_INTERVAL if sep_a >> b & 1
-                             else _lp_verdict(memo, verdicts, sid, tid))
-                    if not exact.disjoint:
-                        collision = True
-                        if mode == "both":
-                            # Only both-mode actually consulted the certificate route,
-                            # so only there can its silence be reported as a gap.
-                            defects.append(f"pair {sid}/{tid}: no separating vertex exists "
-                                           f"and the exact oracle reports a collision")
-                else:
-                    exact = None
-                    unknown = unknown or j is None
                 if j is not None:
-                    separation = SeparationCertificate(tid, j)
-                    disjoint = True if exact is None else exact.disjoint
-                    others.append((("independent", None, separation, exact, disjoint),
-                                   1 << where[b]))
-                else:
-                    group = unseparated.get(id(exact))
-                    if group is None:
-                        unseparated[id(exact)] = [exact, 1 << where[b]]
-                    else:
-                        group[1] |= 1 << where[b]
-            others += [(("independent", None, None, exact,
-                         None if exact is None else exact.disjoint), mask)
-                       for exact, mask in unseparated.values()]
+                    rest ^= 1 << b
+                    others.append((("independent", None, SeparationCertificate(order[b], j),
+                                    interval, True), place(1 << b)))
+        if not exact_route:
+            # Without the exact route the pairs on a's vertex set, which no
+            # vertex separates, are left unsettled with the others.
+            rest |= shared
+            shared = 0
+            unknown = unknown or bool(rest)
+        if rest:
+            others.append((unseparated, place(rest)))
+        if shared:
+            # The LP pairs, by exact verdict: the one object of their pair
+            # of polyhedra.
+            lp: dict[int, list] = {}
+            for b in _members(shared):
+                tid = order[b]
+                exact = _lp_verdict(memo, verdicts, sid, tid)
+                if not exact.disjoint:
+                    collision = True
+                    if mode == "both":
+                        # Only both-mode actually consulted the certificate route,
+                        # so only there can its silence be reported as a gap.
+                        defects.append(f"pair {sid}/{tid}: no separating vertex exists "
+                                       f"and the exact oracle reports a collision")
+                lp.setdefault(id(exact), [exact, 0])[1] |= 1 << b
+            others += [(("independent", None, None, exact, exact.disjoint), place(mask))
+                       for exact, mask in lp.values()]
         decided.append(new(PairRow, (sid, ids, ("independent", None, fill[0], interval, True)
                                          if fill[1] else None, others, place(faces))))
 

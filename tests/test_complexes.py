@@ -153,6 +153,19 @@ class TestValidation:
             build_delta_complex(2, 1, strata, [("e", [1], "v1"), ("e", [2], "v2"),
                                                ("e", [1], "v2")])
 
+    def test_int_stratum_id_is_refused(self):
+        # Ids are taken as given: the int 1 is not the stratum "1".
+        with pytest.raises(ValueError, match="^stratum id must be a nonempty string$"):
+            build_delta_complex(1, 0, [(1, [1])], [])
+
+    @pytest.mark.parametrize("entry", [("e", [1], None), ("e", [1], 1), (1, [1], "v1"),
+                                       ("e", [1], "")])
+    def test_face_entry_ids_must_be_nonempty_strings(self, entry):
+        # A face pointing at None would otherwise name a stratum "None".
+        strata = [("v1", [1]), ("v2", [2]), ("None", [1]), ("e", [1, 2])]
+        with pytest.raises(ValueError, match="stratum ids must be nonempty strings$"):
+            build_delta_complex(2, 1, strata, [entry, ("e", [2], "v2")])
+
 
 def ref_find_violations(c: DualComplex) -> list[Violation]:
     """Reference: the exhaustive pass over every entry and every chain

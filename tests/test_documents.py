@@ -645,10 +645,12 @@ def row_pin_document(case: str, seed: int) -> str:
     random valid orders with about half the horizontal flags cleared, so
     that reverse separations, unseparated pairs and incomplete verdicts
     occur.  ``cycle`` is the 40-cycle, ``filtered`` the same with 300
-    seeded pairs in either orientation named in ``check.pairs``, and
-    ``ring`` the Delta banana ring of 8 components with 3 parallel edges."""
+    seeded pairs in either orientation named in ``check.pairs``, ``ring``
+    the Delta banana ring of 8 components with 3 parallel edges, and
+    ``ring-filtered`` that ring with 300 seeded pairs, so that a filter's
+    rows place LP and reverse-separation groups."""
     rng = random.Random(seed)
-    if case == "ring":
+    if case.startswith("ring"):
         data = json.loads(delta_document("ring", 8, 3, seed))
     else:
         base = generate_fixture("cycle", n=40)
@@ -659,14 +661,15 @@ def row_pin_document(case: str, seed: int) -> str:
     ell = data["complex"]["ell"]
     data["order_matrix"]["horizontal_effective"] = [True] + [rng.random() >= 0.5
                                                              for _ in range(ell)]
-    if case == "filtered":
+    if case.endswith("filtered"):
         ids = parse_input(json.dumps(data)).complex.stratum_ids()
         data["check"] = {"pairs": [rng.sample(ids, 2) for _ in range(300)]}
     return json.dumps(data)
 
 
 # sha256 of the certificates of ``row_pin_document`` for (case, mode),
-# taken while every pair record was still built as its own PairEvidence.
+# taken while every pair record was still built as its own PairEvidence;
+# the ``ring-filtered`` pins were taken before rows were split by vertex set.
 ROW_PIN_SHA256 = [
     (("cycle", 41), "both",
      "30dffda322ae761c767df9f62f78423405dcce384bbd0df085affefb99ba6158"),
@@ -686,6 +689,12 @@ ROW_PIN_SHA256 = [
      "c785334e9fc1f519ae0cbfb7a465f6126e22c76808bd7d8009d9879f1c643254"),
     (("ring", 43), "certificate",
      "535f12116505f00439b17200d41258347ceee2beb6e5ed5f04bffb7f18fcd7c0"),
+    (("ring-filtered", 44), "both",
+     "060ec758ef71542e74b9fa207226c0a3e59162ff35b7be1cd95d1e3b6ff441fb"),
+    (("ring-filtered", 44), "exact",
+     "031cb8ba393bedc35283cdcfc105566c7467f09b878793b1eb2e2c9cb12ac281"),
+    (("ring-filtered", 44), "certificate",
+     "0917ed0966df24426eaef0191354e15edd8997fa039966c99bb6845fa3f80425"),
 ]
 
 

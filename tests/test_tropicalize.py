@@ -85,6 +85,13 @@ class TestBuildMap:
                 for a, v in enumerate(face.vertices):
                     assert f.vertex_image(face, a) == f.vertex_image(s, slot[v])
 
+    @pytest.mark.parametrize("slot", [-1, 2])
+    def test_vertex_image_slot_out_of_range_raises(self, slot):
+        # A negative slot would otherwise read from the end of the stratum.
+        f = canonical_map(cycle(3))
+        with pytest.raises(ValueError, match=rf"^slot index {slot} out of range 0\.\.1$"):
+            f.vertex_image("1-2", slot)
+
     def test_validation_failures_propagate(self):
         bad_complex = build_from_facets(3, 1, [[1, 2]])  # vertex 3 uncovered
         with pytest.raises(ValueError, match="invalid complex"):
@@ -697,18 +704,20 @@ def banana_ring(rng):
     return build_delta_complex(n, 1, strata, faces)
 
 
-def triangle_stack(rng, k=None, ell=None):
+def triangle_stack(rng, k=None, ell=None, spares=None):
     """``k`` triangles on the edges of vertices 1, 2, 3, a path out to ``ell``
-    and up to two more edges on 1, 2 that are no triangle's face (their open
-    images lie on the triangles' boundary, below them in coordinate 3).
-    ``k`` and ``ell`` are drawn from ``rng`` unless given."""
+    and ``spares``, up to two, more edges on 1, 2 that are no triangle's face
+    (their open images lie on the triangles' boundary, below them in
+    coordinate 3).  ``k``, ``ell`` and ``spares`` are drawn from ``rng``
+    unless given."""
     k = rng.randint(1, 3) if k is None else k
     ell = rng.randint(3, 5) if ell is None else ell
     strata = [(f"v{v}", (v,)) for v in range(1, ell + 1)]
     faces = []
     edges = [(1, 2), (1, 3), (2, 3)] + [(v, v + 1) for v in range(3, ell)]
     for eid, (a, b) in ([(f"e{a}{b}", (a, b)) for a, b in edges]
-                        + [(f"e12.{r}", (1, 2)) for r in range(rng.randint(0, 2))]):
+                        + [(f"e12.{r}", (1, 2))
+                           for r in range(rng.randint(0, 2) if spares is None else spares)]):
         strata.append((eid, _shuffled(rng, (a, b))))
         faces += [(eid, [a], f"v{a}"), (eid, [b], f"v{b}")]
     for t in range(k):
@@ -857,6 +866,27 @@ class TestTableDrivenPairLoop:
         walked.clear()
         check_faithful(docs[0].complex, docs[0].effective_orders(), pair_filter=[("1", "2-3")])
         assert walked
+
+    def test_certificate_mode_walks_no_mask_on_one_vertex_set(self, monkeypatch):
+        # With every flag set, each row's stratum separates all its partners
+        # on other vertex sets.  Those on its own vertex set meet, and no
+        # vertex of either lies outside the other, so they are left unsettled
+        # as one mask, with no reverse search or other step per pair.
+        walked = []
+        members = tropicalize._members
+
+        def spy(mask):
+            walked.append(mask)
+            return members(mask)
+
+        monkeypatch.setattr(tropicalize, "_members", spy)
+        rng = random.Random(9)  # a ring of 3 with 3 parallel edges
+        for c in (banana_ring(rng), triangle_stack(rng, k=4, ell=5, spares=0)):
+            m = canonical_order_matrix(c)
+            assert all(m.horizontal_effective)
+            report = check_faithful(c, m, mode="certificate")
+            assert report.overall == "certificate_incomplete"
+        assert walked == []
 
 
 def random_orders_document(base, rng, cleared):
