@@ -235,9 +235,10 @@ def _delta_complex(ell: int, d: int, strata: Iterable[tuple[str, Sequence[int]]]
     return DualComplex._from_checked(ell, d, *_delta_parts(strata, face_entries))
 
 
-def _delta_parts(strata, face_entries) -> tuple[tuple[Stratum, ...], dict]:
+def _delta_parts(strata, face_entries, face_map=None) -> tuple[tuple[Stratum, ...], dict]:
     """The strata and the face map that ``build_delta_complex`` builds its
-    complex from."""
+    complex from.  The face entries are filed into ``face_map`` when it is
+    given, so that entries filed one call at a time meet the same rules."""
     built = []
     for s in strata:
         if isinstance(s, Stratum):
@@ -245,7 +246,7 @@ def _delta_parts(strata, face_entries) -> tuple[tuple[Stratum, ...], dict]:
         else:
             sid, verts = s
             built.append(Stratum(sid, tuple(verts)))
-    face_map = {}
+    face_map = {} if face_map is None else face_map
     for owner, subset, fid in face_entries:
         if not (isinstance(owner, str) and isinstance(fid, str) and owner and fid):
             raise ValueError(f"face map entry {owner!r} -> {fid!r}: stratum ids must be "

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _encode
 
 from ._exact import at_least, fraction, ints, is_int
 from ._version import __version__
-from .complexes import DualComplex, _delta_complex, _facet_complex
+from .complexes import DualComplex, _delta_complex, _delta_parts, _facet_complex
 from .sections import OrderMatrix, canonical_order_matrix
 from .tropicalize import MODES, FaceDischarge, FaithfulnessReport
 
@@ -175,13 +175,18 @@ def _check_vertex_count(ell: int, vertex_lists, path: str) -> None:
                                         f"but the complex lists only {distinct} distinct vertices")
 
 
+def _check_count(count: int, path: str, key: str) -> None:
+    """Reject more than ``MAX_STRATA`` strata."""
+    if count > MAX_STRATA:
+        raise InputError(f"{path}.{key}", f"the complex has {count} strata, "
+                                          f"more than the {MAX_STRATA} a document may have")
+
+
 def _check_strata(cx: DualComplex, path: str, key: str) -> None:
     """Reject more than ``MAX_STRATA`` strata, then an ``ell`` above it (each
     vertex of a valid complex has its own 0-dimensional stratum), before any
     pair or ell-wide order row exists."""
-    if len(cx.strata) > MAX_STRATA:
-        raise InputError(f"{path}.{key}", f"the complex has {len(cx.strata)} strata, "
-                                          f"more than the {MAX_STRATA} a document may have")
+    _check_count(len(cx.strata), path, key)
     if cx.ell > MAX_STRATA:
         raise InputError(f"{path}.ell", f"{cx.ell} vertices need a 0-dimensional stratum "
                                         f"each, more than the {MAX_STRATA} strata a "
@@ -213,6 +218,8 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str]:
         return cx, mode
     _reject_unknown(spec, ("ell", "d", "mode", "strata", "face_map"), path)
     strata_raw = _expect(spec, "strata", list, path)
+    # One stratum per entry: an oversized list is refused before any is read.
+    _check_count(len(strata_raw), path, "strata")
     strata = []
     for k, entry in enumerate(strata_raw):
         epath = f"{path}.strata[{k}]"
@@ -238,9 +245,31 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str]:
     try:
         cx = _delta_complex(ell, d, strata, faces)
     except ValueError as exc:
-        raise InputError(f"{path}.strata", str(exc)) from None
+        raise InputError(_delta_fault(strata, faces, path), str(exc)) from None
     _check_strata(cx, path, "strata")
     return cx, mode
+
+
+def _delta_fault(strata, faces, path: str) -> str:
+    """The path of the fault that ``_delta_complex`` refused a document for.
+
+    ``_delta_complex`` reads the strata, then files the face-map entries, then
+    indexes the strata by id, and stops at the first fault.  So unless the
+    strata alone are refused, the fault is the first face-map entry that is
+    refused when the entries are filed in turn; a repeated stratum id, found
+    last, is the strata's.  Run only on a refused document.
+    """
+    try:
+        _delta_parts(strata, ())
+    except ValueError:
+        return f"{path}.strata"
+    filed: dict = {}
+    for k, entry in enumerate(faces):
+        try:
+            _delta_parts((), (entry,), filed)
+        except ValueError:
+            return f"{path}.face_map[{k}]"
+    return f"{path}.strata"
 
 
 def _parse_orders(spec: dict, ell: int, path: str) -> OrderMatrix:

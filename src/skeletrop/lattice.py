@@ -470,6 +470,28 @@ def simplex_image_polyhedron(vertex_images: Sequence[Sequence],
     cuts out exactly the image of the open simplex (affine maps carry
     relative interiors onto relative interiors).  Computed by eliminating
     the barycentric coordinates from ``x = sum_a lambda_a w_a``.
+
+    When the images are affinely independent, the result does not depend
+    on their order: every permutation of ``vertex_images`` returns an equal
+    polyhedron.  Proof sketch.  The equations are the n coordinate rows and
+    then the row ``sum_a lambda_a = 1``; their weight columns have rank r,
+    the number of vertices, so every weight is substituted out by an
+    equation and no Fourier-Motzkin combination is formed.  The weight
+    ``lambda_j`` is eliminated by the first remaining equation that mentions
+    it, and that equation is never a combination of earlier ones (an
+    earlier equation, reduced by the pivots so far, would mention
+    ``lambda_j`` too).  So the pivot rows are the lexicographically first
+    basis of the equations' weight parts, whatever order the weights are
+    eliminated in; permuting the vertices permutes columns, which changes
+    no linear dependence among rows.  Each emitted row is then a positive
+    multiple of an original row minus its unique combination of the pivot
+    rows that cancels every weight, a row the basis fixes.  ``Constraint``
+    reduces each row to its primitive normal, and the rows ``-lambda_a < 0``
+    are only permuted among themselves, so the sorted constraint tuple is
+    the same.  ``check_faithful`` relies on this: all strata on one vertex
+    set of a label-keyed map have the same images, up to order, and on a
+    validated map they are affinely independent, so it builds one
+    polyhedron per vertex set.
     """
     verts = [tuple(w) for w in vertex_images]
     if not verts:
@@ -678,9 +700,9 @@ def relint_intersection_nonempty(p: RationalPolyhedron, q: RationalPolyhedron):
     on both polyhedra, each keyed by the other's identity (an ``id`` lookup
     hashes no constraint), and a repeated or swapped query on the same
     objects is answered without solving again.  The memo lasts as long as
-    the polyhedra do: callers that build them per call and intern equal
-    systems, as ``check_faithful`` does, solve each distinct pair of
-    systems once per call.
+    the polyhedra do: a caller that keeps one object per system, as
+    ``check_faithful`` keeps one per vertex set, solves each pair of those
+    objects once.
     """
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("polyhedra live in different ambient dimensions")

@@ -39,14 +39,16 @@ for the pairs ``a`` leaves over, those of the partner; the exact route asks
 ``_IntervalRule`` once per row which of the ``apart`` partners some
 coordinate's image projection separates from ``a``'s, reading only the
 vertex images.  ``shared`` pairs have one image, so no vertex and no
-coordinate separates them: the exact route sends each to the LP, each
-distinct system solved once per call and the pairs on the same two
-systems sharing one verdict, and the certificate route leaves them
-unsettled as one mask.  Each row is kept as it was decided (``PairRow``):
-the one shape most of its pairs share, each other shape with the bitmask
-of its pairs, and the mask of the face pairs.  No per-pair record is
-built unless ``FaithfulnessReport.pairs`` is read.  Pairs are reported
-in sorted order.  The order axioms, validated first, make every piece
+coordinate separates them.  The exact route sends each to the LP, on one
+relative-interior image polyhedron per vertex set: every stratum on it
+yields the same one (see ``simplex_image_polyhedron``), so each vertex
+set's system is built and solved once per call, and a row's LP pairs form
+one group with one verdict.  The certificate route leaves them unsettled
+as one mask.  Each row is kept as it was decided (``PairRow``): the one
+shape most of its pairs share, each other shape with the bitmask of its
+pairs, and the mask of the face pairs.  No per-pair record is built
+unless ``FaithfulnessReport.pairs`` is read.  Pairs are reported in
+sorted order.  The order axioms, validated first, make every piece
 unimodular, so injective, and let a coordinate separate every ``apart``
 pair.  Each is a guard that raises ``ArithmeticError``, never a defect:
 unimodularity is checked once per stratum, separation once per row.
@@ -416,36 +418,6 @@ _FACE_INJECTIVE = ExactVerdict(True, None, "face-injectivity")
 _INTERVAL = ExactVerdict(True, None, "interval")
 
 
-def _piece_memo(f: PiecewiseAffineMap):
-    """One memo for the relative-interior image polyhedra of the exact route.
-
-    ``memo(sid)`` returns the polyhedron of a stratum, kept by stratum.  It
-    is built once per distinct ``f.vertex_images(sid)``, the exact input of
-    ``simplex_image_polyhedron`` (not the vertex set: a Delta stratum may
-    list the same vertices in another order, and Fourier-Motzkin's
-    redundant rows depend on that order), and interned by value, so strata
-    with equal constraint systems share one object and with it the LP
-    results that ``relint_intersection_nonempty`` keeps on it.  The memo
-    belongs to one call of ``check_faithful`` and dies with it.
-    """
-    by_id: dict[str, RationalPolyhedron] = {}
-    by_images: dict[tuple[tuple[int, ...], ...], RationalPolyhedron] = {}
-    interned: dict[RationalPolyhedron, RationalPolyhedron] = {}
-
-    def memo(sid: str) -> RationalPolyhedron:
-        poly = by_id.get(sid)
-        if poly is None:
-            images = f.vertex_images(sid)
-            poly = by_images.get(images)
-            if poly is None:
-                poly = simplex_image_polyhedron(images, relative_interior=True)
-                poly = by_images[images] = interned.setdefault(poly, poly)
-            by_id[sid] = poly
-        return poly
-
-    return memo
-
-
 class _IntervalRule:
     """The exact route's interval rule, settled a row at a time.
 
@@ -558,20 +530,6 @@ def _placed(where: Mapping[int, int], mask: int) -> int:
     return sum(1 << where[b] for b in _members(mask))
 
 
-def _lp_verdict(memo, verdicts: dict, sid: str, tid: str) -> ExactVerdict:
-    """The exact LP oracle on two strata's relative-interior image
-    polyhedra, ``memo(sid)`` and ``memo(tid)``.  The oracle is asked for
-    every pair; ``verdicts`` keeps one verdict per distinct pair of
-    polyhedra, so the pairs on the same two systems share it."""
-    p, q = memo(sid), memo(tid)
-    hit, witness = relint_intersection_nonempty(p, q)
-    key = (id(p), id(q)) if id(p) < id(q) else (id(q), id(p))
-    verdict = verdicts.get(key)
-    if verdict is None:
-        verdict = verdicts[key] = ExactVerdict(not hit, witness, "lp")
-    return verdict
-
-
 def images_relint_disjoint_exact(f: PiecewiseAffineMap,
                                  s: "Stratum | str", t: "Stratum | str") -> ExactVerdict:
     """Exact verdict on disjointness of the two open-simplex images.
@@ -581,9 +539,9 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
     separation and otherwise by the exact rational LP oracle, which returns
     a collision witness when the images meet.  Any map is label-consistent
     by construction, so the interval rule applies to every pair; two strata
-    on one vertex set have one image, and it finds no coordinate.  A single
-    query has nothing to share, so the two polyhedra are built directly,
-    without the memo ``check_faithful`` keeps.
+    on one vertex set have one image, and it finds no coordinate.  The LP
+    runs on the two strata's relative-interior image polyhedra, each built
+    from the stratum's own vertex images.
     """
     c = f.complex
     sid = c.stratum(s).id
@@ -595,7 +553,9 @@ def images_relint_disjoint_exact(f: PiecewiseAffineMap,
         return _FACE_INJECTIVE
     if _IntervalRule(f, (sid, tid)).separated(0, 2):
         return _INTERVAL
-    return _lp_verdict(lambda x: simplex_image_polyhedron(f.vertex_images(x)), {}, sid, tid)
+    hit, witness = relint_intersection_nonempty(
+        *(simplex_image_polyhedron(f.vertex_images(x)) for x in (sid, tid)))
+    return ExactVerdict(not hit, witness, "lp")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -716,11 +676,18 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     ``candidates[b]`` that ``a`` lacks, each a group of its own; those with
     no separation either way form one group.  ``shared`` pairs have one
     image, so neither a vertex nor a coordinate separates them.  The exact
-    route asks the LP oracle once per pair, on polyhedra shared by strata
-    with equal images (``_piece_memo``), so each distinct system is solved
-    once per call and the pairs that share two polyhedra share one
-    ``ExactVerdict`` and one group.  Without the exact route they join the
-    unseparated group, as one mask.  Defects are listed in pair order.
+    route keeps one relative-interior image polyhedron per vertex set, in
+    one dict built the first time a row on that vertex set has ``shared``
+    partners.  This is exact: the map is label-keyed, so all strata on one
+    vertex set have the same vertex images up to order, and every piece has
+    passed the unimodularity guard, so its images are affinely independent
+    and ``simplex_image_polyhedron`` returns one polyhedron whatever the
+    order.
+    The LP oracle is asked once per pair, on that polyhedron against
+    itself, so each vertex set's system is built and solved once per call,
+    and the row's ``shared`` mask is one group with one ``ExactVerdict``.
+    Without the exact route they join the unseparated group, as one mask.
+    Defects are listed in pair order.
 
     The report keeps rows, not records (``PairRow``, one per stratum
     ``a``): the row's ids, its fill, its other groups as (shape, mask) with
@@ -791,8 +758,9 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
     exact_route = mode != "certificate"
     if exact_route:
         intervals = _IntervalRule(f, order)
-    memo = _piece_memo(f)
-    verdicts: dict = {}
+    # The relative-interior image polyhedron of each vertex set that has LP
+    # pairs, built from the first of its strata to need it (see above).
+    polyhedra: dict[frozenset[int], RationalPolyhedron] = {}
 
     new = tuple.__new__
     # The exact verdict of the pairs on two vertex sets: a coordinate
@@ -852,22 +820,23 @@ def check_faithful(c: DualComplex, m: OrderMatrix, mode: str = "both",
         if rest:
             others.append((unseparated, place(rest)))
         if shared:
-            # The LP pairs, by exact verdict: the one object of their pair
-            # of polyhedra.
-            lp: dict[int, list] = {}
+            # The LP pairs: every stratum on a's vertex set has a's image
+            # polyhedron, so the oracle is asked on it against itself, once
+            # per pair, and the row's LP pairs share one verdict and one group.
+            vertex_set = strata[a].vertex_set
+            poly = polyhedra.get(vertex_set)
+            if poly is None:
+                poly = polyhedra[vertex_set] = simplex_image_polyhedron(f.vertex_images(sid))
             for b in _members(shared):
-                tid = order[b]
-                exact = _lp_verdict(memo, verdicts, sid, tid)
-                if not exact.disjoint:
-                    collision = True
-                    if mode == "both":
-                        # Only both-mode actually consulted the certificate route,
-                        # so only there can its silence be reported as a gap.
-                        defects.append(f"pair {sid}/{tid}: no separating vertex exists "
-                                       f"and the exact oracle reports a collision")
-                lp.setdefault(id(exact), [exact, 0])[1] |= 1 << b
-            others += [(("independent", None, None, exact, exact.disjoint), place(mask))
-                       for exact, mask in lp.values()]
+                hit, witness = relint_intersection_nonempty(poly, poly)
+                if hit and mode == "both":
+                    # Only both-mode actually consulted the certificate route,
+                    # so only there can its silence be reported as a gap.
+                    defects.append(f"pair {sid}/{order[b]}: no separating vertex exists "
+                                   f"and the exact oracle reports a collision")
+            collision = collision or hit
+            others.append((("independent", None, None, ExactVerdict(not hit, witness, "lp"),
+                            not hit), place(shared)))
         decided.append(new(PairRow, (sid, ids, ("independent", None, fill[0], interval, True)
                                          if fill[1] else None, others, place(faces))))
 

@@ -111,6 +111,13 @@ class TestParseInput:
             parse_input(doc({"ell": MAX_STRATA + 1, "d": 0, "mode": "delta",
                              "strata": strata, "face_map": []}))
         assert info.value.path == "$.complex.strata"
+        # The length of a Delta list is checked before its entries: this
+        # error wins over a fault in any of them.
+        strata[0] = {"id": 1}
+        with pytest.raises(InputError, match="1001 strata, more than the 1000") as info:
+            parse_input(doc({"ell": MAX_STRATA + 1, "d": 0, "mode": "delta",
+                             "strata": strata, "face_map": []}))
+        assert info.value.path == "$.complex.strata"
         # Strata, not facets, are counted: a 10-vertex facet has 1,023.
         with pytest.raises(InputError, match="1023 strata"):
             parse_input(doc({"ell": 10, "d": 9, "facets": [list(range(1, 11))]}))
@@ -306,7 +313,19 @@ REFUSALS = {
                                  "expected an object with stratum, subset, face"),
     "delta-builder": (_document(_delta_edge(face_map=[{"stratum": "e", "subset": [1],
                                                        "face": "v2"}])),
-                      "$.complex.strata", "conflicting face assignments for 'e' along [1]"),
+                      "$.complex.face_map[2]", "conflicting face assignments for 'e' along [1]"),
+    "delta-empty-face-id": (_document(_delta_edge(face_map=[{"stratum": "e", "subset": [1],
+                                                             "face": ""}])),
+                            "$.complex.face_map[2]",
+                            "face map entry 'e' -> '': stratum ids must be nonempty strings"),
+    # A stratum's own fault is found before any face-map entry is filed.
+    "delta-stratum-before-face-map": (
+        _document(_delta_edge(strata=[{"id": "x", "vertices": [1, 1]}],
+                              face_map=[{"stratum": "e", "subset": [1], "face": ""}])),
+        "$.complex.strata", "stratum 'x' repeats a vertex"),
+    # A repeated stratum id is found after the face map.
+    "delta-repeated-id": (_document(_delta_edge(strata=[{"id": "e", "vertices": [1, 2]}])),
+                          "$.complex.strata", "duplicate stratum id 'e'"),
     "flag-not-a-bool": (_document(order_matrix={"orders": [[0, 0], [0, 1], [1, 0]],
                                                 "horizontal_effective": [True, 1, True]}),
                         "$.order_matrix.horizontal_effective[1]", "expected a boolean, got 1"),

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 try:
@@ -898,3 +898,20 @@ class TestRelintMemo:
         assert p == q and hash(p) == hash(q)
         assert repr(p) == repr(q)
         assert q._relint_memo == {}
+
+
+class TestImageOrderInvariance:
+    """``simplex_image_polyhedron`` does not depend on the order of
+    affinely independent images, the lemma its docstring proves."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 9), st.booleans(), st.data())
+    def test_every_permutation_gives_one_polyhedron(self, n, relative_interior, data):
+        r = data.draw(st.integers(1, min(5, n + 1)))
+        images = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                                    min_size=r, max_size=r))
+        edges = [tuple(x - y for x, y in zip(w, images[0])) for w in images[1:]]
+        assume(not edges or IntMatrix.from_rows(edges, cols=n).rank() == len(edges))
+        first = simplex_image_polyhedron(images, relative_interior)
+        for order in itertools.permutations(images):
+            assert simplex_image_polyhedron(order, relative_interior) == first

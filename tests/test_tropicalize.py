@@ -1113,25 +1113,30 @@ class TestSharedExactWork:
         images = {sid: f.vertex_images(sid) for pair in lp for sid in pair}
         systems = {sid: frozenset(build(imgs).constraints) for sid, imgs in images.items()}
         merged = {systems[a] | systems[b] for a, b in lp}
+        vertex_sets = {c.stratum(sid).vertex_set for sid in images}
         distinct_images = set(images.values())
-        # Shuffled vertex orders give the triangles several distinct inputs.
-        assert len(lp) > len(distinct_images) > len(merged) > 0
+        # Shuffled vertex orders give the strata on one vertex set several
+        # distinct inputs, and all of them one system.
+        assert len(lp) > len(distinct_images) > len(vertex_sets) == len(merged) == 2
         assert len(solves) == len(set(solves)) == len(merged)
-        assert len(builds) == len(set(builds)) == len(distinct_images)
+        # One build per vertex set with LP pairs, not one per image tuple.
+        assert len(builds) == len({frozenset(b) for b in builds}) == len(vertex_sets)
 
         # Nothing outlives the call: the same inputs are solved again.
         assert check_faithful(c, m, mode="both") == report
         assert len(solves) == 2 * len(merged)
-        assert len(builds) == 2 * len(distinct_images)
+        assert len(builds) == 2 * len(vertex_sets)
 
     def test_lp_pairs_share_one_group_per_verdict(self, monkeypatch):
-        # Triangles on one vertex set in shuffled vertex orders: the LP pairs
-        # on the same two polyhedra share one ExactVerdict, and a row keeps
-        # one group per verdict.  The oracle is still asked once per LP
-        # pair, in pair order, and the defects follow the pairs.
+        # Triangles on one vertex set in shuffled vertex orders: every
+        # stratum on a vertex set has one polyhedron, the LP pairs of a row
+        # share one ExactVerdict, and the row keeps them as one group.  The
+        # oracle is still asked once per LP pair, in pair order, and the
+        # defects follow the pairs.
         rng = random.Random(6)
         c = triangle_stack(rng, k=8, ell=5)
         m = random_valid_orders(rng, c, cleared=0.0)
+        f = build_map(c, m)
         asked = []
         relint = tropicalize.relint_intersection_nonempty
 
@@ -1143,16 +1148,22 @@ class TestSharedExactWork:
         report = check_faithful(c, m, mode="both")
         lp = [e for e in report.pairs if e.exact is not None and e.exact.method == "lp"]
         assert len(asked) == len(lp) > 0
-        verdicts: dict[frozenset, set] = {}
         for (p, q), e in zip(asked, lp):
-            verdicts.setdefault(frozenset((id(p), id(q))), set()).add(id(e.exact))
-        assert all(len(ids) == 1 for ids in verdicts.values())
-        assert len({id(e.exact) for e in lp}) == len(verdicts) < len(lp)
+            assert p is q
+            assert p == simplex_image_polyhedron(f.vertex_images(e.left))
+            assert p == simplex_image_polyhedron(f.vertex_images(e.right))
+        lp_rows = 0
         for row in report.rows:
-            mine = [id(shape[3]) for shape, _ in row.groups
+            mine = [(shape[3], mask) for shape, mask in row.groups
                     if shape[3] is not None and shape[3].method == "lp"]
-            partners = {id(e.exact) for e in lp if e.left == row.left}
-            assert sorted(mine) == sorted(partners)
+            partners = [e for e in lp if e.left == row.left]
+            assert len(mine) == (1 if partners else 0)
+            if partners:
+                lp_rows += 1
+                (exact, mask), = mine
+                assert mask.bit_count() == len(partners)
+                assert all(e.exact is exact for e in partners)
+        assert 0 < lp_rows < len(lp)
         assert list(report.defects) == [
             f"pair {e.left}/{e.right}: no separating vertex exists and the exact oracle "
             f"reports a collision" for e in report.pairs if e.disjoint is False]
@@ -1302,25 +1313,28 @@ class TestLpGuard:
         m = random_valid_orders(rng, c, cleared=data.draw(st.sampled_from((0.0, 0.25, 0.6))))
         f = build_map(c, m)
         calls = []
-        lp = tropicalize._lp_verdict
+        relint = tropicalize.relint_intersection_nonempty
 
-        def recording(memo, verdicts, sid, tid):
-            calls.append((sid, tid))
-            return lp(memo, verdicts, sid, tid)
+        def recording(p, q):
+            calls.append((p, q))
+            return relint(p, q)
 
-        tropicalize._lp_verdict = recording
+        tropicalize.relint_intersection_nonempty = recording
         try:
             # Raises ArithmeticError if the guard fires.
             reports = [check_faithful(c, m, mode=mode) for mode in ("exact", "both")]
         finally:
-            tropicalize._lp_verdict = lp
-        assert calls == [(e.left, e.right) for report in reports for e in report.pairs
-                         if e.exact is not None and e.exact.method == "lp"]
-        for sid, tid in calls:
+            tropicalize.relint_intersection_nonempty = relint
+        lp = [(e.left, e.right) for report in reports for e in report.pairs
+              if e.exact is not None and e.exact.method == "lp"]
+        assert len(calls) == len(lp)
+        for (p, q), (sid, tid) in zip(calls, lp):
             assert not c.face_related(sid, tid)
             assert sorted(f.vertex_images(sid)) == sorted(f.vertex_images(tid)), (sid, tid)
             # The invariant the check per row enforces: one vertex set.
             assert c.stratum(sid).vertex_set == c.stratum(tid).vertex_set, (sid, tid)
+            # So both strata have the one polyhedron the oracle was asked on.
+            assert p is q == simplex_image_polyhedron(f.vertex_images(tid)), (sid, tid)
 
     def test_guard_fires_when_no_coordinate_separates(self, monkeypatch):
         c = cycle(4)
