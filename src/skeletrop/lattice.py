@@ -13,7 +13,7 @@ column transform up to date while it runs, so one pass completes a basis.
 The determinant, rank, Fourier-Motzkin and simplex kernels run on Python
 ints: rows are cleared of denominators once and kept integer by
 fraction-free (Bareiss) updates and gcd reduction.  The determinant and
-the rank stop at an echelon form built with the simplex's pivot.
+the rank stop at an echelon form built with the simplex's row update.
 ``fractions.Fraction`` appears only at the API boundary: constraint bounds,
 the points ``RationalPolyhedron.contains`` tests, and LP values and
 witnesses.  Vertex images are used as given and their denominators cleared
@@ -519,24 +519,21 @@ def simplex_image_polyhedron(vertex_images: Sequence[Sequence],
 
 # --- fraction-free elimination and the exact simplex method ------------------
 #
-# The tableau is a list of integer rows, each its coefficients followed by its
-# right-hand side, over one positive common denominator d: the true tableau
-# is rows / d.  The objective row has the same layout and denominator.  The
-# same pivot drives the simplex and, on the rows at and below the current
-# rank only, the echelon form behind ``IntMatrix.det`` and ``IntMatrix.rank``.
+# A tableau is integer rows over one positive denominator d: the true tableau
+# is rows / d.  ``_bareiss``, the one row update, serves the echelon form and
+# the simplex.  The simplex keeps a condensed tableau: a row holds only the
+# non-basic columns (a basic one is d * e_r), then its right-hand side, and
+# ``slots`` names each kept column's variable; one slot, the + part's, holds
+# a free pair x+_i, x-_i or t+, t-, whose columns are each other's negation.
 
 
-def _pivot(rows, obj, basis, d: int, r: int, c: int) -> int:
+def _bareiss(rows, d: int, r: int, c: int) -> int:
     """Fraction-free pivot on entry (r, c); returns the new denominator.
 
-    With ``p = rows[r][c]``, every other row and the objective row become
-    ``(p * row - row[c] * rows[r]) // d``, and ``p`` is the new denominator.
-    The division is exact: each entry is then a minor of the starting
-    tableau (Sylvester's identity, as in Bareiss elimination).  The pivot
-    row is kept.  A negative pivot negates the pivot row first, which keeps
-    the denominator positive.  The simplex meets one only when it drives an
-    artificial variable out of the basis; ``_echelon`` meets one wherever a
-    pivot entry is negative.
+    With ``p = rows[r][c]``, every other row becomes ``(p * row - row[c] *
+    rows[r]) // d``; the division is exact, each entry being a minor of the
+    starting tableau (Sylvester's identity, as in Bareiss elimination).  A
+    negative pivot negates the pivot row first, so ``p`` stays positive.
     """
     prow = rows[r]
     p = prow[c]
@@ -550,10 +547,6 @@ def _pivot(rows, obj, basis, d: int, r: int, c: int) -> int:
                 rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
             elif p != d:
                 rows[i] = [p * x // d for x in row]
-    if obj is not None:
-        f = obj[c]
-        obj[:] = [(p * x - f * y) // d for x, y in zip(obj, prow)]
-    basis[r] = c
     return p
 
 
@@ -561,12 +554,12 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[int, int, int]:
     """Fraction-free elimination to echelon form on the first ``ncols`` columns.
 
     Column by column, the first row at or below the current rank with a
-    nonzero entry is swapped up to that rank and pivoted on with ``_pivot``,
-    which sees only the rows from that rank down; columns with no such row
-    are skipped.  Returns ``(d, sign, rank)``: ``d`` is the last pivot,
-    ``rank`` the pivot count, and ``sign`` (+-1) flips on every swap and
-    every negative pivot, so that for a square matrix of full rank ``sign *
-    d`` is its determinant.  ``rows`` is reduced in place.
+    nonzero entry is swapped up to that rank and pivoted on with
+    ``_bareiss``, which sees only the rows from that rank down; columns with
+    no such row are skipped.  Returns ``(d, sign, rank)``: ``d`` is the last
+    pivot, ``rank`` the pivot count, and ``sign`` (+-1) flips on every swap
+    and every negative pivot, so that for a square matrix of full rank
+    ``sign * d`` is its determinant.  ``rows`` is reduced in place.
     """
     d, sign, rank = 1, 1, 0
     for c in range(ncols):
@@ -579,46 +572,66 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[int, int, int]:
         if rows[rank][c] < 0:
             sign = -sign
         below = rows[rank:]
-        d = _pivot(below, None, [None], d, 0, c)  # an echelon form keeps no basis
+        d = _bareiss(below, d, 0, c)
         rows[rank:] = below
         rank += 1
     return d, sign, rank
 
 
-def _run_simplex(rows, basis, cost, d: int):
-    """Maximize cost . z over the integer tableau ``rows / d``.
+def _pivot(rows, basis, slots, d: int, r: int, c: int, enter: int, dim: int) -> int:
+    """Simplex pivot: ``enter``, in slot ``c``, replaces row ``r``'s basic
+    variable; returns the new denominator.  After ``_bareiss``, slot ``c``
+    takes the leaving variable's column, once d * e_r: ``-f * s`` in each
+    row with ``f`` in slot ``c``, ``s * d`` in row ``r``, where ``s = -1`` if
+    a negative pivot negated that row, and negated if a minus part leaves."""
+    col = [row[c] for row in rows]
+    p = _bareiss(rows, d, r, c)
+    s, leave = (1 if col[r] > 0 else -1), basis[r]
+    if dim <= leave < 2 * dim or leave == 2 * dim + 1:
+        s, leave = -s, leave - (dim if leave < 2 * dim else 1)
+    for row, f in zip(rows, col):
+        row[c] = -f * s
+    rows[r][c] = s * d
+    slots[c], basis[r] = leave, enter
+    return p
 
-    ``cost`` holds integer costs, one per column.  Bland's rule picks the
-    entering column; the ratio test compares ``rhs / a`` by
-    cross-multiplication and breaks ties by the smaller basic index.  The
-    objective row stores reduced costs and, in its last slot, the negated
-    objective value, over the same denominator as the tableau.  Returns
-    ``(v, d)``: the optimal value is ``v / d``, and ``d`` is the denominator
-    of the final tableau.
+
+def _run_simplex(rows, basis, slots, cost, d: int, dim: int):
+    """Maximize cost . z (integer costs, one per variable) over ``rows / d``.
+
+    Bland's rule enters the least index with a positive reduced cost; a
+    negative one on a pair slot is positive for the minus part, x-_i (index
+    ``dim + i``) or t- (``2 * dim + 1``), whose column is the slot negated.
+    The ratio test compares ``rhs / a`` by cross-multiplication and breaks
+    ties by the smaller basic index.  Below the rows while this runs, the
+    objective row holds the reduced costs and the negated value.  Returns
+    ``(v, d)``: the optimum is ``v / d`` on the final denominator.
     """
-    obj = [d * x for x in cost] + [0]
+    obj = [d * cost[v] for v in slots] + [0]
     for row, b in zip(rows, basis):
-        f = cost[b]
-        if f != 0:
-            obj = [x - f * y for x, y in zip(obj, row)]
-    ncols = len(cost)
+        if cost[b]:
+            obj = [x - cost[b] * y for x, y in zip(obj, row)]
+    rows.append(obj)
     while True:
-        enter = next((j for j in range(ncols) if obj[j] > 0), None)
-        if enter is None:
+        obj = rows[-1]
+        live = [(v if o > 0 else v + dim if v < dim else v + 1, k)
+                for k, (v, o) in enumerate(zip(slots, obj)) if o > 0 or o < 0 and v <= 2 * dim]
+        if not live:
+            rows.pop()
             return -obj[-1], d
+        enter, c = min(live)
+        if enter != slots[c]:
+            for row in rows:
+                row[c] = -row[c]
         best = None
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a > 0:
-                if best is None:
-                    best, brhs, ba = i, row[-1], a
-                    continue
-                lhs, rhs = row[-1] * ba, brhs * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
-                    best, brhs, ba = i, row[-1], a
+        for i in range(len(basis)):
+            a, rhs = rows[i][c], rows[i][-1]
+            if a > 0 and (best is None or rhs * ba < brhs * a
+                          or rhs * ba == brhs * a and basis[i] < basis[best]):
+                best, brhs, ba = i, rhs, a
         if best is None:
             raise ArithmeticError("linear program is unbounded")
-        d = _pivot(rows, obj, basis, d, best, enter)
+        d = _pivot(rows, basis, slots, d, best, c, enter, dim)
 
 
 def _max_min_slack(constraints: Sequence[Constraint], dim: int):
@@ -628,42 +641,30 @@ def _max_min_slack(constraints: Sequence[Constraint], dim: int):
     relaxation is infeasible.  A strictly positive value certifies a point
     satisfying every strict constraint strictly.  The right-hand sides are
     scaled by the lcm of the bound denominators, which changes no sign and
-    no ratio order, so the tableau starts out integer.
+    no ratio order, so the tableau starts out integer.  The variables are
+    x+ (0..dim-1), x- (dim..2*dim-1), t+, t-, a slack per row (the cap row
+    last), and an artificial per row with a negative right-hand side.  The
+    pivots are the full tableau's: each kept entry is the full one, every
+    choice reads full indices, the costs and row updates keep a pair's
+    columns negatives, and while one part is basic the other's column is
+    -d * e_r, with reduced cost 0 and no entry in an artificial's row.
     """
     m = len(constraints) + 1
-    base = 2 * dim + 2  # x split into +/- parts, then the slack variable t
-    total = base + m
+    total = 2 * dim + 2 + m
     bounds, scale = cleared([c.bound for c in constraints])
-    rows = []
-    for c, bound in zip(constraints, bounds):
-        row = [0] * (total + 1)
-        for i, ai in enumerate(c.normal):
-            row[i] = ai
-            row[dim + i] = -ai
-        if c.strict:
-            row[2 * dim] = 1
-            row[2 * dim + 1] = -1
-        row[-1] = bound
-        rows.append(row)
-    cap = [0] * (total + 1)
-    cap[2 * dim] = 1
-    cap[2 * dim + 1] = -1
-    cap[-1] = scale
-    rows.append(cap)
-    for i in range(m):
-        rows[i][base + i] = 1
-
+    rows = [[*c.normal, int(c.strict), bound] for c, bound in zip(constraints, bounds)]
+    rows.append([0] * dim + [1, scale])
+    slots, basis = [*range(dim), 2 * dim], list(range(total - m, total))
     negative = [i for i in range(m) if rows[i][-1] < 0]
-    nart = len(negative)
-    basis = list(range(base, base + m))
-    d = 1
+    nart, d = len(negative), 1
     if nart:
         rows = [row[:-1] + [0] * nart + row[-1:] for row in rows]
         for idx, i in enumerate(negative):
             rows[i] = [-x for x in rows[i]]
-            rows[i][total + idx] = 1
+            rows[i][dim + 1 + idx] = -1
+            slots.append(basis[i])
             basis[i] = total + idx
-        v, d = _run_simplex(rows, basis, [0] * total + [-1] * nart, d)
+        v, d = _run_simplex(rows, basis, slots, [0] * total + [-1] * nart, d, dim)
         if v < 0:
             return None, None
         # Drive leftover artificials out of the basis.  Every row has its own
@@ -671,14 +672,13 @@ def _max_min_slack(constraints: Sequence[Constraint], dim: int):
         # basic variable is artificial always has a nonzero real entry.
         for i in range(m):
             if basis[i] >= total:
-                col = next(j for j in range(total) if rows[i][j] != 0)
-                d = _pivot(rows, None, basis, d, i, col)
-        rows = [row[:total] + row[-1:] for row in rows]
-
-    cost2 = [0] * total
-    cost2[2 * dim] = 1
-    cost2[2 * dim + 1] = -1
-    v, d = _run_simplex(rows, basis, cost2, d)
+                c = min((k for k, v in enumerate(slots) if v < total and rows[i][k]),
+                        key=slots.__getitem__)
+                d = _pivot(rows, basis, slots, d, i, c, slots[c], dim)
+        keep = [k for k, v in enumerate(slots) if v < total]
+        rows = [[row[k] for k in keep] + row[-1:] for row in rows]
+        slots = [slots[k] for k in keep]
+    v, d = _run_simplex(rows, basis, slots, [0] * 2 * dim + [1, -1] + [0] * m, d, dim)
     den = d * scale
     solution = [0] * total
     for row, b in zip(rows, basis):

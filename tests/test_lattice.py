@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,13 @@ except ImportError:  # the sympy comparisons are skipped without it
     sympy = None
 
 from skeletrop import lattice
+from skeletrop.complexes import build_delta_complex
 from skeletrop.lattice import (Constraint, IntMatrix, RationalPolyhedron,
                                complete_to_basis, extends_to_basis,
                                relint_intersection_nonempty,
                                simplex_image_polyhedron, smith_normal_form)
+from skeletrop.sections import OrderMatrix
+from skeletrop.tropicalize import build_map
 
 
 def laplace_det(rows):
@@ -626,15 +630,18 @@ class TestRelintIntersection:
 # Reference kernels on Fraction
 #
 # The same simplex method and the same elimination as in ``lattice``, written
-# with plain rational arithmetic.  The integer kernels must make the same
-# pivots, so they must return the same LP value and witness, and the same
-# constraints.
+# with plain rational arithmetic on the full tableau.  The integer kernels
+# must make the same pivots, so they must return the same LP value and
+# witness, and the same constraints.  Given a list ``path``, the simplex
+# records each pivot's (entering, leaving) variable in it.
 # ---------------------------------------------------------------------------
 
 _EQ, _LE, _LT = 0, 1, 2
 
 
-def ref_pivot(rows, rhs, obj, basis, r, c):
+def ref_pivot(rows, rhs, obj, basis, r, c, path=None):
+    if path is not None:
+        path.append((c, basis[r]))
     inv = rows[r][c]
     rows[r] = [x / inv for x in rows[r]]
     rhs[r] = rhs[r] / inv
@@ -651,7 +658,7 @@ def ref_pivot(rows, rhs, obj, basis, r, c):
     basis[r] = c
 
 
-def ref_run_simplex(rows, rhs, basis, cost):
+def ref_run_simplex(rows, rhs, basis, cost, path=None):
     ncols = len(rows[0]) if rows else len(cost)
     obj = [Fraction(c) for c in cost] + [Fraction(0)]
     for i, b in enumerate(basis):
@@ -673,10 +680,10 @@ def ref_run_simplex(rows, rhs, basis, cost):
                     best = (ratio, i)
         if best is None:
             raise ArithmeticError("linear program is unbounded")
-        ref_pivot(rows, rhs, obj, basis, best[1], enter)
+        ref_pivot(rows, rhs, obj, basis, best[1], enter, path)
 
 
-def ref_max_min_slack(constraints, dim):
+def ref_max_min_slack(constraints, dim, path=None):
     zero, one = Fraction(0), Fraction(1)
     m = len(constraints) + 1
     base = 2 * dim + 2
@@ -717,17 +724,17 @@ def ref_max_min_slack(constraints, dim):
         cost1 = [zero] * (total + nart)
         for i in art_of_row.values():
             cost1[i] = -one
-        if ref_run_simplex(rows, rhs, basis, cost1) < 0:
+        if ref_run_simplex(rows, rhs, basis, cost1, path) < 0:
             return None, None
         for i in range(len(rows)):
             if basis[i] >= total:
                 pivot_col = next(j for j in range(total) if rows[i][j] != 0)
-                ref_pivot(rows, rhs, [zero] * (total + nart + 1), basis, i, pivot_col)
+                ref_pivot(rows, rhs, [zero] * (total + nart + 1), basis, i, pivot_col, path)
         rows = [row[:total] for row in rows]
     cost2 = [zero] * total
     cost2[2 * dim] = one
     cost2[2 * dim + 1] = -one
-    value = ref_run_simplex(rows, rhs, basis, cost2)
+    value = ref_run_simplex(rows, rhs, basis, cost2, path)
     solution = [zero] * total
     for i, b in enumerate(basis):
         solution[b] = rhs[i]
@@ -815,6 +822,25 @@ def polyhedra(draw, dim):
         for _ in range(draw(st.integers(0, 5)))))
 
 
+def kernel_path(monkeypatch):
+    """Record each pivot of ``lattice._max_min_slack`` as (entering, leaving,
+    pivot entry, negated pair slot, drive-out) in the returned list."""
+    seen = []
+    pivot = lattice._pivot
+
+    def spy(rows, basis, slots, d, r, c, enter, dim):
+        drive_out = len(rows) == len(basis)  # the objective row is absent
+        seen.append((enter, basis[r], rows[r][c], enter != slots[c], drive_out))
+        return pivot(rows, basis, slots, d, r, c, enter, dim)
+
+    monkeypatch.setattr(lattice, "_pivot", spy)
+    return seen
+
+
+def is_minus_part(v, dim):
+    return dim <= v < 2 * dim or v == 2 * dim + 1
+
+
 class TestIntegerKernelsMatchReference:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.data())
@@ -836,20 +862,59 @@ class TestIntegerKernelsMatchReference:
     def test_negative_drive_out_pivot(self, monkeypatch):
         # The banana's collision LP drives an artificial variable out of the
         # basis on a negative pivot; the tableau is negated, not the answer.
-        seen = []
-        pivot = lattice._pivot
-
-        def spy(rows, obj, basis, d, r, c):
-            seen.append(rows[r][c])
-            return pivot(rows, obj, basis, d, r, c)
-
-        monkeypatch.setattr(lattice, "_pivot", spy)
+        seen = kernel_path(monkeypatch)
         p = segment_relint((0, 1), (1, 0))
         q = segment_relint((1, 0), (0, 1))
         merged = sorted(set(p.constraints) | set(q.constraints), key=Constraint.sort_key)
         assert lattice._max_min_slack(merged, 2) == ref_max_min_slack(merged, 2)
-        assert any(x < 0 for x in seen)
+        assert any(drive_out and entry < 0 for _, _, entry, _, drive_out in seen)
         assert relint_intersection_nonempty(p, q) == (True, (Fraction(1, 2), Fraction(1, 2)))
+
+    def test_pivot_path_matches_reference(self, monkeypatch):
+        # Equal answers could hide a pair-slot slip that reaches the same
+        # vertex, so the condensed tableau must pivot as the full one does,
+        # and the draws must reach both of its special cases.
+        seen = kernel_path(monkeypatch)
+        minus_entered = artificial_driven_out = False
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(st.integers(1, 4), st.data())
+        def check(dim, data):
+            nonlocal minus_entered, artificial_driven_out
+            p, q = data.draw(polyhedra(dim)), data.draw(polyhedra(dim))
+            merged = sorted(set(p.constraints) | set(q.constraints), key=Constraint.sort_key)
+            path = []
+            expected = ref_max_min_slack(merged, dim, path)
+            seen.clear()
+            assert lattice._max_min_slack(merged, dim) == expected
+            assert [(enter, leave) for enter, leave, *_ in seen] == path
+            total = 2 * dim + 3 + len(merged)
+            for enter, leave, _, negated, drive_out in seen:
+                assert negated == is_minus_part(enter, dim)
+                minus_entered |= negated
+                artificial_driven_out |= drive_out and leave >= total
+
+        check()
+        assert minus_entered and artificial_driven_out
+
+    @pytest.mark.parametrize("make", ["banana_ring_8x3", "triangle_stack_5x6"])
+    def test_delta_sized_systems(self, make, monkeypatch):
+        # The draws above stop at dim 4; perfbench's Delta documents solve
+        # at dim 5 to 8, one system per vertex set that several strata share.
+        seen = kernel_path(monkeypatch)
+        f = build_map(*DELTA_COMPLEXES[make](random.Random(30)))
+        by_set = {}
+        for s in f.complex.strata:
+            by_set.setdefault(s.vertex_set, []).append(s.id)
+        systems = [simplex_image_polyhedron(f.vertex_images(ids[0]))
+                   for ids in by_set.values() if len(ids) > 1]
+        assert len(systems) == {"banana_ring_8x3": 8, "triangle_stack_5x6": 1}[make]
+        for poly in systems:
+            path = []
+            seen.clear()
+            expected = ref_max_min_slack(poly.constraints, f.n, path)
+            assert lattice._max_min_slack(poly.constraints, f.n) == expected
+            assert [(enter, leave) for enter, leave, *_ in seen] == path  # and so their count
 
     def test_unsatisfiable_constant_rows_raise(self):
         # Invariants of the elimination, checked with raises so that -O keeps them.
@@ -857,6 +922,42 @@ class TestIntegerKernelsMatchReference:
             lattice._emit_constraints([([0, 0, 0], lattice._LT, 0)], 2)
         with pytest.raises(ArithmeticError):
             lattice._emit_constraints([([0, 1, 1], lattice._LE, 3)], 2)
+
+
+def delta_orders(rng, c):
+    """Seeded random valid orders: 1 between adjacent vertices, else 1..3."""
+    rows = [[0] * c.ell] + [[0 if i == j else (1 if c.adjacent(i, j) else rng.randint(1, 3))
+                             for j in range(1, c.ell + 1)] for i in range(1, c.ell + 1)]
+    return OrderMatrix(tuple(map(tuple, rows)), (True,) * (c.ell + 1))
+
+
+def delta_complex(rng, ell, d, strata):
+    """Delta complex on ``strata`` (id, vertices), each with the faces of
+    its vertex subsets, which appear once each, and random valid orders."""
+    ids = {frozenset(v): sid for sid, v in strata}
+    faces = [(sid, list(sub), ids[frozenset(sub)]) for sid, verts in strata
+             for r in range(1, len(verts)) for sub in itertools.combinations(sorted(verts), r)]
+    c = build_delta_complex(ell, d, strata, faces)
+    return c, delta_orders(rng, c)
+
+
+def banana_ring_8x3(rng):
+    """8 vertices in a ring, 3 parallel edges between neighbours."""
+    strata = [(f"v{v}", (v,)) for v in range(1, 9)]
+    strata += [(f"e{v}.{r}", tuple(rng.sample((v, v % 8 + 1), 2)))
+               for v in range(1, 9) for r in range(3)]
+    return delta_complex(rng, 8, 1, strata)
+
+
+def triangle_stack_5x6(rng):
+    """5 triangles on the edges of vertices 1, 2, 3, and vertices 4..6."""
+    strata = [(f"v{v}", (v,)) for v in range(1, 7)]
+    strata += [(f"e{a}{b}", (a, b)) for a, b in ((1, 2), (1, 3), (2, 3))]
+    strata += [(f"t{t}", tuple(rng.sample((1, 2, 3), 3))) for t in range(5)]
+    return delta_complex(rng, 6, 2, strata)
+
+
+DELTA_COMPLEXES = {"banana_ring_8x3": banana_ring_8x3, "triangle_stack_5x6": triangle_stack_5x6}
 
 
 class TestRelintMemo:
