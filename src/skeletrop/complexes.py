@@ -229,16 +229,9 @@ def build_delta_complex(ell: int, d: int,
     return DualComplex(ell, d, *_delta_parts(strata, face_entries))
 
 
-def _delta_complex(ell: int, d: int, strata: Iterable[tuple[str, Sequence[int]]],
-                   face_entries: Iterable[tuple[str, Iterable[int], str]]) -> DualComplex:
-    """``build_delta_complex`` for an ``ell`` and ``d`` that the caller has checked."""
-    return DualComplex._from_checked(ell, d, *_delta_parts(strata, face_entries))
-
-
-def _delta_parts(strata, face_entries, face_map=None) -> tuple[tuple[Stratum, ...], dict]:
+def _delta_parts(strata, face_entries) -> tuple[tuple[Stratum, ...], dict]:
     """The strata and the face map that ``build_delta_complex`` builds its
-    complex from.  The face entries are filed into ``face_map`` when it is
-    given, so that entries filed one call at a time meet the same rules."""
+    complex from."""
     built = []
     for s in strata:
         if isinstance(s, Stratum):
@@ -246,15 +239,24 @@ def _delta_parts(strata, face_entries, face_map=None) -> tuple[tuple[Stratum, ..
         else:
             sid, verts = s
             built.append(Stratum(sid, tuple(verts)))
-    face_map = {} if face_map is None else face_map
+    face_map = {}
     for owner, subset, fid in face_entries:
-        if not (isinstance(owner, str) and isinstance(fid, str) and owner and fid):
-            raise ValueError(f"face map entry {owner!r} -> {fid!r}: stratum ids must be "
-                             f"nonempty strings")
-        key = (owner, frozenset(ints(subset, "face vertices must be ints, got {x!r}")))
-        if face_map.setdefault(key, fid) != fid:
-            raise ValueError(f"conflicting face assignments for {owner!r} along {sorted(key[1])}")
+        _file_face(face_map, owner, subset, fid)
     return tuple(built), face_map
+
+
+def _file_face(face_map: dict, owner, subset, fid) -> None:
+    """File ``owner``'s face ``fid`` along ``subset`` in ``face_map``.
+
+    Both ids must be nonempty strings, and a subset holds one face: filing
+    the same face again is harmless, another one is refused.
+    """
+    if not (isinstance(owner, str) and isinstance(fid, str) and owner and fid):
+        raise ValueError(f"face map entry {owner!r} -> {fid!r}: stratum ids must be "
+                         f"nonempty strings")
+    key = (owner, frozenset(ints(subset, "face vertices must be ints, got {x!r}")))
+    if face_map.setdefault(key, fid) != fid:
+        raise ValueError(f"conflicting face assignments for {owner!r} along {sorted(key[1])}")
 
 
 def validate_complex(c: DualComplex) -> list[Violation]:

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _encode
 
 from ._exact import at_least, fraction, ints, is_int
 from ._version import __version__
-from .complexes import DualComplex, _delta_complex, _delta_parts, _facet_complex
+from .complexes import DualComplex, _delta_parts, _facet_complex, _file_face
 from .sections import OrderMatrix, canonical_order_matrix
 from .tropicalize import MODES, FaceDischarge, FaithfulnessReport
 
@@ -242,34 +242,23 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str]:
         faces.append((owner, subset, fid))
     _check_expansion((len(verts) for _, verts in strata), f"{path}.strata")
     _check_vertex_count(ell, (verts for _, verts in strata), path)
+    # The strata are built, then the face-map entries filed, then the strata
+    # indexed by id, and the first fault found is the one reported.
     try:
-        cx = _delta_complex(ell, d, strata, faces)
+        built, face_map = _delta_parts(strata, ())
     except ValueError as exc:
-        raise InputError(_delta_fault(strata, faces, path), str(exc)) from None
+        raise InputError(f"{path}.strata", str(exc)) from None
+    for k, (owner, subset, fid) in enumerate(faces):
+        try:
+            _file_face(face_map, owner, subset, fid)
+        except ValueError as exc:
+            raise InputError(f"{path}.face_map[{k}]", str(exc)) from None
+    try:
+        cx = DualComplex._from_checked(ell, d, built, face_map)
+    except ValueError as exc:
+        raise InputError(f"{path}.strata", str(exc)) from None
     _check_strata(cx, path, "strata")
     return cx, mode
-
-
-def _delta_fault(strata, faces, path: str) -> str:
-    """The path of the fault that ``_delta_complex`` refused a document for.
-
-    ``_delta_complex`` reads the strata, then files the face-map entries, then
-    indexes the strata by id, and stops at the first fault.  So unless the
-    strata alone are refused, the fault is the first face-map entry that is
-    refused when the entries are filed in turn; a repeated stratum id, found
-    last, is the strata's.  Run only on a refused document.
-    """
-    try:
-        _delta_parts(strata, ())
-    except ValueError:
-        return f"{path}.strata"
-    filed: dict = {}
-    for k, entry in enumerate(faces):
-        try:
-            _delta_parts((), (entry,), filed)
-        except ValueError:
-            return f"{path}.face_map[{k}]"
-    return f"{path}.strata"
 
 
 def _parse_orders(spec: dict, ell: int, path: str) -> OrderMatrix:

@@ -22,20 +22,19 @@ one coordinate at a time; conversion and clearing both go through
 
 Everything in this module is a pure function on immutable values and is
 safe to call concurrently.  The one piece of state is the LP result that
-``relint_intersection_nonempty`` keeps on a ``RationalPolyhedron``; it is
-a function of the two constraint systems alone, so a result computed twice
-by concurrent callers is the same result.
+``relint_intersection_nonempty`` keeps on a ``RationalPolyhedron`` queried
+against itself; it is a function of that constraint system alone, so a
+result computed twice by concurrent callers is the same result.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
-from weakref import ref
 
 from ._exact import at_least, cleared, fraction, ints
 
@@ -353,16 +352,13 @@ class Constraint:
 class RationalPolyhedron:
     """Finite conjunction of closed/strict rational half-spaces.
 
-    ``_relint_memo`` maps the ``id`` of another polyhedron to a weak
-    reference to it and its ``relint_intersection_nonempty`` result; a
-    dead reference (whose id may since have been reused) is a miss, and no
-    polyhedron keeps another alive.  The memo lives and dies with the
-    object and takes no part in equality, hashing or repr.
+    ``relint_intersection_nonempty(p, p)`` keeps its result on ``p`` as a
+    plain attribute, not a field, so it takes no part in equality, hashing
+    or repr.
     """
 
     ambient_dim: int
     constraints: tuple[Constraint, ...]
-    _relint_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         at_least(self.ambient_dim, 1, "ambient dimension must be positive")
@@ -696,22 +692,18 @@ def relint_intersection_nonempty(p: RationalPolyhedron, q: RationalPolyhedron):
     slack over the strict constraints with exact fraction-free pivoting and
     requiring a strictly positive optimum.
 
-    The LP depends only on the merged constraint set, so the result is kept
-    on both polyhedra, each keyed by the other's identity (an ``id`` lookup
-    hashes no constraint), and a repeated or swapped query on the same
-    objects is answered without solving again.  The memo lasts as long as
-    the polyhedra do: a caller that keeps one object per system, as
-    ``check_faithful`` keeps one per vertex set, solves each pair of those
-    objects once.
+    A polyhedron queried against itself is one constraint system: the
+    result is kept on it, so the self-query that ``check_faithful`` makes
+    once per pair of strata on one vertex set solves once per vertex set.
+    A query on two distinct objects solves on every call.
     """
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("polyhedra live in different ambient dimensions")
-    entry = p._relint_memo.get(id(q))
-    if entry is not None and entry[0]() is q:
-        return entry[1]
-    merged = sorted(set(p.constraints) | set(q.constraints), key=Constraint.sort_key)
-    value, point = _max_min_slack(merged, p.ambient_dim)
+    if p is q and "_relint_self" in p.__dict__:
+        return p._relint_self
+    system = set(p.constraints) if p is q else set(p.constraints) | set(q.constraints)
+    value, point = _max_min_slack(sorted(system, key=Constraint.sort_key), p.ambient_dim)
     result = (False, None) if value is None or value <= 0 else (True, point)
-    p._relint_memo[id(q)] = (ref(q), result)
-    q._relint_memo[id(p)] = (ref(p), result)
+    if p is q:
+        object.__setattr__(p, "_relint_self", result)
     return result

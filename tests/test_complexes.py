@@ -158,6 +158,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="^stratum id must be a nonempty string$"):
             build_delta_complex(1, 0, [(1, [1])], [])
 
+    def test_stratum_tuple_must_be_a_pair(self):
+        # An id and a vertex list, nothing more: a third item is refused,
+        # not dropped.
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            build_delta_complex(1, 0, [("v", [1], "extra")], [])
+
     @pytest.mark.parametrize("entry", [("e", [1], None), ("e", [1], 1), (1, [1], "v1"),
                                        ("e", [1], "")])
     def test_face_entry_ids_must_be_nonempty_strings(self, entry):

@@ -326,6 +326,29 @@ REFUSALS = {
     # A repeated stratum id is found after the face map.
     "delta-repeated-id": (_document(_delta_edge(strata=[{"id": "e", "vertices": [1, 2]}])),
                           "$.complex.strata", "duplicate stratum id 'e'"),
+    # The first face-map entry refused when the entries are filed in turn is
+    # reported, also when a later entry or a repeated stratum id is at fault.
+    "delta-two-filing-faults": (
+        _document(_delta_edge(face_map=[{"stratum": "e", "subset": [1], "face": "v2"},
+                                        {"stratum": "e", "subset": [2], "face": ""}])),
+        "$.complex.face_map[2]", "conflicting face assignments for 'e' along [1]"),
+    "delta-filing-fault-and-repeated-id": (
+        _document(_delta_edge(strata=[{"id": "e", "vertices": [1, 2]}],
+                              face_map=[{"stratum": "e", "subset": [1], "face": ""}])),
+        "$.complex.face_map[2]",
+        "face map entry 'e' -> '': stratum ids must be nonempty strings"),
+    # Every entry is read before any stratum is built or any entry filed, and
+    # the vertex count is checked before either.
+    "delta-stratum-fault-and-float-subset": (
+        _document(_delta_edge(strata=[{"id": "x", "vertices": [1, 1]}],
+                              face_map=[{"stratum": "e", "subset": [1.5], "face": "v1"}])),
+        "$.complex.face_map[2].subset[0]", "expected an integer, got 1.5"),
+    "delta-filing-fault-and-ell-above-vertices": (
+        _document({**_delta_edge(face_map=[{"stratum": "e", "subset": [1], "face": "v2"}]),
+                   "ell": 3}),
+        "$.complex.ell",
+        "3 vertices need a 0-dimensional stratum each, but the complex lists only 2 "
+        "distinct vertices"),
     "flag-not-a-bool": (_document(order_matrix={"orders": [[0, 0], [0, 1], [1, 0]],
                                                 "horizontal_effective": [True, 1, True]}),
                         "$.order_matrix.horizontal_effective[1]", "expected a boolean, got 1"),
@@ -385,6 +408,19 @@ class TestRefusals:
             parse_input(_document(order_matrix={"orders": [[0, 0], [0, 1], [1, 0.5]]}))
         assert paths == ["$.complex.facets[0]"] + [f"$.order_matrix.orders[{k}]"
                                                    for k in range(3)]
+
+    @pytest.mark.parametrize("name", ["delta-builder", "delta-empty-face-id",
+                                      "delta-two-filing-faults"])
+    def test_builder_refuses_with_the_parser_message(self, name):
+        from skeletrop.complexes import build_delta_complex
+
+        text, _, message = REFUSALS[name]
+        spec = json.loads(text)["complex"]
+        with pytest.raises(ValueError) as info:
+            build_delta_complex(spec["ell"], spec["d"],
+                                [(s["id"], s["vertices"]) for s in spec["strata"]],
+                                [(e["stratum"], e["subset"], e["face"]) for e in spec["face_map"]])
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("name", REFUSALS)
     def test_path_and_message(self, name):

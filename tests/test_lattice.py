@@ -1,5 +1,6 @@
 """Exact linear algebra kernels: Smith form, saturation, relint feasibility."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -961,17 +962,21 @@ DELTA_COMPLEXES = {"banana_ring_8x3": banana_ring_8x3, "triangle_stack_5x6": tri
 
 
 class TestRelintMemo:
-    """``relint_intersection_nonempty`` keeps its result on both polyhedra."""
+    """``relint_intersection_nonempty`` keeps a self-query's result on the
+    polyhedron and solves every query on two objects afresh."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 3), st.data())
     def test_repeated_swapped_and_fresh_calls_agree(self, dim, data):
         p, q = data.draw(polyhedra(dim)), data.draw(polyhedra(dim))
+        own = sorted(set(p.constraints), key=Constraint.sort_key)
         merged = sorted(set(p.constraints) | set(q.constraints), key=Constraint.sort_key)
         solves = []
         solve = lattice._max_min_slack
-        value, point = solve(merged, dim)
-        expected = (True, point) if value is not None and value > 0 else (False, None)
+
+        def answer(constraints):
+            value, point = solve(constraints, dim)
+            return (True, point) if value is not None and value > 0 else (False, None)
 
         def counting(constraints, d):
             solves.append(tuple(constraints))
@@ -979,26 +984,46 @@ class TestRelintMemo:
 
         lattice._max_min_slack = counting
         try:
+            itself = [relint_intersection_nonempty(p, p) for _ in range(3)]
+            assert solves == [tuple(own)]
             first = relint_intersection_nonempty(p, q)
             repeated = relint_intersection_nonempty(p, q)
             swapped = relint_intersection_nonempty(q, p)
-            assert solves == [tuple(merged)]
             p2, q2 = (RationalPolyhedron(x.ambient_dim, x.constraints) for x in (p, q))
             assert (p2, q2) == (p, q)
             fresh = relint_intersection_nonempty(p2, q2)
             fresh_swapped = relint_intersection_nonempty(q2, p2)
-            assert len(solves) == 2
+            copy = relint_intersection_nonempty(p, p2)
+            assert solves == [tuple(own)] + [tuple(merged)] * 5 + [tuple(own)]
         finally:
             lattice._max_min_slack = solve
-        assert first == repeated == swapped == fresh == fresh_swapped == expected
+        assert first == repeated == swapped == fresh == fresh_swapped == answer(merged)
+        assert itself == [copy] * 3 and copy == answer(own)
+
+    def test_self_query_solves_the_sorted_unique_system(self, monkeypatch):
+        # A polyhedron built by hand may list its constraints unsorted and
+        # repeated; its self-query solves the system a copy would meet.
+        a, b = Constraint((1,), Fraction(1), True), Constraint((-1,), Fraction(0), True)
+        p = RationalPolyhedron(1, (a, b, a))
+        solves = []
+        solve = lattice._max_min_slack
+        monkeypatch.setattr(lattice, "_max_min_slack",
+                            lambda cs, d: solves.append(tuple(cs)) or solve(cs, d))
+        hit, witness = relint_intersection_nonempty(p, p)
+        assert solves == [(b, a)]
+        assert relint_intersection_nonempty(p, RationalPolyhedron(1, (b,))) == (hit, witness)
+        assert hit and p.contains(witness)
 
     def test_memo_is_not_part_of_the_value(self):
+        assert [f.name for f in dataclasses.fields(RationalPolyhedron)] == ["ambient_dim",
+                                                                           "constraints"]
         p = segment_relint((0, 1), (1, 0))
         q = RationalPolyhedron(p.ambient_dim, p.constraints)
         relint_intersection_nonempty(p, p)
+        relint_intersection_nonempty(p, q)
         assert p == q and hash(p) == hash(q)
         assert repr(p) == repr(q)
-        assert q._relint_memo == {}
+        assert vars(q) == {"ambient_dim": q.ambient_dim, "constraints": q.constraints}
 
 
 class TestImageOrderInvariance:
