@@ -11,9 +11,9 @@ faithful or invariant violations, 3 certificate incomplete.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -22,8 +22,11 @@ from ._exact import at_least
 from ._version import __version__
 from .bounds import BoundQuery, coordinate_count, corollary_twist, phi_upper_bound
 from .complexes import DualComplex, connected_components, validate_complex
-from .documents import (FIXTURE_KINDS, InputDocument, emit_certificate, generate_fixture,
-                        input_digest, input_text, parse_input)
+# ``emit_certificate`` is not called here; it stays importable from this
+# module because the benchmark's traced run wraps it by this name.
+from .documents import (FIXTURE_KINDS, InputDocument, certificate_texts,
+                        emit_certificate, generate_fixture, input_digest, input_text,
+                        orders_texts, parse_input)
 from .sections import OrderMatrix, canonical_order_matrix, validate_orders
 from .tropicalize import MODES, check_faithful
 
@@ -31,8 +34,13 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FAILED = 2
 EXIT_INCOMPLETE = 3
-# Output is written this many characters at a time, at most 4 MiB once
-# encoded, so writing never holds a second copy of the whole text.
+# Output is rendered as lists of texts and joined this many texts at a
+# time, a few hundred kilobytes of pair records, so no string the size of
+# a certificate is ever built.
+WRITE_BATCH = 4096
+# A joined batch or a single long text is written this many characters at
+# a time, at most 4 MiB once encoded, so writing never holds a second copy
+# of it in bytes.
 WRITE_SLICE = 1 << 20
 
 
@@ -44,11 +52,46 @@ def _read_document(path: str) -> InputDocument:
     return parse_input(text)
 
 
-def _write_output(text: str, out: str | None) -> None:
-    with (contextlib.nullcontext(sys.stdout) if out in (None, "-")
-          else open(out, "w", encoding="utf-8")) as fh:
-        for start in range(0, len(text), WRITE_SLICE):
-            fh.write(text[start:start + WRITE_SLICE])
+def _write_batches(texts, fh) -> None:
+    batch = []
+    for part in texts:
+        batch += part
+        if len(batch) >= WRITE_BATCH:
+            _write_text("".join(batch), fh)
+            batch.clear()
+    # The join of a single text is that text itself, not a copy.
+    _write_text("".join(batch), fh)
+
+
+def _write_text(text: str, fh) -> None:
+    for start in range(0, len(text), WRITE_SLICE):
+        fh.write(text[start:start + WRITE_SLICE])
+
+
+def _write_output(texts, out: str | None) -> None:
+    """Write ``texts``, one text or an iterable of lists of texts (such as
+    ``certificate_texts``), to the file ``out``, or to stdout when ``out``
+    is None or ``-``.
+
+    The lists are rendered while they are written, so an error in
+    rendering or writing comes after the file is truncated: the file is
+    then removed before the error goes on, and no partial output is left
+    behind.  What has already gone to stdout cannot be taken back.
+    """
+    if isinstance(texts, str):
+        texts = ([texts],)
+    if out in (None, "-"):
+        _write_batches(texts, sys.stdout)
+        return
+    fh = open(out, "w", encoding="utf-8")
+    try:
+        with fh:
+            _write_batches(texts, fh)
+    except BaseException:
+        # Only what this call wrote is removed: not a device such as /dev/null.
+        if os.path.isfile(out):
+            os.remove(out)
+        raise
 
 
 def _collect_problems(c: DualComplex, m: OrderMatrix) -> list[str]:
@@ -76,10 +119,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_canonical(args) -> int:
     doc = _read_document(args.input)
-    m = canonical_order_matrix(doc.complex)
-    out = {"orders": [list(r) for r in m.orders],
-           "horizontal_effective": list(m.horizontal_effective)}
-    _write_output(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)
+    _write_output(orders_texts(canonical_order_matrix(doc.complex)), args.out)
     return EXIT_OK
 
 
@@ -99,7 +139,7 @@ def _cmd_check(args) -> int:
     if args.jobs is not None:
         at_least(args.jobs, 1, "jobs must be at least 1")
     report = check_faithful(doc.complex, m, mode=mode, pair_filter=doc.pair_filter)
-    _write_output(emit_certificate(report, input_digest(doc)), args.out)
+    _write_output(certificate_texts(report, input_digest(doc)), args.out)
     if report.overall == "faithful":
         return EXIT_OK
     if report.overall == "certificate_incomplete":

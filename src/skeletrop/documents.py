@@ -36,6 +36,7 @@ __all__ = [
     "input_digest",
     "generate_fixture",
     "emit_certificate",
+    "certificate_texts",
     "format_rational",
     "parse_rational",
 ]
@@ -54,9 +55,10 @@ FIXTURE_KINDS = ("cycle", "path", "simplex_boundary", "random")
 # 126 strata; the 400-cycle is bounded at 800 entries and has 800 strata.
 MAX_FACE_MAP_ENTRIES = 250_000
 # Most strata a complex may have.  ``check`` records every unordered pair of
-# strata, so its time, memory and certificate grow with S^2: 1,001 singleton
-# facets (500,500 pairs) peak at 427 MB and write a 151 MB certificate.  The
-# limit allows 499,500 pairs.
+# strata, so its time and certificate grow with S^2: 1,000 singleton facets,
+# the most the limit allows (499,500 pairs), write a 150.7 MB certificate in
+# 0.7 s and peak at 49.5 MB resident, since the certificate is written as it
+# is rendered.
 MAX_STRATA = 1_000
 
 
@@ -394,6 +396,23 @@ def _ints(values, indent: str) -> str:
     return _items([str(x) for x in values], indent)
 
 
+def _records(lists):
+    """The texts of a JSON list of records at indent 2, one list of texts
+    per list of ``lists``.  Each record is led by the comma and newline
+    that separate it from the one before; the first record's comma gives
+    way to the opening bracket, and no record at all reads ``[]``.  An
+    empty list adds nothing."""
+    lists = iter(lists)
+    for texts in lists:
+        if texts:
+            texts[0] = "[" + texts[0][1:]
+            yield texts
+            yield from lists
+            yield ["\n  ]"]
+            return
+    yield ["[]"]
+
+
 def input_text(doc: InputDocument) -> str:
     """Canonical serialization of an input document: exactly
     ``json.dumps(doc.canonical, sort_keys=True, indent=2)`` plus a newline,
@@ -438,6 +457,16 @@ def input_text(doc: InputDocument) -> str:
 
 def input_digest(doc: InputDocument) -> str:
     return "sha256:" + hashlib.sha256(input_text(doc).encode("utf-8")).hexdigest()
+
+
+def orders_texts(m: OrderMatrix):
+    """The texts of ``m`` as the ``canonical`` verb writes it, as lists of
+    strings, one per order row: exactly ``json.dumps({"horizontal_effective":
+    ..., "orders": ...}, sort_keys=True, indent=2)`` plus a newline."""
+    flags = _items([_literal(x) for x in m.horizontal_effective], " " * 4)
+    yield ['{\n  "horizontal_effective": ', flags, ',\n  "orders": ']
+    yield from _records([",\n    " + _ints(r, " " * 6)] for r in m.orders)
+    yield ["\n}\n"]
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +645,12 @@ def _pair_records(rows):
     stored: a byte of bits at a time through ``_OFFSETS``, with a run of
     zero bytes skipped in one step, which costs less than a step per set
     bit on the dense masks and no more on the sparse ones.  The lists hold
-    shared strings, so the certificate's one join is the only copy of the
-    records' text.  An absent optional field renders as nothing; its key is
-    None.  Each field is looked up by value in one ``_Rendered`` memo per
-    kind, so each stratum id, exact verdict, face discharge and separation
-    is encoded once per call.
+    shared strings, so a join is the only copy of the records' text, and a
+    row's list is built only once the list before it has been taken.  An
+    absent optional field renders as nothing; its key is None.  Each field
+    is looked up by value in one ``_Rendered`` memo per kind, so each
+    stratum id, exact verdict, face discharge and separation is encoded
+    once per call.
     """
     name = _Rendered(_encode)
     literal = _Rendered(_literal)
@@ -681,19 +711,28 @@ def _pair_records(rows):
         yield texts
 
 
-def _records(out: list, records) -> None:
-    """Append a JSON list of records at indent 2 to ``out``.  ``records``
-    yields the texts of the records in order, each record led by the comma
-    and newline that separate it from the one before; the first record's
-    comma is dropped."""
-    out.append("[")
-    start = len(out)
-    out.extend(records)
-    if len(out) == start:
-        out[-1] = "[]"
-    else:
-        out[start] = out[start][1:]
-        out.append("\n  ]")
+def certificate_texts(report: FaithfulnessReport, digest: str):
+    """The texts of ``emit_certificate(report, digest)`` in order, as lists
+    of strings: the head, one list per ``PairRow`` (``_pair_records``), the
+    stratum records, and the tail.
+
+    A list lives only until the next is asked for, so a writer that joins
+    a few thousand texts at a time holds the report and one batch, never
+    the whole certificate.
+    """
+    yield ["{\n"
+           f'  "defects": {_items([_encode(d) for d in report.defects], "    ")},\n'
+           f'  "input_digest": {_encode(digest)},\n'
+           f'  "mode": {_encode(report.mode)},\n'
+           f'  "overall": {_encode(report.overall)},\n'
+           '  "pairs": ']
+    yield from _records(_pair_records(report.rows))
+    yield [f',\n  "schema_version": {SCHEMA_VERSION:d},\n  "strata": ']
+    yield from _records([list(map(_stratum_record, report.certificates))])
+    yield [',\n  "tool": {\n'
+           '    "name": "skeletrop",\n'
+           f'    "version": {_encode(__version__)}\n'
+           "  }\n}\n"]
 
 
 def emit_certificate(report: FaithfulnessReport, digest: str) -> str:
@@ -702,27 +741,16 @@ def emit_certificate(report: FaithfulnessReport, digest: str) -> str:
     Records are sorted (strata by dimension, vertices, id; pairs likewise),
     rationals appear as ``p/q`` strings, and identical inputs produce
     byte-identical text: exactly ``json.dumps(certificate, sort_keys=True,
-    indent=2)`` plus a newline.  It is assembled from one string per stratum
-    and a few shared strings per pair record, and joined once.  The pair
-    records are rendered from ``report.rows``, never from ``report.pairs``,
-    so no ``PairEvidence`` is built: each group of records sharing a shape
-    has one head and one tail, and only the right-hand stratum id changes
-    from record to record (``_pair_records``).  Each distinct stratum id,
-    exact verdict, face discharge and separation is rendered once per
-    certificate (``_Rendered``), whatever the number of pairs that carry
-    it.
+    indent=2)`` plus a newline.  It is the join of ``certificate_texts``:
+    one string per stratum and a few shared strings per pair record.  The
+    pair records are rendered from ``report.rows``, never from
+    ``report.pairs``, so no ``PairEvidence`` is built: each group of
+    records sharing a shape has one head and one tail, and only the
+    right-hand stratum id changes from record to record
+    (``_pair_records``).  Each distinct stratum id, exact verdict, face
+    discharge and separation is rendered once per certificate
+    (``_Rendered``), whatever the number of pairs that carry it.  The
+    ``check`` verb writes the texts in batches instead and never builds
+    this string.
     """
-    out = ["{\n"
-           f'  "defects": {_items([_encode(d) for d in report.defects], "    ")},\n'
-           f'  "input_digest": {_encode(digest)},\n'
-           f'  "mode": {_encode(report.mode)},\n'
-           f'  "overall": {_encode(report.overall)},\n'
-           '  "pairs": ']
-    _records(out, itertools.chain.from_iterable(_pair_records(report.rows)))
-    out.append(f',\n  "schema_version": {SCHEMA_VERSION:d},\n  "strata": ')
-    _records(out, map(_stratum_record, report.certificates))
-    out.append(',\n  "tool": {\n'
-               '    "name": "skeletrop",\n'
-               f'    "version": {_encode(__version__)}\n'
-               "  }\n}\n")
-    return "".join(out)
+    return "".join(itertools.chain.from_iterable(certificate_texts(report, digest)))

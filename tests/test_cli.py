@@ -1,6 +1,7 @@
 """Command-line surface: verbs, exit codes, and output determinism."""
 
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from skeletrop import cli, documents
 from skeletrop.cli import build_parser, main
 from skeletrop.documents import generate_fixture, input_text
+from skeletrop.sections import OrderMatrix, canonical_order_matrix
+from skeletrop.tropicalize import MODES, check_faithful
 
 
 @pytest.fixture
@@ -405,3 +408,131 @@ def test_choice_lists_are_the_owners_vocabularies():
     assert choices(sub(sub(parser, "fixtures"), "gen"), "kind") == documents.FIXTURE_KINDS
     assert choices(sub(parser, "bounds"), "mode") == bounds.MODES
     assert choices(sub(parser, "bounds"), "case") == bounds.CASES
+
+
+# ---------------------------------------------------------------------------
+# Streamed output
+# ---------------------------------------------------------------------------
+
+
+def _writer_documents():
+    docs = {kind: generate_fixture(kind, **params) for kind, params in (
+        ("cycle", {"n": 5}), ("path", {"n": 4}), ("simplex_boundary", {"dim": 3}),
+        ("random", {"ell": 6, "dim": 2, "seed": 3}))}
+    docs["banana"] = generate_fixture("cycle", n=2)
+    filtered = json.loads(input_text(generate_fixture("cycle", n=6)))
+    filtered["check"] = {"pairs": [["1-2", "4-5"], ["3", "5-6"], ["1", "2"]]}
+    docs["filtered"] = documents.parse_input(json.dumps(filtered))
+    docs["one_stratum"] = documents.parse_input(json.dumps(
+        {"schema_version": 1, "complex": {"ell": 1, "d": 0, "facets": [[1]]}}))
+    return docs
+
+
+@pytest.mark.parametrize("batch", [1, 5, cli.WRITE_BATCH])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(_writer_documents()))
+def test_streamed_certificate_is_the_emitted_one(name, mode, batch, tmp_path, capsys,
+                                                 monkeypatch):
+    doc = _writer_documents()[name]
+    report = check_faithful(doc.complex, doc.effective_orders(), mode=mode,
+                            pair_filter=doc.pair_filter)
+    want = documents.emit_certificate(report, documents.input_digest(doc))
+    if name == "one_stratum":
+        assert '\n  "pairs": [],\n' in want
+    src = tmp_path / "doc.json"
+    src.write_text(input_text(doc), encoding="utf-8")
+    out = tmp_path / "cert.json"
+    monkeypatch.setattr(cli, "WRITE_BATCH", batch)
+    code = main(["check", str(src), "--mode", mode, "--out", str(out)])
+    assert out.read_bytes() == want.encode("utf-8")
+    assert main(["check", str(src), "--mode", mode]) == code
+    assert capsys.readouterr().out == want
+
+
+def test_certificate_texts_join_to_the_certificate():
+    doc = generate_fixture("simplex_boundary", dim=3)
+    report = check_faithful(doc.complex, doc.effective_orders())
+    lists = list(documents.certificate_texts(report, "sha256:0"))
+    assert all(isinstance(texts, list) for texts in lists)
+    # The head, one list per row, the pairs' bracket, the text between the
+    # two lists of records, the stratum records, their bracket and the tail.
+    assert len(lists) == len(report.rows) + 6
+    assert "".join(t for texts in lists for t in texts) == \
+        documents.emit_certificate(report, "sha256:0")
+
+
+def test_check_streams_without_a_copy_of_the_certificate(tmp_path):
+    src = tmp_path / "cycle100.json"
+    src.write_text(input_text(generate_fixture("cycle", n=100)), encoding="utf-8")
+    out = tmp_path / "cert.json"
+    assert main(["check", str(src), "--out", str(out)]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["check", str(src), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 5 << 20
+    assert peak < size / 2, (peak, size)
+
+
+def _failing_stratum_record(seen=None, out=None):
+    def record(cert):
+        if seen is not None:
+            seen.append(out.stat().st_size if out.exists() else None)
+        raise ValueError("rendering failed")
+    return record
+
+
+def test_a_failed_write_leaves_no_partial_certificate(cycle3_file, tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(documents, "_stratum_record", _failing_stratum_record())
+    out = tmp_path / "cert.json"
+    assert main(["check", str(cycle3_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: rendering failed\n"
+    assert not out.exists()
+
+
+def test_a_fault_after_written_batches_removes_the_file(tmp_path, capsys, monkeypatch):
+    # The stratum records follow every pair record, so by the first of them
+    # whole batches of pair records are already in the file.
+    src = tmp_path / "cycle30.json"
+    src.write_text(input_text(generate_fixture("cycle", n=30)), encoding="utf-8")
+    out = tmp_path / "cert.json"
+    seen = []
+    monkeypatch.setattr(documents, "_stratum_record", _failing_stratum_record(seen, out))
+    monkeypatch.setattr(cli, "WRITE_BATCH", 16)
+    assert main(["check", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert seen and seen[0] > 0
+    assert not out.exists()
+
+
+def _canonical_reference(m) -> str:
+    return json.dumps({"orders": [list(r) for r in m.orders],
+                       "horizontal_effective": list(m.horizontal_effective)},
+                      sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(_writer_documents()))
+def test_canonical_is_the_reference_text(name, tmp_path, capsys):
+    doc = _writer_documents()[name]
+    src = tmp_path / "doc.json"
+    src.write_text(input_text(doc), encoding="utf-8")
+    want = _canonical_reference(canonical_order_matrix(doc.complex))
+    assert main(["canonical", str(src)]) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "canonical.json"
+    assert main(["canonical", str(src), "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode("utf-8")
+
+
+def test_orders_texts_render_random_orders():
+    rng = random.Random(11)
+    for ell in (1, 2, 5, 9):
+        rows = [[rng.randrange(4) for _ in range(ell)] for _ in range(ell + 1)]
+        flags = [rng.random() < 0.5 for _ in range(ell + 1)]
+        m = OrderMatrix(rows, flags)
+        text = "".join(t for texts in documents.orders_texts(m) for t in texts)
+        assert text == _canonical_reference(m)
