@@ -392,8 +392,24 @@ def _items(texts, indent: str) -> str:
     return f"[\n{indent}" + f",\n{indent}".join(texts) + f"\n{indent[:-2]}]"
 
 
+class _IntTexts(dict):
+    """The text of each integer whose text has at most three characters,
+    rendered once at import; any other integer is rendered on each lookup
+    and not kept, so a document of large integers leaves nothing behind.
+
+    Order entries, edge-vector entries and vertex labels are almost all
+    such integers, and looking them up at C speed costs about half of
+    ``str`` on each: an order matrix has (ell + 1) x ell entries.
+    """
+
+    __missing__ = staticmethod(str)
+
+
+_INT_TEXT = _IntTexts((x, str(x)) for x in range(-99, 1000))
+
+
 def _ints(values, indent: str) -> str:
-    return _items([str(x) for x in values], indent)
+    return _items(list(map(_INT_TEXT.__getitem__, values)), indent)
 
 
 def _records(lists):

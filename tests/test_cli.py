@@ -12,6 +12,8 @@ from skeletrop.documents import generate_fixture, input_text
 from skeletrop.sections import OrderMatrix, canonical_order_matrix
 from skeletrop.tropicalize import MODES, check_faithful
 
+from test_sections import reference_order_violations
+
 
 @pytest.fixture
 def cycle3_file(tmp_path):
@@ -475,6 +477,35 @@ def test_check_streams_without_a_copy_of_the_certificate(tmp_path):
     size = out.stat().st_size
     assert size > 5 << 20
     assert peak < size / 2, (peak, size)
+
+
+@pytest.mark.parametrize("fault", range(6))
+def test_validate_and_check_word_order_faults_alike(fault, tmp_path, capsys):
+    # Seeded random valid orders on cycle n=7, then one planted fault of each
+    # kind, or all five: the matrix fails the row proof, and both verbs
+    # print the full scan's lines.
+    rng = random.Random(fault)
+    doc = json.loads(input_text(generate_fixture("cycle", n=7)))
+    c = generate_fixture("cycle", n=7).complex
+    rows = [[0] * 7] + [[0 if i == j else 1 if c.adjacent(i, j) else rng.randint(1, 5)
+                         for j in range(1, 8)] for i in range(1, 8)]
+    i = fault + 1
+    planted = [(0, 3, 2), (i, i, 1), (i, i % 7 + 1, 0), (i, i % 7 + 1, 2),
+               (i, (i + 2) % 7 + 1, 0)]
+    for row, col, value in planted[fault:fault + 1] or planted:
+        rows[row][col - 1] = value
+    doc["order_matrix"] = {"orders": rows}
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    m = OrderMatrix(tuple(map(tuple, rows)), (True,) * 8)
+    want = "".join(f"orders: [{v.rule}] {v.message}\n"
+                   for v in reference_order_violations(m, c))
+    assert want
+    assert main(["validate", str(src)]) == 2
+    assert capsys.readouterr() == (want, "")
+    assert main(["check", str(src), "--out", str(tmp_path / "cert.json")]) == 1
+    assert capsys.readouterr() == ("", want)
+    assert not (tmp_path / "cert.json").exists()
 
 
 def _failing_stratum_record(seen=None, out=None):

@@ -1162,3 +1162,65 @@ class TestInputText:
         out = capsys.readouterr().out
         assert out == reference_input_text(parse_input(out))
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
+def _orders_document(base: str, orders) -> str:
+    data = json.loads(base)
+    data["order_matrix"] = {"orders": [list(r) for r in orders]}
+    return json.dumps(data)
+
+
+class TestIntegerTexts:
+    """Integers are written through one table of small integers' texts; the
+    bytes stay those of ``json.dumps`` for integers of every size and sign."""
+
+    def _assert_reference_bytes(self, text, tmp_path):
+        doc = parse_input(text)
+        assert input_text(doc) == reference_input_text(doc)
+        digest = input_digest(doc)
+        entries = set()
+        for mode in MODES:
+            report = check_faithful(doc.complex, doc.effective_orders(), mode=mode)
+            want = reference_emit_certificate(report, digest)
+            assert emit_certificate(report, digest) == want
+            for cert in report.certificates:
+                entries.update(itertools.chain.from_iterable(cert.edge_matrix.entries))
+        src, out = tmp_path / "doc.json", tmp_path / "cert.json"
+        src.write_text(text, encoding="utf-8")
+        main(["check", str(src), "--out", str(out)])
+        assert out.read_text(encoding="utf-8") == want
+        return entries
+
+    def test_orders_of_every_size(self, tmp_path):
+        # Non-neighbours of the 6-cycle take 7, 99, 100, 999, 1000 and 10**20;
+        # the edge vectors then hold their differences with 1, of both signs.
+        c = generate_fixture("cycle", n=6).complex
+        orders = [[0] * 6] + [[0 if i == j else 1 for j in range(1, 7)] for i in range(1, 7)]
+        for (i, j), x in zip([(1, 4), (2, 5), (3, 5), (3, 1), (4, 6), (5, 2)],
+                             [10 ** 20, 7, 999, 1000, 100, 99]):
+            assert not c.adjacent(i, j)
+            orders[i][j - 1] = x
+        size = len(documents._INT_TEXT)
+        base = input_text(generate_fixture("cycle", n=6))
+        entries = self._assert_reference_bytes(_orders_document(base, orders), tmp_path)
+        assert {10 ** 20 - 1, 1 - 10 ** 20, 998, -999, 99, -98} <= entries
+        # Integers beyond the table are rendered each time and not kept.
+        assert len(documents._INT_TEXT) == size and 10 ** 20 not in documents._INT_TEXT
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_orders(self, seed, tmp_path):
+        rng = random.Random(seed)
+        c = random_simplicial(rng)
+        while not c.edges():
+            c = random_simplicial(rng)
+        m = random_valid_orders(rng, c)
+        facets = [list(s.vertices) for s in c.strata]
+        base = json.dumps({"schema_version": SCHEMA_VERSION,
+                           "complex": {"ell": c.ell, "d": c.dim_bound, "facets": facets}})
+        entries = self._assert_reference_bytes(_orders_document(base, m.orders), tmp_path)
+        assert min(entries) < 0
+
+    @pytest.mark.parametrize("shape", [("ring", 5, 3, 2), ("stack", 4, 6, 3)])
+    def test_delta_document(self, shape, tmp_path):
+        entries = self._assert_reference_bytes(delta_document(*shape), tmp_path)
+        assert min(entries) < 0

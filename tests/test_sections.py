@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skeletrop.complexes import (Stratum, build_from_facets, face_restriction, SimplexPoint,
-                                 validate_complex)
+from skeletrop.complexes import (DualComplex, Stratum, Violation, build_from_facets,
+                                 face_restriction, SimplexPoint, validate_complex)
 from skeletrop.sections import (AffineFunctional, OrderMatrix, canonical_order_matrix,
                                 concavity_lower_bound, restrict_affine,
                                 validate_orders)
@@ -35,6 +35,19 @@ class TestCanonicalOrderMatrix:
     def test_canonical_is_valid(self):
         c = cycle3()
         assert validate_orders(canonical_order_matrix(c), c) == []
+
+    @pytest.mark.parametrize("ell", [1, 2, 5, 40])
+    def test_equals_the_checked_matrix(self, ell):
+        # The rows are sliced and taken as checked; they are the rows the
+        # checking constructor accepts, as plain tuples.
+        c = build_from_facets(ell, 0, [[v] for v in range(1, ell + 1)])
+        m = canonical_order_matrix(c)
+        rows = [[0] * ell] + [[0 if i == j else 1 for j in range(1, ell + 1)]
+                              for i in range(1, ell + 1)]
+        assert m == OrderMatrix(rows, [True] * (ell + 1))
+        assert type(m.orders) is tuple and all(type(r) is tuple for r in m.orders)
+        assert type(m.horizontal_effective) is tuple
+        assert validate_orders(m, c) == []
 
 
 class TestOrderMatrixValidation:
@@ -84,6 +97,107 @@ class TestOrderMatrixValidation:
         with pytest.raises(TypeError, match="validate_complex takes a DualComplex"):
             validate_complex(m)
         assert validate_complex(c) == [] and validate_orders(m, c) == []
+
+
+def reference_order_violations(m, c):
+    """The order axioms checked entry by entry: the scan that words every
+    violation, kept here as the reference for the row-at-a-time proof."""
+    out = []
+    adjacent = set()
+    for a, b in c.edges():
+        adjacent.add((a, b))
+        adjacent.add((b, a))
+    for j, x in enumerate(m.orders[0], start=1):
+        if x != 0:
+            out.append(Violation("base-row", None,
+                                 f"s_0 must have order 0 along component {j}, got {x}"))
+    for i in range(1, c.ell + 1):
+        row = m.orders[i]
+        if row[i - 1] != 0:
+            out.append(Violation("diagonal", None, f"s_{i} must have order 0 along its "
+                                                   f"own component, got {row[i - 1]}"))
+        for j, x in enumerate(row, start=1):
+            if i == j:
+                continue
+            if (i, j) in adjacent:
+                if x != 1:
+                    out.append(Violation("edge-order", None,
+                                         f"components {i} and {j} meet, so s_{i} must "
+                                         f"vanish to order exactly 1 along {j}, got {x}"))
+            elif x < 1:
+                out.append(Violation("zero-extension", None,
+                                     f"s_{i} must vanish to order at least 1 along the "
+                                     f"distinct component {j}, got {x}"))
+    out.sort(key=lambda v: (v.rule, v.message))
+    return out
+
+
+FAULTS = ("none", "base-row", "diagonal", "edge-zero", "edge-two", "non-neighbour-zero")
+
+
+@st.composite
+def complex_and_orders(draw):
+    """A random face-closed complex, valid orders built as the benchmark
+    builds them (1 on neighbours, a random 1..5 elsewhere), and at most one
+    planted fault."""
+    ell = draw(st.integers(1, 7))
+    facets = draw(st.lists(st.lists(st.integers(1, ell), min_size=1, max_size=4, unique=True),
+                           min_size=1, max_size=4))
+    covered = {v for f in facets for v in f}
+    facets += [[v] for v in range(1, ell + 1) if v not in covered]
+    c = build_from_facets(ell, max(map(len, facets)) - 1, facets)
+    rows = [[0] * ell] + [[0 if i == j else 1 if c.adjacent(i, j) else draw(st.integers(1, 5))
+                           for j in range(1, ell + 1)] for i in range(1, ell + 1)]
+    fault = draw(st.sampled_from(FAULTS))
+    i = draw(st.integers(1, ell))
+    if fault == "base-row":
+        rows[0][draw(st.integers(0, ell - 1))] = draw(st.integers(1, 3))
+    elif fault == "diagonal":
+        rows[i][i - 1] = draw(st.integers(1, 3))
+    elif fault in ("edge-zero", "edge-two"):
+        neighbours = [j for j in range(1, ell + 1) if j != i and c.adjacent(i, j)]
+        assume(neighbours)
+        rows[i][draw(st.sampled_from(neighbours)) - 1] = 0 if fault == "edge-zero" else 2
+    elif fault == "non-neighbour-zero":
+        others = [j for j in range(1, ell + 1) if j != i and not c.adjacent(i, j)]
+        assume(others)
+        rows[i][draw(st.sampled_from(others)) - 1] = 0
+    return c, OrderMatrix(tuple(map(tuple, rows)), (True,) * (ell + 1)), fault
+
+
+class TestOrderProof:
+    """A valid matrix is proved a row at a time; any other is scanned entry
+    by entry, and both give exactly the reference scan's list."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(complex_and_orders())
+    def test_matches_the_full_scan(self, drawn):
+        c, m, fault = drawn
+        want = reference_order_violations(m, c)
+        assert (want == []) == (fault == "none")
+        assert validate_orders(m, c) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(complex_and_orders(), st.lists(st.tuples(st.integers(0, 7), st.integers(1, 7),
+                                                    st.integers(0, 3)), max_size=4))
+    def test_matches_the_full_scan_on_several_faults(self, drawn, changes):
+        c, m, _ = drawn
+        rows = [list(r) for r in m.orders]
+        for i, j, x in changes:
+            rows[i % len(rows)][(j - 1) % c.ell] = x
+        m = OrderMatrix(tuple(map(tuple, rows)), m.horizontal_effective)
+        assert validate_orders(m, c) == reference_order_violations(m, c)
+
+    @pytest.mark.parametrize("vertex", [0, -1, 3])
+    def test_edges_outside_the_components_are_ignored(self, vertex):
+        # The complex does not check its labels against ell; neither rule
+        # reads an edge that leaves 1..ell.
+        strata = (Stratum("a", (1,)), Stratum("b", (2,)), Stratum("e", (1, vertex)))
+        c = DualComplex(2, 1, strata, {})
+        for rows in (((0, 0), (0, 1), (1, 0)), ((0, 0), (0, 2), (5, 0)),
+                     ((0, 1), (0, 0), (1, 1))):
+            m = OrderMatrix(rows, (True,) * 3)
+            assert validate_orders(m, c) == reference_order_violations(m, c)
 
 
 class TestRestrictAffine:
