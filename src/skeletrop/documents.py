@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
+from operator import itemgetter
 
 from ._exact import at_least, fraction, ints, is_int
 from ._version import __version__
@@ -123,6 +124,30 @@ def _int_list(values, path) -> list[int]:
     return values
 
 
+class _Rendered(dict):
+    """The text of each distinct value, rendered on its first lookup.
+
+    A certificate repeats few distinct values across its O(S^2) pair
+    records: S stratum ids, a handful of exact verdicts, one face discharge
+    per ambient stratum and one separation per (stratum, coordinate).
+    Looking each up by value renders it once per certificate; the pair
+    writer looks up the fields of each group of records once, and each
+    right-hand stratum id once per record.  A Delta input text repeats
+    its stratum ids and face-map subsets in the same way, and
+    ``input_text`` renders each once per text; the parser keeps one
+    frozenset per distinct face-map subset in one, with ``frozenset`` as
+    its ``render``.
+    """
+
+    def __init__(self, render, known=()):
+        super().__init__(known)
+        self.render = render
+
+    def __missing__(self, value):
+        text = self[value] = self.render(value)
+        return text
+
+
 @dataclass(frozen=True, eq=False)
 class InputDocument:
     """Parsed and validated input: complex, optional orders, check options.
@@ -195,6 +220,44 @@ def _check_strata(cx: DualComplex, path: str, key: str) -> None:
                                         f"document may have")
 
 
+_stratum, _subset, _face = itemgetter("stratum"), itemgetter("subset"), itemgetter("face")
+
+
+def _filed_faces(entries: list) -> dict | None:
+    """The face map of a Delta document's face-map ``entries``, checked and
+    filed all together, or None when some entry is at fault.
+
+    Every entry must be an object with exactly the keys stratum, subset
+    and face (three keys, and each of these can be read), both ids
+    nonempty strings and the subset a list of integers (``ints`` over all
+    subsets chained), and no two entries may file along one subset of one
+    stratum.  These are the checks the entry-by-entry reading and filing
+    make, or stricter ones, so a map returned here is the map they file.
+    On None the parser reads and files the entries in turn, which finds
+    and words the first fault; an entry that merely repeats a filing is no
+    fault, and that reading files it.  Each distinct subset becomes one
+    frozenset, shared by every key along it.
+    """
+    if not entries:
+        return {}
+    if not (set(map(type, entries)) <= {dict} and set(map(len, entries)) == {3}):
+        return None
+    try:
+        owners, subsets, fids = (list(map(get, entries)) for get in (_stratum, _subset, _face))
+    except KeyError:
+        return None
+    if not (set(map(type, owners)) | set(map(type, fids)) <= {str} and all(owners)
+            and all(fids) and set(map(type, subsets)) <= {list}):
+        return None
+    try:
+        ints(itertools.chain.from_iterable(subsets), "")
+    except TypeError:
+        return None
+    vertex_sets = _Rendered(frozenset)
+    face_map = dict(zip(zip(owners, map(vertex_sets.__getitem__, map(tuple, subsets))), fids))
+    return face_map if len(face_map) == len(entries) else None
+
+
 def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str]:
     ell = _expect(spec, "ell", int, path)
     d = _expect(spec, "d", int, path)
@@ -232,29 +295,34 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str]:
         verts = _int_list(_expect(entry, "vertices", list, epath), f"{epath}.vertices")
         strata.append((sid, verts))
     faces_raw = _expect(spec, "face_map", list, path)
-    faces = []
-    for k, entry in enumerate(faces_raw):
-        epath = f"{path}.face_map[{k}]"
-        if not isinstance(entry, dict):
-            raise InputError(epath, "expected an object with stratum, subset, face")
-        _reject_unknown(entry, ("stratum", "subset", "face"), epath)
-        owner = _expect(entry, "stratum", str, epath)
-        subset = _int_list(_expect(entry, "subset", list, epath), f"{epath}.subset")
-        fid = _expect(entry, "face", str, epath)
-        faces.append((owner, subset, fid))
+    face_map = _filed_faces(faces_raw)
+    if face_map is None:
+        # Some entry is at fault: read them in turn to find the first.
+        faces = []
+        for k, entry in enumerate(faces_raw):
+            epath = f"{path}.face_map[{k}]"
+            if not isinstance(entry, dict):
+                raise InputError(epath, "expected an object with stratum, subset, face")
+            _reject_unknown(entry, ("stratum", "subset", "face"), epath)
+            owner = _expect(entry, "stratum", str, epath)
+            subset = _int_list(_expect(entry, "subset", list, epath), f"{epath}.subset")
+            fid = _expect(entry, "face", str, epath)
+            faces.append((owner, subset, fid))
     _check_expansion((len(verts) for _, verts in strata), f"{path}.strata")
     _check_vertex_count(ell, (verts for _, verts in strata), path)
     # The strata are built, then the face-map entries filed, then the strata
     # indexed by id, and the first fault found is the one reported.
     try:
-        built, face_map = _delta_parts(strata, ())
+        built, _ = _delta_parts(strata, ())
     except ValueError as exc:
         raise InputError(f"{path}.strata", str(exc)) from None
-    for k, (owner, subset, fid) in enumerate(faces):
-        try:
-            _file_face(face_map, owner, subset, fid)
-        except ValueError as exc:
-            raise InputError(f"{path}.face_map[{k}]", str(exc)) from None
+    if face_map is None:
+        face_map = {}
+        for k, (owner, subset, fid) in enumerate(faces):
+            try:
+                _file_face(face_map, owner, subset, fid)
+            except ValueError as exc:
+                raise InputError(f"{path}.face_map[{k}]", str(exc)) from None
     try:
         cx = DualComplex._from_checked(ell, d, built, face_map)
     except ValueError as exc:
@@ -452,11 +520,14 @@ def input_text(doc: InputDocument) -> str:
         facets = _items([_ints(f, " " * 8) for f in cx["facets"]], " " * 6)
         out.append(f'    "facets": {facets},\n    "mode": "simplicial"\n  }}')
     else:
-        faces = _items([f'{{\n        "face": {_encode(e["face"])},\n'
-                        f'        "stratum": {_encode(e["stratum"])},\n'
-                        f'        "subset": {_ints(e["subset"], " " * 10)}\n      }}'
+        # Ids and subsets repeat across the face map: each is rendered once.
+        name = _Rendered(_encode)
+        subset = _Rendered(lambda s: _ints(s, " " * 10))
+        faces = _items([f'{{\n        "face": {name[e["face"]]},\n'
+                        f'        "stratum": {name[e["stratum"]]},\n'
+                        f'        "subset": {subset[tuple(e["subset"])]}\n      }}'
                         for e in cx["face_map"]], " " * 6)
-        strata = _items([f'{{\n        "id": {_encode(e["id"])},\n'
+        strata = _items([f'{{\n        "id": {name[e["id"]]},\n'
                          f'        "vertices": {_ints(e["vertices"], " " * 10)}\n      }}'
                          for e in cx["strata"]], " " * 6)
         out.append(f'    "face_map": {faces},\n    "mode": "delta",\n'
@@ -594,26 +665,6 @@ def _stratum_record(cert) -> str:
             f'      "id": {_encode(cert.stratum)},\n'
             f'      "unimodular": {_literal(cert.verdict)}\n'
             "    }")
-
-
-class _Rendered(dict):
-    """The text of each distinct value, rendered on its first lookup.
-
-    A certificate repeats few distinct values across its O(S^2) pair
-    records: S stratum ids, a handful of exact verdicts, one face discharge
-    per ambient stratum and one separation per (stratum, coordinate).
-    Looking each up by value renders it once per certificate; the pair
-    writer looks up the fields of each group of records once, and each
-    right-hand stratum id once per record.
-    """
-
-    def __init__(self, render, known=()):
-        super().__init__(known)
-        self.render = render
-
-    def __missing__(self, value):
-        text = self[value] = self.render(value)
-        return text
 
 
 def _exact_field(x) -> str:

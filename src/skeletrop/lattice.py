@@ -18,7 +18,10 @@ the rank stop at an echelon form built with the simplex's row update.
 the points ``RationalPolyhedron.contains`` tests, and LP values and
 witnesses.  Vertex images are used as given and their denominators cleared
 one coordinate at a time; conversion and clearing both go through
-``_exact``.
+``_exact``.  The image polyhedron's rows stay integer up to its
+constraints: each normal is reduced by its gcd once, bounds are compared
+as integer pairs, and each constraint kept is built once, with its
+``Fraction`` bound, through ``Constraint._from_checked``.
 
 Everything in this module is a pure function on immutable values and is
 safe to call concurrently.  The one piece of state is the LP result that
@@ -33,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import lt, mul
 from typing import Iterable, Sequence
 
 from ._exact import at_least, cleared, fraction, ints
@@ -340,6 +343,18 @@ class Constraint:
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "bound", bound)
 
+    @classmethod
+    def _from_checked(cls, normal: tuple[int, ...], bound: Fraction,
+                      strict: bool) -> "Constraint":
+        """The half-space of ``normal``, ``bound`` and ``strict``, which the
+        caller guarantees to be a nonzero tuple of ints with gcd 1, a
+        ``Fraction`` and a bool: nothing is checked or reduced again."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "normal", normal)
+        object.__setattr__(c, "bound", bound)
+        object.__setattr__(c, "strict", strict)
+        return c
+
     def holds_at(self, x: Sequence[Fraction]) -> bool:
         lhs = sum(a * xi for a, xi in zip(self.normal, x))
         return lhs < self.bound if self.strict else lhs <= self.bound
@@ -401,12 +416,16 @@ def _eliminate_variables(rows, drop: int):
             pc, _, prhs = rows.pop(k)
             # Multiply by |pivot|, not by the pivot, to keep inequalities.
             mp, sp = abs(pc[j]), (1 if pc[j] > 0 else -1)
+            # mp * row - f * pivot row, touching only the pivot row's nonzeros.
+            support = [(i, q) for i, q in enumerate(pc) if q]
             new_rows = []
             for coeffs, rel, rhs in rows:
                 f = coeffs[j] * sp
                 if f != 0:
-                    coeffs, rhs = _reduced([mp * c - f * q for c, q in zip(coeffs, pc)],
-                                           mp * rhs - f * prhs)
+                    coeffs = coeffs[:] if mp == 1 else [mp * c for c in coeffs]
+                    for i, q in support:
+                        coeffs[i] -= f * q
+                    coeffs, rhs = _reduced(coeffs, mp * rhs - f * prhs)
                 new_rows.append((coeffs, rel, rhs))
             rows = new_rows
             continue
@@ -430,14 +449,26 @@ def _eliminate_variables(rows, drop: int):
 
 
 def _emit_constraints(rows, drop: int) -> list[Constraint]:
-    out: dict[tuple[int, ...], Constraint] = {}
+    """The constraints on x of ``rows`` once variables 0..drop-1 are gone,
+    one per primitive normal, in normal order.
 
-    def push(normal, rhs, strict):
-        cand = Constraint(tuple(normal), rhs, strict)
-        prev = out.get(cand.normal)
-        # Same normal: the smaller bound wins; at a tie, strict is tighter.
-        if prev is None or (cand.bound, not cand.strict) < (prev.bound, not prev.strict):
-            out[cand.normal] = cand
+    Each row's x part is divided by its gcd ``g`` once, and its bound kept
+    as the pair ``(rhs, g)``; an equation gives the normal and its
+    negation.  Of two rows on one normal the smaller bound wins, compared
+    by cross-multiplication (``g`` is positive), and at a tie the strict
+    row, which is tighter.  Each winner becomes one ``Constraint`` through
+    ``Constraint._from_checked``: the same value ``Constraint(normal, rhs,
+    strict)`` would build, with no check or reduction repeated.
+    """
+    best: dict[tuple[int, ...], tuple[int, int, bool]] = {}
+
+    def push(normal, num, den, strict):
+        prev = best.get(normal)
+        if prev is not None:
+            lhs, rhs = num * prev[1], prev[0] * den
+            if lhs > rhs or lhs == rhs and (prev[2] or not strict):
+                return
+        best[normal] = (num, den, strict)
 
     for coeffs, rel, rhs in rows:
         xcoeffs = coeffs[drop:]
@@ -449,12 +480,22 @@ def _emit_constraints(rows, drop: int) -> list[Constraint]:
             if not (rhs == 0, rhs >= 0, rhs > 0)[rel]:
                 raise ArithmeticError("elimination produced an unsatisfiable constant row")
             continue
+        g = gcd(*xcoeffs)
+        normal = tuple(xcoeffs) if g == 1 else tuple([c // g for c in xcoeffs])
         if rel == _EQ:
-            push(xcoeffs, rhs, False)
-            push([-c for c in xcoeffs], -rhs, False)
+            push(normal, rhs, g, False)
+            push(tuple([-c for c in normal]), -rhs, g, False)
         else:
-            push(xcoeffs, rhs, rel == _LT)
-    return sorted(out.values(), key=Constraint.sort_key)
+            push(normal, rhs, g, rel == _LT)
+    # Few distinct bounds (most are 0), so each Fraction is made once.
+    bounds: dict[tuple[int, int], Fraction] = {}
+    out = []
+    for normal, (num, den, strict) in sorted(best.items()):
+        bound = bounds.get((num, den))
+        if bound is None:
+            bound = bounds[num, den] = Fraction(num, den)
+        out.append(Constraint._from_checked(normal, bound, strict))
+    return out
 
 
 def simplex_image_polyhedron(vertex_images: Sequence[Sequence],
@@ -481,10 +522,10 @@ def simplex_image_polyhedron(vertex_images: Sequence[Sequence],
     eliminated in; permuting the vertices permutes columns, which changes
     no linear dependence among rows.  Each emitted row is then a positive
     multiple of an original row minus its unique combination of the pivot
-    rows that cancels every weight, a row the basis fixes.  ``Constraint``
-    reduces each row to its primitive normal, and the rows ``-lambda_a < 0``
-    are only permuted among themselves, so the sorted constraint tuple is
-    the same.  ``check_faithful`` relies on this: all strata on one vertex
+    rows that cancels every weight, a row the basis fixes.
+    ``_emit_constraints`` reduces each row to its primitive normal, and
+    the rows ``-lambda_a < 0`` are only permuted among themselves, so the
+    sorted constraint tuple is the same.  ``check_faithful`` relies on this: all strata on one vertex
     set of a label-keyed map have the same images, up to order, and on a
     validated map they are affinely independent, so it builds one
     polyhedron per vertex set.
@@ -692,17 +733,28 @@ def relint_intersection_nonempty(p: RationalPolyhedron, q: RationalPolyhedron):
     slack over the strict constraints with exact fraction-free pivoting and
     requiring a strictly positive optimum.
 
-    A polyhedron queried against itself is one constraint system: the
-    result is kept on it, so the self-query that ``check_faithful`` makes
-    once per pair of strata on one vertex set solves once per vertex set.
-    A query on two distinct objects solves on every call.
+    The system solved is the union of both constraint tuples, sorted by
+    ``Constraint.sort_key`` with repeats dropped.  A polyhedron queried
+    against itself is one constraint system: the result is kept on it, so
+    the self-query that ``check_faithful`` makes once per pair of strata
+    on one vertex set solves once per vertex set.  Its constraints are
+    solved as they stand when their sort keys strictly increase, as those
+    of ``simplex_image_polyhedron`` always do; only a hand-built tuple
+    that is unsorted or repeats a constraint is sorted first.  A query on
+    two distinct objects solves on every call.
     """
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("polyhedra live in different ambient dimensions")
-    if p is q and "_relint_self" in p.__dict__:
+    if p is not q:
+        system = sorted(set(p.constraints) | set(q.constraints), key=Constraint.sort_key)
+    elif "_relint_self" in p.__dict__:
         return p._relint_self
-    system = set(p.constraints) if p is q else set(p.constraints) | set(q.constraints)
-    value, point = _max_min_slack(sorted(system, key=Constraint.sort_key), p.ambient_dim)
+    else:
+        system = p.constraints
+        keys = list(map(Constraint.sort_key, system))
+        if not all(map(lt, keys, keys[1:])):
+            system = sorted(set(system), key=Constraint.sort_key)
+    value, point = _max_min_slack(system, p.ambient_dim)
     result = (False, None) if value is None or value <= 0 else (True, point)
     if p is q:
         object.__setattr__(p, "_relint_self", result)

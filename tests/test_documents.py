@@ -934,6 +934,215 @@ class TestCertificateBytes:
                         "certificate_incomplete"}
 
 
+def reference_delta_complex(spec: dict, path: str = "$.complex"):
+    """A Delta ``complex`` spec read and filed entry by entry, as the parser
+    did before it checked and filed the face map in one pass: the same
+    fault, at the same path, is the first one reported.  Returns the
+    strata and the face map, or raises the parser's ``InputError``."""
+    from skeletrop.complexes import DualComplex, _delta_parts, _file_face
+
+    strata = []
+    for k, entry in enumerate(documents._expect(spec, "strata", list, path)):
+        epath = f"{path}.strata[{k}]"
+        if not isinstance(entry, dict):
+            raise InputError(epath, "expected an object with id and vertices")
+        documents._reject_unknown(entry, ("id", "vertices"), epath)
+        sid = documents._expect(entry, "id", str, epath)
+        verts = documents._int_list(documents._expect(entry, "vertices", list, epath),
+                                    f"{epath}.vertices")
+        strata.append((sid, verts))
+    faces = []
+    for k, entry in enumerate(documents._expect(spec, "face_map", list, path)):
+        epath = f"{path}.face_map[{k}]"
+        if not isinstance(entry, dict):
+            raise InputError(epath, "expected an object with stratum, subset, face")
+        documents._reject_unknown(entry, ("stratum", "subset", "face"), epath)
+        owner = documents._expect(entry, "stratum", str, epath)
+        subset = documents._int_list(documents._expect(entry, "subset", list, epath),
+                                     f"{epath}.subset")
+        fid = documents._expect(entry, "face", str, epath)
+        faces.append((owner, subset, fid))
+    documents._check_expansion((len(verts) for _, verts in strata), f"{path}.strata")
+    documents._check_vertex_count(spec["ell"], (verts for _, verts in strata), path)
+    try:
+        built, face_map = _delta_parts(strata, ())
+    except ValueError as exc:
+        raise InputError(f"{path}.strata", str(exc)) from None
+    for k, (owner, subset, fid) in enumerate(faces):
+        try:
+            _file_face(face_map, owner, subset, fid)
+        except ValueError as exc:
+            raise InputError(f"{path}.face_map[{k}]", str(exc)) from None
+    try:
+        cx = DualComplex._from_checked(spec["ell"], spec["d"], built, face_map)
+    except ValueError as exc:
+        raise InputError(f"{path}.strata", str(exc)) from None
+    return cx.strata, cx.face_map
+
+
+FACE_FAULTS = ("not-an-object", "missing-key", "extra-key", "non-string-id", "empty-id",
+               "bool-in-subset", "float-in-subset", "conflicting-filing", "repeated-filing")
+STRATUM_FAULTS = ("not-an-object", "repeated-vertex", "no-vertices", "empty-id",
+                  "repeated-id", "float-vertex")
+
+
+def plant_face_fault(data, fault: str, draw) -> None:
+    face_map = data["complex"]["face_map"]
+    k = draw(st.integers(0, len(face_map) - 1))
+    entry = face_map[k]
+    if fault == "not-an-object":
+        face_map[k] = draw(st.sampled_from([list(entry.values()), "e", 3, None]))
+    elif fault == "missing-key":
+        del entry[draw(st.sampled_from(["stratum", "subset", "face"]))]
+    elif fault == "extra-key":
+        entry[draw(st.sampled_from(["id", "faces", "a"]))] = 1
+    elif fault == "non-string-id":
+        entry[draw(st.sampled_from(["stratum", "face"]))] = draw(
+            st.sampled_from([1, None, True, ["v1"]]))
+    elif fault == "empty-id":
+        entry[draw(st.sampled_from(["stratum", "face"]))] = ""
+    elif fault in ("bool-in-subset", "float-in-subset"):
+        i = draw(st.integers(0, len(entry["subset"]) - 1))
+        entry["subset"][i] = (draw(st.booleans()) if fault == "bool-in-subset"
+                              else draw(st.sampled_from([float(entry["subset"][i]), 1.5])))
+    else:
+        # Another entry along the same subset of the same stratum, before or
+        # after this one: a second face refused, the same face filed again.
+        other = [s["id"] for s in data["complex"]["strata"] if s["id"] != entry["face"]]
+        face = entry["face"] if fault == "repeated-filing" else draw(st.sampled_from(other))
+        face_map.insert(draw(st.integers(0, len(face_map))),
+                        dict(entry, subset=list(reversed(entry["subset"])), face=face))
+
+
+def plant_stratum_fault(data, fault: str, draw) -> None:
+    strata = data["complex"]["strata"]
+    k = draw(st.integers(0, len(strata) - 1))
+    if fault == "not-an-object":
+        strata[k] = [strata[k]["id"], strata[k]["vertices"]]
+    elif fault == "repeated-vertex":
+        strata[k]["vertices"].append(strata[k]["vertices"][0])
+    elif fault == "no-vertices":
+        strata[k]["vertices"] = []
+    elif fault == "empty-id":
+        strata[k]["id"] = ""
+    elif fault == "repeated-id":
+        strata.append(dict(strata[k]))
+    else:
+        strata[k]["vertices"][0] = 1.0
+
+
+class TestFaceMapFallback:
+    """``parse_input`` checks and files a Delta face map in one pass and
+    reads it entry by entry only to word a fault: every fault is reported
+    at the path and with the message of ``reference_delta_complex``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["ring", "stack"]), st.integers(0, 50),
+           st.sampled_from(FACE_FAULTS), st.sampled_from((None,) + STRATUM_FAULTS), st.data())
+    def test_planted_fault_matches_the_entry_loop(self, kind, seed, fault, stratum_fault,
+                                                  data):
+        size, extra = (3, 2) if kind == "ring" else (2, 4)
+        doc = json.loads(delta_document(kind, size, extra, seed))
+        plant_face_fault(doc, fault, data.draw)
+        if stratum_fault is not None:
+            plant_stratum_fault(doc, stratum_fault, data.draw)
+        text = json.dumps(doc)
+        try:
+            expected = reference_delta_complex(doc["complex"])
+        except InputError as exc:
+            with pytest.raises(InputError) as info:
+                parse_input(text)
+            assert (info.value.path, str(info.value)) == (exc.path, str(exc))
+        else:
+            assert fault == "repeated-filing" and stratum_fault is None
+            cx = parse_input(text).complex
+            assert (cx.strata, cx.face_map) == expected
+            assert list(cx.face_map) == list(expected[1])
+
+    def test_bulk_filing_matches_the_entry_loop(self):
+        doc = json.loads(delta_document("stack", 5, 6, 8))
+        cx = parse_input(json.dumps(doc)).complex
+        assert (cx.strata, cx.face_map) == reference_delta_complex(doc["complex"])
+        assert list(cx.face_map) == list(reference_delta_complex(doc["complex"])[1])
+
+    def test_entry_loop_runs_only_on_a_fault(self, monkeypatch):
+        calls = []
+        expect = documents._expect
+        monkeypatch.setattr(documents, "_expect",
+                            lambda obj, key, *rest, **kw: calls.append(key)
+                            or expect(obj, key, *rest, **kw))
+        doc = json.loads(delta_document("ring", 3, 2, 1))
+        parse_input(json.dumps(doc))
+        assert {"stratum", "subset", "face"}.isdisjoint(calls)
+        doc["complex"]["face_map"][-1]["face"] = ""
+        with pytest.raises(InputError, match=r"face_map\[\d+\]: face map entry"):
+            parse_input(json.dumps(doc))
+        assert {"stratum", "subset", "face"} <= set(calls)
+
+
+def permuted_stack(tops: int, seed: int) -> str:
+    """The permuted 6-vertex Delta stack, written as the benchmark's Delta
+    generator writes a document: every nonempty proper subset of
+    components 1..6 as a stratum once (id the dash-joined vertices), then
+    ``tops`` top strata ``t1``, ``t2``, ... on all six, each listing them in
+    another order drawn with ``seed``; each stratum files each nonempty
+    proper subset of its vertices at the stratum on that subset, and every
+    order off the diagonal is 1, since all components meet."""
+    rng = random.Random(seed)
+    vertices = range(1, 7)
+    strata = [("-".join(map(str, sub)), sub) for r in range(1, 6)
+              for sub in itertools.combinations(vertices, r)]
+    strata += [(f"t{k}", order) for k, order in enumerate(
+        rng.sample(list(itertools.permutations(vertices)), tops), start=1)]
+    ids = {frozenset(v): sid for sid, v in strata}
+    face_map = [{"stratum": sid, "subset": list(sub), "face": ids[frozenset(sub)]}
+                for sid, v in strata for r in range(1, len(v))
+                for sub in itertools.combinations(sorted(v), r)]
+    data = {"schema_version": SCHEMA_VERSION,
+            "complex": {"ell": 6, "d": 5, "mode": "delta",
+                        "strata": [{"id": sid, "vertices": list(v)} for sid, v in strata],
+                        "face_map": face_map},
+            "order_matrix": {"orders": [[0] * 6] + [[int(i != j) for j in vertices]
+                                                    for i in vertices],
+                             "horizontal_effective": [True] * 7}}
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+# sha256 of the permuted stack with 50 tops (seed 1): its canonical input
+# text, then its certificate in each mode, taken before the face map was
+# checked and filed in one pass.
+STACK_SHA256 = "4f1b88a42cbe5e4eb5495bf4a62fe84e6b926a414fd978d4b34b52d0caf975bf"
+STACK_CERTIFICATE_SHA256 = {
+    "both": "1c0a21756117fe270ef3f5bf3ee2ed904610ef1eeadbedfce25414df2266bb1f",
+    "exact": "c59810be8c6985f3c3e0b193b49faf573f771e5f97338c081af516ce73b5dfef",
+    "certificate": "1e13fd586111c7b018692db3672227f4daa26c89df4b4593e556cc70f7360fe2",
+}
+
+
+class TestPermutedStack:
+    """The face-map shape of large Delta documents: 3,640 entries, 62
+    distinct subsets shared by 50 tops on one vertex set."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        text = permuted_stack(50, 1)
+        return text, parse_input(text)
+
+    def test_canonical_text_is_pinned(self, stack):
+        text, doc = stack
+        assert len(doc.complex.strata) == 112 and len(doc.complex.face_map) == 3640
+        assert input_text(doc) == text == reference_input_text(doc)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == STACK_SHA256
+        assert input_digest(doc) == f"sha256:{STACK_SHA256}"
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_certificate_bytes_are_pinned(self, stack, mode):
+        _, doc = stack
+        report = check_faithful(doc.complex, doc.effective_orders(), mode=mode)
+        text = emit_certificate(report, input_digest(doc))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == STACK_CERTIFICATE_SHA256[mode]
+
+
 def reference_input_text(doc) -> str:
     """The canonical input through ``json.dumps``: the layout that
     ``input_text`` writes from per-field templates."""

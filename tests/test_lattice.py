@@ -801,6 +801,41 @@ def ref_image_constraints(vertex_images, relative_interior):
                         key=Constraint.sort_key))
 
 
+def ref_emit_constraints(rows, drop):
+    """The emitter as it stood before it kept bounds as integer pairs: each
+    row goes through the checked ``Constraint`` constructor, and the
+    ``Fraction`` bounds are compared."""
+    out = {}
+
+    def push(normal, rhs, strict):
+        cand = Constraint(tuple(normal), rhs, strict)
+        prev = out.get(cand.normal)
+        if prev is None or (cand.bound, not cand.strict) < (prev.bound, not prev.strict):
+            out[cand.normal] = cand
+
+    for coeffs, rel, rhs in rows:
+        xcoeffs = coeffs[drop:]
+        if any(coeffs[:drop]):
+            raise ArithmeticError("elimination left a barycentric variable in a row")
+        if not any(xcoeffs):
+            if not (rhs == 0, rhs >= 0, rhs > 0)[rel]:
+                raise ArithmeticError("elimination produced an unsatisfiable constant row")
+            continue
+        if rel == _EQ:
+            push(xcoeffs, rhs, False)
+            push([-c for c in xcoeffs], -rhs, False)
+        else:
+            push(xcoeffs, rhs, rel == _LT)
+    return sorted(out.values(), key=Constraint.sort_key)
+
+
+def typed(constraints):
+    """Each constraint's fields with their types, so that equal values of
+    another type (a list normal, an int bound, an int flag) differ."""
+    return [(c.normal, type(c.normal), tuple(map(type, c.normal)), c.bound, type(c.bound),
+             c.strict, type(c.strict)) for c in constraints]
+
+
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
@@ -917,6 +952,48 @@ class TestIntegerKernelsMatchReference:
             assert lattice._max_min_slack(poly.constraints, f.n) == expected
             assert [(enter, leave) for enter, leave, *_ in seen] == path  # and so their count
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2), st.integers(1, 3), st.data())
+    def test_emitter_on_repeated_normals(self, drop, dim, data):
+        # A few primitive normals, each row a multiple of one (negated or
+        # not) with a small bound, so that one normal meets several bounds,
+        # strict and closed ties at one bound, negative bounds and equations.
+        bases = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim).filter(any),
+                                   min_size=1, max_size=3))
+        row = st.tuples(st.sampled_from(bases), st.integers(-3, 3).filter(bool),
+                        st.sampled_from((_EQ, _LE, _LT)), st.integers(-4, 4))
+        rows = [([0] * drop + [k * c for c in base], rel, k * rhs)
+                for base, k, rel, rhs in data.draw(st.lists(row, max_size=8))]
+        expected = ref_emit_constraints(rows, drop)
+        assert typed(lattice._emit_constraints(rows, drop)) == typed(expected)
+
+    def test_emitter_ties_and_negative_bounds(self):
+        rows = [([2, 4], _LE, -6), ([1, 2], _LT, -3), ([3, 6], _LE, -9),
+                ([-1, -2], _EQ, 3), ([0, 5], _LT, 0), ([0, 1], _LE, 0), ([0, 0], _LE, 1)]
+        got = lattice._emit_constraints(rows, 0)
+        assert typed(got) == typed(ref_emit_constraints(rows, 0))
+        assert got == [Constraint((-1, -2), 3), Constraint((0, 1), 0, True),
+                       Constraint((1, 2), -3, True)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.booleans(), st.data())
+    def test_emitter_on_image_rows(self, dim, relative_interior, data):
+        verts = data.draw(vertex_images(dim))
+        seen = []
+        emit = lattice._emit_constraints
+
+        def spy(rows, drop):
+            seen.append((rows, drop))
+            return emit(rows, drop)
+
+        lattice._emit_constraints = spy
+        try:
+            p = simplex_image_polyhedron(verts, relative_interior)
+        finally:
+            lattice._emit_constraints = emit
+        (rows, drop), = seen
+        assert typed(p.constraints) == typed(ref_emit_constraints(rows, drop))
+
     def test_unsatisfiable_constant_rows_raise(self):
         # Invariants of the elimination, checked with raises so that -O keeps them.
         with pytest.raises(ArithmeticError):
@@ -1001,18 +1078,24 @@ class TestRelintMemo:
         assert itself == [copy] * 3 and copy == answer(own)
 
     def test_self_query_solves_the_sorted_unique_system(self, monkeypatch):
-        # A polyhedron built by hand may list its constraints unsorted and
-        # repeated; its self-query solves the system a copy would meet.
+        # A polyhedron built by hand may list its constraints unsorted or
+        # repeated; its self-query solves the system a copy would meet.  Only
+        # constraints whose sort keys strictly increase are solved as listed.
         a, b = Constraint((1,), Fraction(1), True), Constraint((-1,), Fraction(0), True)
-        p = RationalPolyhedron(1, (a, b, a))
+        c = Constraint((1,), Fraction(2), False)
         solves = []
         solve = lattice._max_min_slack
         monkeypatch.setattr(lattice, "_max_min_slack",
-                            lambda cs, d: solves.append(tuple(cs)) or solve(cs, d))
-        hit, witness = relint_intersection_nonempty(p, p)
-        assert solves == [(b, a)]
-        assert relint_intersection_nonempty(p, RationalPolyhedron(1, (b,))) == (hit, witness)
-        assert hit and p.contains(witness)
+                            lambda cs, d: solves.append(cs) or solve(cs, d))
+        for listed, expected in [((a, b, a), (b, a)), ((b, a, a, c), (b, a, c)),
+                                 ((c, a, b), (b, a, c)), ((b, a, c), (b, a, c))]:
+            p = RationalPolyhedron(1, listed)
+            solves.clear()
+            hit, witness = relint_intersection_nonempty(p, p)
+            assert [tuple(cs) for cs in solves] == [expected]
+            assert (solves[0] is p.constraints) == (listed == expected)
+            assert relint_intersection_nonempty(p, RationalPolyhedron(1, (b,))) == (hit, witness)
+            assert hit and p.contains(witness)
 
     def test_memo_is_not_part_of_the_value(self):
         assert [f.name for f in dataclasses.fields(RationalPolyhedron)] == ["ambient_dim",
