@@ -232,6 +232,15 @@ def build_delta_complex(ell: int, d: int,
 def _delta_parts(strata, face_entries) -> tuple[tuple[Stratum, ...], dict]:
     """The strata and the face map that ``build_delta_complex`` builds its
     complex from."""
+    built = _delta_strata(strata)
+    face_map = {}
+    for owner, subset, fid in face_entries:
+        _file_face(face_map, owner, subset, fid)
+    return built, face_map
+
+
+def _delta_strata(strata) -> tuple[Stratum, ...]:
+    """The strata of a Delta complex, each a ``Stratum`` or ``(id, vertices)``."""
     built = []
     for s in strata:
         if isinstance(s, Stratum):
@@ -239,10 +248,7 @@ def _delta_parts(strata, face_entries) -> tuple[tuple[Stratum, ...], dict]:
         else:
             sid, verts = s
             built.append(Stratum(sid, tuple(verts)))
-    face_map = {}
-    for owner, subset, fid in face_entries:
-        _file_face(face_map, owner, subset, fid)
-    return tuple(built), face_map
+    return tuple(built)
 
 
 def _file_face(face_map: dict, owner, subset, fid) -> None:

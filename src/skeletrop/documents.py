@@ -24,7 +24,7 @@ from operator import itemgetter
 
 from ._exact import at_least, fraction, ints, is_int
 from ._version import __version__
-from .complexes import DualComplex, _delta_parts, _facet_complex, _file_face
+from .complexes import DualComplex, _delta_strata, _facet_complex, _file_face
 from .sections import OrderMatrix, canonical_order_matrix
 from .tropicalize import MODES, FaceDischarge, FaithfulnessReport
 
@@ -122,30 +122,6 @@ def _int_list(values, path) -> list[int]:
         k = next(k for k, v in enumerate(values) if not is_int(v))
         raise InputError(f"{path}[{k}]", f"expected an integer, got {values[k]!r}") from None
     return values
-
-
-class _Rendered(dict):
-    """The text of each distinct value, rendered on its first lookup.
-
-    A certificate repeats few distinct values across its O(S^2) pair
-    records: S stratum ids, a handful of exact verdicts, one face discharge
-    per ambient stratum and one separation per (stratum, coordinate).
-    Looking each up by value renders it once per certificate; the pair
-    writer looks up the fields of each group of records once, and each
-    right-hand stratum id once per record.  A Delta input text repeats
-    its stratum ids and face-map subsets in the same way, and
-    ``input_text`` renders each once per text; the parser keeps one
-    frozenset per distinct face-map subset in one, with ``frozenset`` as
-    its ``render``.
-    """
-
-    def __init__(self, render, known=()):
-        super().__init__(known)
-        self.render = render
-
-    def __missing__(self, value):
-        text = self[value] = self.render(value)
-        return text
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +289,7 @@ def _parse_complex(spec: dict, path: str) -> tuple[DualComplex, str]:
     # The strata are built, then the face-map entries filed, then the strata
     # indexed by id, and the first fault found is the one reported.
     try:
-        built, _ = _delta_parts(strata, ())
+        built = _delta_strata(strata)
     except ValueError as exc:
         raise InputError(f"{path}.strata", str(exc)) from None
     if face_map is None:
@@ -665,6 +641,30 @@ def _stratum_record(cert) -> str:
             f'      "id": {_encode(cert.stratum)},\n'
             f'      "unimodular": {_literal(cert.verdict)}\n'
             "    }")
+
+
+class _Rendered(dict):
+    """The text of each distinct value, rendered on its first lookup.
+
+    A certificate repeats few distinct values across its O(S^2) pair
+    records: S stratum ids, a handful of exact verdicts, one face discharge
+    per ambient stratum and one separation per (stratum, coordinate).
+    Looking each up by value renders it once per certificate; the pair
+    writer looks up the fields of each group of records once, and each
+    right-hand stratum id once per record.  A Delta input text repeats
+    its stratum ids and face-map subsets in the same way, and
+    ``input_text`` renders each once per text; the parser keeps one
+    frozenset per distinct face-map subset in one, with ``frozenset`` as
+    its ``render``.
+    """
+
+    def __init__(self, render, known=()):
+        super().__init__(known)
+        self.render = render
+
+    def __missing__(self, value):
+        text = self[value] = self.render(value)
+        return text
 
 
 def _exact_field(x) -> str:

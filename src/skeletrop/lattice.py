@@ -416,16 +416,12 @@ def _eliminate_variables(rows, drop: int):
             pc, _, prhs = rows.pop(k)
             # Multiply by |pivot|, not by the pivot, to keep inequalities.
             mp, sp = abs(pc[j]), (1 if pc[j] > 0 else -1)
-            # mp * row - f * pivot row, touching only the pivot row's nonzeros.
-            support = [(i, q) for i, q in enumerate(pc) if q]
             new_rows = []
             for coeffs, rel, rhs in rows:
                 f = coeffs[j] * sp
                 if f != 0:
-                    coeffs = coeffs[:] if mp == 1 else [mp * c for c in coeffs]
-                    for i, q in support:
-                        coeffs[i] -= f * q
-                    coeffs, rhs = _reduced(coeffs, mp * rhs - f * prhs)
+                    coeffs, rhs = _reduced([mp * c - f * q for c, q in zip(coeffs, pc)],
+                                           mp * rhs - f * prhs)
                 new_rows.append((coeffs, rel, rhs))
             rows = new_rows
             continue
@@ -487,15 +483,8 @@ def _emit_constraints(rows, drop: int) -> list[Constraint]:
             push(tuple([-c for c in normal]), -rhs, g, False)
         else:
             push(normal, rhs, g, rel == _LT)
-    # Few distinct bounds (most are 0), so each Fraction is made once.
-    bounds: dict[tuple[int, int], Fraction] = {}
-    out = []
-    for normal, (num, den, strict) in sorted(best.items()):
-        bound = bounds.get((num, den))
-        if bound is None:
-            bound = bounds[num, den] = Fraction(num, den)
-        out.append(Constraint._from_checked(normal, bound, strict))
-    return out
+    return [Constraint._from_checked(normal, Fraction(num, den), strict)
+            for normal, (num, den, strict) in sorted(best.items())]
 
 
 def simplex_image_polyhedron(vertex_images: Sequence[Sequence],
