@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import bounds
 from ._exact import at_least
@@ -24,9 +23,9 @@ from .bounds import BoundQuery, coordinate_count, corollary_twist, phi_upper_bou
 from .complexes import DualComplex, connected_components, validate_complex
 # ``emit_certificate`` is not called here; it stays importable from this
 # module because the benchmark's traced run wraps it by this name.
-from .documents import (FIXTURE_KINDS, InputDocument, certificate_texts,
-                        emit_certificate, generate_fixture, input_digest, input_text,
-                        orders_texts, parse_input)
+from .documents import (FIXTURE_KINDS, MAX_DOCUMENT_BYTES, InputDocument, InputError,
+                        certificate_texts, emit_certificate, generate_fixture,
+                        input_digest, input_text, orders_texts, parse_input)
 from .sections import OrderMatrix, canonical_order_matrix, validate_orders
 from .tropicalize import MODES, check_faithful
 
@@ -42,14 +41,60 @@ WRITE_BATCH = 4096
 # a time, at most 4 MiB once encoded, so writing never holds a second copy
 # of it in bytes.
 WRITE_SLICE = 1 << 20
+# A document is read this many bytes at a time after its first read, which
+# asks for a regular file's whole size.
+READ_CHUNK = 1 << 20
+
+
+def _read_bounded(stream, first: int) -> bytes | None:
+    """The binary ``stream`` to its end, or None once it gives more than
+    ``MAX_DOCUMENT_BYTES``: ``first`` bytes, then ``READ_CHUNK`` at a time.
+    A read of n bytes allocates n up front, so a small document never costs
+    a buffer the size of the limit."""
+    chunks, left, step = [], MAX_DOCUMENT_BYTES + 1, first
+    while left > 0:
+        chunk = stream.read(min(step, left))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        left -= len(chunk)
+        step = READ_CHUNK
+    return None if left == 0 else b"".join(chunks)
+
+
+def _read_text(path: str) -> str:
+    """The text of the document in the file ``path``, or on stdin for ``-``.
+
+    A document of more than ``MAX_DOCUMENT_BYTES`` bytes is refused before
+    it is decoded: a regular file by its size, before anything is read, and
+    stdin once it gives one byte more than the limit.  The bytes are
+    decoded as UTF-8 and dropped on return, before anything parses the
+    text; a file's line ends are translated as ``open`` in text mode
+    translates them.  A text stream in stdin's place, such as a
+    ``StringIO``, is in memory already: it is read whole, and
+    ``parse_input`` bounds its characters.
+    """
+    limit = MAX_DOCUMENT_BYTES
+    if path == "-":
+        stream = getattr(sys.stdin, "buffer", None)
+        if stream is None:
+            return sys.stdin.read()
+        data = _read_bounded(stream, READ_CHUNK)
+    else:
+        with open(path, "rb") as fh:
+            # A pipe or a device has size 0: it is read a chunk at a time.
+            size = os.fstat(fh.fileno()).st_size
+            data = _read_bounded(fh, size + 1) if size <= limit else None
+    if data is None:
+        raise InputError("$", f"the document has more than {limit} bytes")
+    text = data.decode("utf-8")
+    if path != "-" and "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _read_document(path: str) -> InputDocument:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    return parse_input(text)
+    return parse_input(_read_text(path))
 
 
 def _write_batches(texts, fh) -> None:

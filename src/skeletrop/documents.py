@@ -30,6 +30,7 @@ from .tropicalize import MODES, FaceDischarge, FaithfulnessReport
 
 __all__ = [
     "SCHEMA_VERSION",
+    "MAX_DOCUMENT_BYTES",
     "InputError",
     "InputDocument",
     "parse_input",
@@ -61,6 +62,15 @@ MAX_FACE_MAP_ENTRIES = 250_000
 # 0.7 s and peak at 49.5 MB resident, since the certificate is written as it
 # is rendered.
 MAX_STRATA = 1_000
+# Most bytes a document may have.  Ids have no length limit and JSON allows
+# any amount of whitespace, so no byte count follows from the two limits
+# above: this one is a stated policy.  The largest canonical document they
+# accept with short ids, 1,000 singleton facets with their 1,000 x 1,000
+# order matrix written out, has 11,068,125 bytes; the most face-map entries
+# they accept, 34,664, take 4,675,191.  The limit is a little over twice the
+# larger.  ``cli`` refuses a larger document before decoding it, and
+# ``parse_input`` refuses a text of more characters.
+MAX_DOCUMENT_BYTES = 24 << 20
 
 
 class InputError(ValueError):
@@ -340,7 +350,15 @@ def _parse_orders(spec: dict, ell: int, path: str) -> OrderMatrix:
 
 
 def parse_input(text: str) -> InputDocument:
-    """Parse and structurally validate an input document."""
+    """Parse and structurally validate an input document.
+
+    A text of more than ``MAX_DOCUMENT_BYTES`` characters is refused before
+    it is read: each character is at least one byte in UTF-8, so its
+    document has more bytes than the limit.  A shorter text is not encoded
+    to be measured; ``cli`` bounds the bytes themselves as it reads them.
+    """
+    if len(text) > MAX_DOCUMENT_BYTES:
+        raise InputError("$", f"the document has more than {MAX_DOCUMENT_BYTES} bytes")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

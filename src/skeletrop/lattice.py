@@ -11,9 +11,13 @@ selector is not a right inverse, which no validated map has); it is also
 the only full reduction: ``complete_to_basis`` keeps the inverse of the
 column transform up to date while it runs, so one pass completes a basis.
 The determinant, rank, Fourier-Motzkin and simplex kernels run on Python
-ints: rows are cleared of denominators once and kept integer by
+ints: data are cleared of denominators once and kept integer by
 fraction-free (Bareiss) updates and gcd reduction.  The determinant and
-the rank stop at an echelon form built with the simplex's row update.
+the rank stop at an echelon form eliminated in place below each pivot.
+The simplex keeps its tableau column by column, each column in lowest
+terms over its own denominator, so a pivot rewrites only the columns its
+pivot row reaches; it pivots as the row-major Bareiss tableau would, with
+no larger entries.
 ``fractions.Fraction`` appears only at the API boundary: constraint bounds,
 the points ``RationalPolyhedron.contains`` tests, and LP values and
 witnesses.  Vertex images are used as given and their denominators cleared
@@ -545,34 +549,44 @@ def simplex_image_polyhedron(vertex_images: Sequence[Sequence],
 
 # --- fraction-free elimination and the exact simplex method ------------------
 #
-# A tableau is integer rows over one positive denominator d: the true tableau
-# is rows / d.  ``_bareiss``, the one row update, serves the echelon form and
-# the simplex.  The simplex keeps a condensed tableau: a row holds only the
-# non-basic columns (a basic one is d * e_r), then its right-hand side, and
-# ``slots`` names each kept column's variable; one slot, the + part's, holds
-# a free pair x+_i, x-_i or t+, t-, whose columns are each other's negation.
+# ``_echelon`` keeps integer rows over one positive denominator d, the true
+# rows being rows / d, and ``_bareiss`` is its row update.  The simplex keeps
+# a condensed tableau column by column: each kept column, and last the
+# right-hand side, is one integer list over the rows (while the objective is
+# in play, its entry last) over its own positive denominator, kept in lowest
+# terms.  A basic column, e_r, is not kept, and ``slots`` names each kept
+# column's variable; one slot, the + part's, holds a free pair x+_i, x-_i or
+# t+, t-, whose columns are each other's negation.  A pivot on row r changes
+# only the columns with a nonzero entry in row r.  Every choice reads only
+# signs, and the ratios of the entering column to the right-hand side, which
+# the two denominators scale alike, so the pivots are those of the row-major
+# Bareiss tableau; and a column in lowest terms is that tableau's column
+# (over the basis determinant, a multiple of its denominator) divided by a
+# positive integer, so no entry is larger.
 
 
-def _bareiss(rows, d: int, r: int, c: int) -> int:
-    """Fraction-free pivot on entry (r, c); returns the new denominator.
+def _bareiss(rows, top: int, c: int, d: int) -> int:
+    """Fraction-free pivot on entry (top, c) of the rows from ``top`` down;
+    returns the new denominator.
 
-    With ``p = rows[r][c]``, every other row becomes ``(p * row - row[c] *
-    rows[r]) // d``; the division is exact, each entry being a minor of the
-    starting tableau (Sylvester's identity, as in Bareiss elimination).  A
+    With ``p = rows[top][c]``, every row below becomes ``(p * row - row[c]
+    * rows[top]) // d``; the division is exact, each entry being a minor of
+    the starting rows (Sylvester's identity, as in Bareiss elimination).  A
     negative pivot negates the pivot row first, so ``p`` stays positive.
+    Rows above ``top`` are not touched.
     """
-    prow = rows[r]
+    prow = rows[top]
     p = prow[c]
     if p < 0:
         p = -p
-        prow = rows[r] = [-x for x in prow]
-    for i, row in enumerate(rows):
-        if i != r:
-            f = row[c]
-            if f != 0:
-                rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
-            elif p != d:
-                rows[i] = [p * x // d for x in row]
+        prow = rows[top] = [-x for x in prow]
+    for i in range(top + 1, len(rows)):
+        row = rows[i]
+        f = row[c]
+        if f != 0:
+            rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        elif p != d:
+            rows[i] = [p * x // d for x in row]
     return p
 
 
@@ -580,12 +594,12 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[int, int, int]:
     """Fraction-free elimination to echelon form on the first ``ncols`` columns.
 
     Column by column, the first row at or below the current rank with a
-    nonzero entry is swapped up to that rank and pivoted on with
-    ``_bareiss``, which sees only the rows from that rank down; columns with
-    no such row are skipped.  Returns ``(d, sign, rank)``: ``d`` is the last
-    pivot, ``rank`` the pivot count, and ``sign`` (+-1) flips on every swap
-    and every negative pivot, so that for a square matrix of full rank
-    ``sign * d`` is its determinant.  ``rows`` is reduced in place.
+    nonzero entry is swapped up to that rank and pivoted on in place with
+    ``_bareiss``, which updates only the rows below it; columns with no such
+    row are skipped.  Returns ``(d, sign, rank)``: ``d`` is the last pivot,
+    ``rank`` the pivot count, and ``sign`` (+-1) flips on every swap and
+    every negative pivot, so that for a square matrix of full rank ``sign *
+    d`` is its determinant.  ``rows`` is reduced in place.
     """
     d, sign, rank = 1, 1, 0
     for c in range(ncols):
@@ -597,67 +611,87 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[int, int, int]:
             sign = -sign
         if rows[rank][c] < 0:
             sign = -sign
-        below = rows[rank:]
-        d = _bareiss(below, d, 0, c)
-        rows[rank:] = below
+        d = _bareiss(rows, rank, c, d)
         rank += 1
     return d, sign, rank
 
 
-def _pivot(rows, basis, slots, d: int, r: int, c: int, enter: int, dim: int) -> int:
+def _pivot(cols, dens, basis, slots, r: int, c: int, enter: int, dim: int) -> None:
     """Simplex pivot: ``enter``, in slot ``c``, replaces row ``r``'s basic
-    variable; returns the new denominator.  After ``_bareiss``, slot ``c``
-    takes the leaving variable's column, once d * e_r: ``-f * s`` in each
-    row with ``f`` in slot ``c``, ``s * d`` in row ``r``, where ``s = -1`` if
-    a negative pivot negated that row, and negated if a minus part leaves."""
-    col = [row[c] for row in rows]
-    p = _bareiss(rows, d, r, c)
-    s, leave = (1 if col[r] > 0 else -1), basis[r]
+    variable.
+
+    With the pivot column ``C / dc`` and ``p = C[r]`` of sign ``s``, a
+    column ``K / dk`` with ``f = K[r]`` nonzero becomes ``K * |p| - s * f *
+    C`` with ``s * f * dc`` in row r, over ``dk * |p|``, reduced by one
+    gcd; a column with ``f = 0`` keeps its values, and is left as it is.
+    Slot ``c`` takes the leaving variable's column, once e_r: ``-s * C``
+    with ``s * dc`` in row r, over ``|p|``, already in lowest terms, and
+    negated if a minus part leaves.
+    """
+    pcol, dc = cols[c], dens[c]
+    p = pcol[r]
+    s, ap = (1, p) if p > 0 else (-1, -p)
+    for k, col in enumerate(cols):
+        f = col[r]
+        if f and k != c:
+            f *= s
+            new = [x * ap - f * y for x, y in zip(col, pcol)]
+            new[r] = f * dc
+            den = dens[k] * ap
+            g = gcd(den, *new)
+            if g > 1:
+                new = [x // g for x in new]
+                den //= g
+            cols[k], dens[k] = new, den
+    leave = basis[r]
     if dim <= leave < 2 * dim or leave == 2 * dim + 1:
         s, leave = -s, leave - (dim if leave < 2 * dim else 1)
-    for row, f in zip(rows, col):
-        row[c] = -f * s
-    rows[r][c] = s * d
+    new = [-s * y for y in pcol]
+    new[r] = s * dc
+    cols[c], dens[c] = new, ap
     slots[c], basis[r] = leave, enter
-    return p
 
 
-def _run_simplex(rows, basis, slots, cost, d: int, dim: int):
-    """Maximize cost . z (integer costs, one per variable) over ``rows / d``.
+def _run_simplex(cols, dens, basis, slots, cost, dim: int) -> tuple[int, int]:
+    """Maximize cost . z (integer costs, one per variable) over the columns.
 
     Bland's rule enters the least index with a positive reduced cost; a
     negative one on a pair slot is positive for the minus part, x-_i (index
     ``dim + i``) or t- (``2 * dim + 1``), whose column is the slot negated.
-    The ratio test compares ``rhs / a`` by cross-multiplication and breaks
-    ties by the smaller basic index.  Below the rows while this runs, the
-    objective row holds the reduced costs and the negated value.  Returns
-    ``(v, d)``: the optimum is ``v / d`` on the final denominator.
+    The ratio test compares ``rhs / a`` by cross-multiplication within the
+    entering column and the right-hand side, whose denominators scale every
+    ratio alike, and breaks ties by the smaller basic index.  While this
+    runs each column carries its objective entry last: the reduced cost, or
+    on the right-hand side the negated value, over the column's
+    denominator; they are dropped on return.  Returns ``(v, den)``: the
+    optimum is ``v / den``, over the right-hand side's final denominator.
     """
-    obj = [d * cost[v] for v in slots] + [0]
-    for row, b in zip(rows, basis):
-        if cost[b]:
-            obj = [x - cost[b] * y for x, y in zip(obj, row)]
-    rows.append(obj)
+    m = len(basis)
+    weights = [(i, cost[b]) for i, b in enumerate(basis) if cost[b]]
+    for col, den, v in zip(cols, dens, [*slots, None]):
+        col.append((0 if v is None else den * cost[v]) - sum(w * col[i] for i, w in weights))
     while True:
-        obj = rows[-1]
         live = [(v if o > 0 else v + dim if v < dim else v + 1, k)
-                for k, (v, o) in enumerate(zip(slots, obj)) if o > 0 or o < 0 and v <= 2 * dim]
+                for k, (v, col) in enumerate(zip(slots, cols))
+                if (o := col[m]) > 0 or o < 0 and v <= 2 * dim]
         if not live:
-            rows.pop()
-            return -obj[-1], d
+            value = -cols[-1][m], dens[-1]
+            for col in cols:
+                col.pop()
+            return value
         enter, c = min(live)
+        col, rhs = cols[c], cols[-1]
         if enter != slots[c]:
-            for row in rows:
-                row[c] = -row[c]
+            cols[c] = col = [-x for x in col]
         best = None
-        for i in range(len(basis)):
-            a, rhs = rows[i][c], rows[i][-1]
-            if a > 0 and (best is None or rhs * ba < brhs * a
-                          or rhs * ba == brhs * a and basis[i] < basis[best]):
-                best, brhs, ba = i, rhs, a
+        for i in range(m):
+            a = col[i]
+            if a > 0 and (best is None or rhs[i] * ba < brhs * a
+                          or rhs[i] * ba == brhs * a and basis[i] < basis[best]):
+                best, brhs, ba = i, rhs[i], a
         if best is None:
             raise ArithmeticError("linear program is unbounded")
-        d = _pivot(rows, basis, slots, d, best, c, enter, dim)
+        _pivot(cols, dens, basis, slots, best, c, enter, dim)
 
 
 def _max_min_slack(constraints: Sequence[Constraint], dim: int):
@@ -667,30 +701,37 @@ def _max_min_slack(constraints: Sequence[Constraint], dim: int):
     relaxation is infeasible.  A strictly positive value certifies a point
     satisfying every strict constraint strictly.  The right-hand sides are
     scaled by the lcm of the bound denominators, which changes no sign and
-    no ratio order, so the tableau starts out integer.  The variables are
-    x+ (0..dim-1), x- (dim..2*dim-1), t+, t-, a slack per row (the cap row
-    last), and an artificial per row with a negative right-hand side.  The
-    pivots are the full tableau's: each kept entry is the full one, every
-    choice reads full indices, the costs and row updates keep a pair's
-    columns negatives, and while one part is basic the other's column is
-    -d * e_r, with reduced cost 0 and no entry in an artificial's row.
+    no ratio order, so the tableau starts out integer, every column over 1.
+    The variables are x+ (0..dim-1), x- (dim..2*dim-1), t+, t-, a slack per
+    row (the cap row last), and an artificial per row with a negative
+    right-hand side.  The pivots are the full tableau's: each kept entry
+    over its column's denominator is the full one, every choice reads full
+    indices, the costs and the column updates keep a pair's columns
+    negatives, and while one part is basic the other's column is -e_r, with
+    reduced cost 0 and no entry in an artificial's row.  The columns are
+    those of the row-major Bareiss tableau divided by positive integers, so
+    they pivot alike and no entry grows larger.
     """
     m = len(constraints) + 1
     total = 2 * dim + 2 + m
     bounds, scale = cleared([c.bound for c in constraints])
-    rows = [[*c.normal, int(c.strict), bound] for c, bound in zip(constraints, bounds)]
-    rows.append([0] * dim + [1, scale])
+    cols = [[c.normal[j] for c in constraints] + [0] for j in range(dim)]
+    cols.append([int(c.strict) for c in constraints] + [1])
+    cols.append(bounds + [scale])
     slots, basis = [*range(dim), 2 * dim], list(range(total - m, total))
-    negative = [i for i in range(m) if rows[i][-1] < 0]
-    nart, d = len(negative), 1
-    if nart:
-        rows = [row[:-1] + [0] * nart + row[-1:] for row in rows]
-        for idx, i in enumerate(negative):
-            rows[i] = [-x for x in rows[i]]
-            rows[i][dim + 1 + idx] = -1
-            slots.append(basis[i])
-            basis[i] = total + idx
-        v, d = _run_simplex(rows, basis, slots, [0] * total + [-1] * nart, d, dim)
+    negative = [i for i in range(m) if cols[-1][i] < 0]
+    for col in cols:
+        for i in negative:
+            col[i] = -col[i]
+    for idx, i in enumerate(negative):
+        col = [0] * m
+        col[i] = -1
+        cols.insert(-1, col)
+        slots.append(basis[i])
+        basis[i] = total + idx
+    dens = [1] * len(cols)
+    if negative:
+        v, den = _run_simplex(cols, dens, basis, slots, [0] * total + [-1] * len(negative), dim)
         if v < 0:
             return None, None
         # Drive leftover artificials out of the basis.  Every row has its own
@@ -698,17 +739,17 @@ def _max_min_slack(constraints: Sequence[Constraint], dim: int):
         # basic variable is artificial always has a nonzero real entry.
         for i in range(m):
             if basis[i] >= total:
-                c = min((k for k, v in enumerate(slots) if v < total and rows[i][k]),
+                c = min((k for k, v in enumerate(slots) if v < total and cols[k][i]),
                         key=slots.__getitem__)
-                d = _pivot(rows, basis, slots, d, i, c, slots[c], dim)
-        keep = [k for k, v in enumerate(slots) if v < total]
-        rows = [[row[k] for k in keep] + row[-1:] for row in rows]
-        slots = [slots[k] for k in keep]
-    v, d = _run_simplex(rows, basis, slots, [0] * 2 * dim + [1, -1] + [0] * m, d, dim)
-    den = d * scale
+                _pivot(cols, dens, basis, slots, i, c, slots[c], dim)
+        keep = [k for k, v in enumerate(slots) if v < total] + [len(slots)]
+        cols, dens = [cols[k] for k in keep], [dens[k] for k in keep]
+        slots = [slots[k] for k in keep[:-1]]
+    v, den = _run_simplex(cols, dens, basis, slots, [0] * 2 * dim + [1, -1] + [0] * m, dim)
+    rhs, den = cols[-1], den * scale
     solution = [0] * total
-    for row, b in zip(rows, basis):
-        solution[b] = row[-1]
+    for x, b in zip(rhs, basis):
+        solution[b] = x
     point = tuple(Fraction(solution[i] - solution[dim + i], den) for i in range(dim))
     return Fraction(v, den), point
 

@@ -259,6 +259,60 @@ def test_hostile_json_exits_1_without_traceback(tmp_path):
         assert "Traceback" not in proc.stderr, name
 
 
+def test_documents_over_the_byte_limit_exit_1_undecoded(tmp_path, capsys, monkeypatch):
+    # One byte over the limit: a file is refused by its size, unread (a
+    # sparse file, so it takes no disk), and stdin after limit + 1 bytes.
+    limit = documents.MAX_DOCUMENT_BYTES
+    decoded = []
+    monkeypatch.setattr(cli, "parse_input", decoded.append)
+    big = tmp_path / "big.json"
+    with open(big, "wb") as fh:
+        fh.truncate(limit + 1)
+    refused = f"error: $: the document has more than {limit} bytes\n"
+    for verb in ("check", "validate", "canonical"):
+        assert main([verb, str(big)]) == 1
+        assert capsys.readouterr() == ("", refused)
+
+    class Stream:
+        def read(self, size):
+            asked.append(size)
+            return b" " * size
+
+    asked = []
+    monkeypatch.setattr("sys.stdin", type("Stdin", (), {"buffer": Stream()})())
+    assert main(["validate", "-"]) == 1
+    assert capsys.readouterr() == ("", refused)
+    # An endless stream gives limit + 1 bytes, a chunk at a time, and stops.
+    assert sum(asked) == limit + 1 and max(asked) == cli.READ_CHUNK and not decoded
+    # At the limit the bytes are decoded and parsed.
+    with open(big, "r+b") as fh:
+        fh.truncate(limit)
+    cli._read_document(str(big))
+    assert len(decoded) == 1 and len(decoded.pop()) == limit
+
+
+def test_non_utf8_input_is_refused_alike_from_a_file_and_stdin(tmp_path, capsys, monkeypatch):
+    import io
+
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    want = "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == want
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff{}"),
+                                                      errors="surrogateescape"))
+    assert main(["validate", "-"]) == 1
+    assert capsys.readouterr().err == want
+
+
+def test_a_file_reads_line_ends_as_text_mode_does(tmp_path, capsys):
+    # The position in a JSON error counts characters after the translation.
+    bad = tmp_path / "crlf.json"
+    bad.write_bytes(b'{"a":\r\n"\x01"}')
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.endswith("line 2 column 2 (char 7)\n")
+
+
 def test_validate_warns_on_disconnected(tmp_path, capsys):
     doc = tmp_path / "two.json"
     doc.write_text(json.dumps({

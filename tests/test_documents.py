@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from skeletrop import documents
 from skeletrop._version import __version__
 from skeletrop.cli import main
-from skeletrop.documents import (MAX_FACE_MAP_ENTRIES, MAX_STRATA, SCHEMA_VERSION, InputError,
-                                 emit_certificate,
+from skeletrop.documents import (MAX_DOCUMENT_BYTES, MAX_FACE_MAP_ENTRIES, MAX_STRATA,
+                                 SCHEMA_VERSION, InputError, emit_certificate,
                                  format_rational, generate_fixture, input_digest,
                                  input_text, parse_input, parse_rational)
 from skeletrop.lattice import IntMatrix
@@ -123,6 +123,16 @@ class TestParseInput:
             parse_input(doc({"ell": 10, "d": 9, "facets": [list(range(1, 11))]}))
         # The largest fixture on the benchmark ladder still parses.
         assert len(generate_fixture("cycle", n=400).complex.strata) == 800
+
+    def test_byte_limit(self):
+        # A text of more characters than the limit has more bytes: it is
+        # refused before json reads it.  Whitespace up to the limit is read.
+        text = '{"schema_version": 1, "complex": {"ell": 2, "d": 1, "facets": [[1, 2]]}}'
+        padded = text + " " * (MAX_DOCUMENT_BYTES - len(text))
+        assert parse_input(padded).complex.ell == 2
+        with pytest.raises(InputError, match=f"more than {MAX_DOCUMENT_BYTES} bytes") as info:
+            parse_input(padded + " ")
+        assert info.value.path == "$"
 
     def test_ell_beyond_stratum_limit(self):
         # Disjoint 5-vertex Delta strata list 5 distinct vertices each, so the

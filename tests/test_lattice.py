@@ -742,6 +742,112 @@ def ref_max_min_slack(constraints, dim, path=None):
     return value, tuple(solution[i] - solution[dim + i] for i in range(dim))
 
 
+# The condensed simplex as it stood row by row: integer rows, the objective
+# row below them while a phase runs, over one denominator d kept by Bareiss
+# updates.  Every row is rewritten on each pivot unless its entry in the
+# pivot column is 0 and the denominator does not change.  Given a list
+# ``widths``, the largest bit length of an entry or the denominator is
+# appended to it at the start and after every pivot.
+
+
+def widest(lists):
+    return max((abs(x).bit_length() for xs in lists for x in xs), default=0)
+
+
+def ref_condensed_pivot(rows, basis, slots, d, r, c, enter, dim, widths):
+    col = [row[c] for row in rows]
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        p = -p
+        prow = rows[r] = [-x for x in prow]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            if f != 0:
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                rows[i] = [p * x // d for x in row]
+    s, leave = (1 if col[r] > 0 else -1), basis[r]
+    if dim <= leave < 2 * dim or leave == 2 * dim + 1:
+        s, leave = -s, leave - (dim if leave < 2 * dim else 1)
+    for row, f in zip(rows, col):
+        row[c] = -f * s
+    rows[r][c] = s * d
+    slots[c], basis[r] = leave, enter
+    if widths is not None:
+        widths.append(widest([*rows, [p]]))
+    return p
+
+
+def ref_condensed_run_simplex(rows, basis, slots, cost, d, dim, widths):
+    obj = [d * cost[v] for v in slots] + [0]
+    for row, b in zip(rows, basis):
+        if cost[b]:
+            obj = [x - cost[b] * y for x, y in zip(obj, row)]
+    rows.append(obj)
+    while True:
+        obj = rows[-1]
+        live = [(v if o > 0 else v + dim if v < dim else v + 1, k)
+                for k, (v, o) in enumerate(zip(slots, obj)) if o > 0 or o < 0 and v <= 2 * dim]
+        if not live:
+            rows.pop()
+            return -obj[-1], d
+        enter, c = min(live)
+        if enter != slots[c]:
+            for row in rows:
+                row[c] = -row[c]
+        best = None
+        for i in range(len(basis)):
+            a, rhs = rows[i][c], rows[i][-1]
+            if a > 0 and (best is None or rhs * ba < brhs * a
+                          or rhs * ba == brhs * a and basis[i] < basis[best]):
+                best, brhs, ba = i, rhs, a
+        if best is None:
+            raise ArithmeticError("linear program is unbounded")
+        d = ref_condensed_pivot(rows, basis, slots, d, best, c, enter, dim, widths)
+
+
+def ref_condensed_max_min_slack(constraints, dim, widths=None):
+    m = len(constraints) + 1
+    total = 2 * dim + 2 + m
+    scale = math.lcm(*(c.bound.denominator for c in constraints))
+    rows = [[*c.normal, int(c.strict), int(c.bound * scale)] for c in constraints]
+    rows.append([0] * dim + [1, scale])
+    if widths is not None:
+        widths.append(widest(rows))
+    slots, basis = [*range(dim), 2 * dim], list(range(total - m, total))
+    negative = [i for i in range(m) if rows[i][-1] < 0]
+    nart, d = len(negative), 1
+    if nart:
+        rows = [row[:-1] + [0] * nart + row[-1:] for row in rows]
+        for idx, i in enumerate(negative):
+            rows[i] = [-x for x in rows[i]]
+            rows[i][dim + 1 + idx] = -1
+            slots.append(basis[i])
+            basis[i] = total + idx
+        v, d = ref_condensed_run_simplex(rows, basis, slots, [0] * total + [-1] * nart, d, dim,
+                                         widths)
+        if v < 0:
+            return None, None
+        for i in range(m):
+            if basis[i] >= total:
+                c = min((k for k, v in enumerate(slots) if v < total and rows[i][k]),
+                        key=slots.__getitem__)
+                d = ref_condensed_pivot(rows, basis, slots, d, i, c, slots[c], dim, widths)
+        keep = [k for k, v in enumerate(slots) if v < total]
+        rows = [[row[k] for k in keep] + row[-1:] for row in rows]
+        slots = [slots[k] for k in keep]
+    v, d = ref_condensed_run_simplex(rows, basis, slots, [0] * 2 * dim + [1, -1] + [0] * m, d,
+                                     dim, widths)
+    den = d * scale
+    solution = [0] * total
+    for row, b in zip(rows, basis):
+        solution[b] = row[-1]
+    point = tuple(Fraction(solution[i] - solution[dim + i], den) for i in range(dim))
+    return Fraction(v, den), point
+
+
 def ref_eliminate_variables(rows, drop):
     rows = [([Fraction(c) for c in coeffs], rel, Fraction(rhs)) for coeffs, rel, rhs in rows]
     for j in range(drop):
@@ -864,10 +970,10 @@ def kernel_path(monkeypatch):
     seen = []
     pivot = lattice._pivot
 
-    def spy(rows, basis, slots, d, r, c, enter, dim):
-        drive_out = len(rows) == len(basis)  # the objective row is absent
-        seen.append((enter, basis[r], rows[r][c], enter != slots[c], drive_out))
-        return pivot(rows, basis, slots, d, r, c, enter, dim)
+    def spy(cols, dens, basis, slots, r, c, enter, dim):
+        drive_out = len(cols[c]) == len(basis)  # no column holds an objective entry
+        seen.append((enter, basis[r], cols[c][r], enter != slots[c], drive_out))
+        return pivot(cols, dens, basis, slots, r, c, enter, dim)
 
     monkeypatch.setattr(lattice, "_pivot", spy)
     return seen
@@ -887,6 +993,32 @@ class TestIntegerKernelsMatchReference:
         assert lattice._max_min_slack(merged, dim) == (value, point)
         expected = (True, point) if value is not None and value > 0 else (False, None)
         assert relint_intersection_nonempty(p, q) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_columns_grow_no_wider_than_the_row_tableau(self, dim, data):
+        # A column in lowest terms is the row tableau's column over the basis
+        # determinant divided by a positive integer, so after every pivot no
+        # entry or denominator of the column kernel is wider than the widest
+        # one of the row kernel; without the gcd the column products grow.
+        p, q = data.draw(polyhedra(dim)), data.draw(polyhedra(dim))
+        merged = sorted(set(p.constraints) | set(q.constraints), key=Constraint.sort_key)
+        rows_widths = []
+        expected = ref_condensed_max_min_slack(merged, dim, rows_widths)
+        cols_widths = []
+        pivot = lattice._pivot
+
+        def spy(cols, dens, *args):
+            pivot(cols, dens, *args)
+            cols_widths.append(widest([*cols, dens]))
+
+        lattice._pivot = spy
+        try:
+            assert lattice._max_min_slack(merged, dim) == expected
+        finally:
+            lattice._pivot = pivot
+        assert len(cols_widths) == len(rows_widths) - 1
+        assert all(map(int.__le__, cols_widths, rows_widths[1:]))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4), st.booleans(), st.data())
